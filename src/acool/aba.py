@@ -161,7 +161,7 @@ class CoinAbba:
         return []
 
     def _on_est(self, frm: int, rnd: int, bit: int):
-        if bit not in (0, 1) or rnd < 0:
+        if bit not in (0, 1) or not isinstance(rnd, int) or rnd < 0:
             return []
         sends = []
         key = (rnd, bit)
@@ -183,7 +183,7 @@ class CoinAbba:
         return sends
 
     def _on_aux(self, frm: int, rnd: int, bit: int):
-        if bit not in (0, 1) or rnd < 0:
+        if bit not in (0, 1) or not isinstance(rnd, int) or rnd < 0:
             return []
         self.aux_recv.setdefault(rnd, {}).setdefault(frm, bit)
         return self._advance()

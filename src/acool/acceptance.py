@@ -220,7 +220,7 @@ def crit6_codec_oracle(quick: bool, workers: int):
     def production(word):
         shares = {i + 1: (word[i],) for i in range(6)}
         try:
-            return decode_elements(params, shares)
+            return decode_elements(params, shares)[0]
         except DecodeFailure:
             return None
 

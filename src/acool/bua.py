@@ -92,8 +92,12 @@ class Bua:
 
     # -- input and message handlers ------------------------------------
 
-    def input(self, w: bytes):
-        """Set the initial value; encodes and fans out one pair per node."""
+    def input(self, w: bytes, own_shares: Optional[list] = None):
+        """Set the initial value; encodes and fans out one pair per node.
+
+        ``own_shares`` is an encoding of ``w`` the caller already holds
+        (``own_shares[j-1]`` = elems for node j); it spares the encode.
+        """
         sends: list = []
         events: list = []
         if self.w is not None:
@@ -103,8 +107,9 @@ class Bua:
             log.debug("empty input rejected")
             return sends, events
         self.w = w
-        shares = ecc_encode(self.params, w)
-        self.own_shares = [s.elems for s in shares]
+        if own_shares is None:
+            own_shares = [s.elems for s in ecc_encode(self.params, w)]
+        self.own_shares = own_shares
         self.enc_done = True
         me = self.cfg.self_id
         inst = self.cfg.instance
@@ -112,8 +117,8 @@ class Bua:
         for j in range(1, self.params.n + 1):
             sends.append((j, Symbol(inst, (self.own_shares[j - 1], my_elems))))
         pending, self.pending = self.pending, []
-        for frm, pair in pending:
-            self._classify(frm, pair)
+        for frm, pair, ok in pending:
+            self._classify(frm, pair, ok)
         self._guards(sends, events)
         return sends, events
 
@@ -131,13 +136,14 @@ class Bua:
         if frm in self.symbol_seen:
             return sends, events
         self.symbol_seen.add(frm)
-        if self._well_formed(pair):
+        ok = self._well_formed(pair)
+        if ok:
             self.delivered[frm] = pair
             events.append(SymbolDelivered(frm, pair))
         if not self.enc_done:
-            self.pending.append((frm, pair))
+            self.pending.append((frm, pair, ok))
             return sends, events
-        self._classify(frm, pair)
+        self._classify(frm, pair, ok)
         self._guards(sends, events)
         return sends, events
 
@@ -172,10 +178,10 @@ class Bua:
                     return False
         return True
 
-    def _classify(self, frm: int, pair):
+    def _classify(self, frm: int, pair, well_formed: bool):
         me = self.cfg.self_id
         expected = (self.own_shares[me - 1], self.own_shares[frm - 1])
-        if self._well_formed(pair) and pair == expected:
+        if well_formed and pair == expected:
             self.L1.add(frm)
         else:
             # any non-equal (or malformed) pair is a mismatch

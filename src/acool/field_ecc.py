@@ -8,18 +8,32 @@ every chunk, so comparing two shares compares all chunks at once.
 
 Decoding is true error correction (Berlekamp-Welch), not erasure-only:
 from m observed shares it recovers the unique codeword at distance <= e
-whenever 2e + k <= m.  `OecAccumulator` wraps the decoder in the
-accumulate-retry loop used by the agreement protocols: collect shares one
-at a time, attempt a decode once k + t are present, and accept only when
-the re-encoding of the decoded message matches at least k + t of the
-stored shares.
+whenever 2e + k <= m.  Besides the message, the decoder returns its
+support: the shares that equal the decoded codeword on every chunk.
+`OecAccumulator` wraps the decoder in the accumulate-retry loop used by
+the agreement protocols: collect shares one at a time, attempt a decode
+once k + t are present, and accept only when the support holds at least
+k + t of the stored shares.  The support counts matches against the
+codeword of the message's canonical frame; a decoded frame with nonzero
+padding bits, which no honest encoder produces, is re-encoded to count
+them.
+
+Encoding and the clean decode path run on all chunks at once: the chunk
+values of one polynomial degree are packed into one int, one fixed-width
+lane per chunk (Kronecker substitution), and each evaluation is k
+multiply-adds of those ints.  A lane must hold k*(q-1)^2, the largest
+sum of k products of two field elements; `CodeParams.lane_code` picks the
+narrowest machine width that does.
 """
 
 from __future__ import annotations
 
 import logging
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 log = logging.getLogger(__name__)
@@ -96,6 +110,26 @@ class CodeParams:
     @property
     def oec_threshold(self) -> int:
         return self.k + self.t
+
+    @cached_property
+    def lane_code(self) -> str:
+        """`array` typecode of one lane of the packed codec arithmetic.
+
+        A lane holds one chunk's value while the codec sums k products of
+        two field elements, so it must hold k*(q-1)^2; the narrowest
+        machine width that does is used.
+        """
+        bits = (self.k * (self.q - 1) ** 2).bit_length()
+        for code in "BHIQ":
+            if 8 * array(code).itemsize >= bits:
+                return code
+        raise ValueError(f"k*(q-1)^2 needs {bits} bits, more than a 64-bit lane")
+
+    @cached_property
+    def powers(self) -> tuple:
+        """powers[x-1][d] = x^d mod q for the evaluation points x = 1..n."""
+        return tuple(tuple(pow(x, d, self.q) for d in range(self.k))
+                     for x in range(1, self.n + 1))
 
 
 def derive_params(n: int, t: int, msg_len_bits: int) -> CodeParams:
@@ -186,6 +220,39 @@ def unpack_message(params: CodeParams, elems: Sequence[int]) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+def _pack(params: CodeParams, values: Sequence[int]) -> int:
+    """One int holding ``values[c]`` in lane c; values lie in [0, q)."""
+    code = params.lane_code
+    return int.from_bytes(array(code, values).tobytes(), sys.byteorder)
+
+
+def _unpack(params: CodeParams, packed: int) -> list:
+    """Inverse of `_pack` for a non-negative lane sum, each lane reduced mod q."""
+    code, q = params.lane_code, params.q
+    raw = packed.to_bytes(params.chunks * array(code).itemsize, sys.byteorder)
+    return [v % q for v in array(code, raw)]
+
+
+def _evaluate(params: CodeParams, coeffs: Sequence[int], xs: Sequence[int]) -> list:
+    """Evaluate every chunk's polynomial at each x in ``xs``.
+
+    ``coeffs[d]`` packs the degree-d coefficient of every chunk (see
+    `_pack`).  Each lane sums k products below q^2, so it stays under
+    k*(q-1)^2, which the lane width holds without carrying into its
+    neighbour.
+    """
+    code, q, powers = params.lane_code, params.q, params.powers
+    nbytes = params.chunks * array(code).itemsize
+    rows = []
+    for x in xs:
+        acc = 0
+        for w, c in zip(powers[x - 1], coeffs):
+            acc += w * c
+        raw = acc.to_bytes(nbytes, sys.byteorder)
+        rows.append(tuple([v % q for v in array(code, raw)]))
+    return rows
+
+
 def encode_elements(params: CodeParams, data: Sequence[int]) -> list:
     """Evaluate each chunk's polynomial at x = 1..n.
 
@@ -193,19 +260,11 @@ def encode_elements(params: CodeParams, data: Sequence[int]) -> list:
     coefficients in ascending power order.  Returns one elems-tuple per
     node, indexable as result[j-1] for node j.
     """
-    n, k, q, chunks = params.n, params.k, params.q, params.chunks
+    k, chunks = params.k, params.chunks
     if len(data) != k * chunks:
         raise ValueError(f"expected {k * chunks} data elements, got {len(data)}")
-    out = []
-    for x in range(1, n + 1):
-        vals = []
-        for c in range(chunks):
-            acc = 0
-            for coeff in reversed(data[c * k : (c + 1) * k]):
-                acc = (acc * x + coeff) % q
-            vals.append(acc)
-        out.append(tuple(vals))
-    return out
+    coeffs = [_pack(params, data[d::k]) for d in range(k)]
+    return _evaluate(params, coeffs, range(1, params.n + 1))
 
 
 def ecc_encode(params: CodeParams, message: bytes) -> list:
@@ -214,10 +273,14 @@ def ecc_encode(params: CodeParams, message: bytes) -> list:
     return [SymbolShare(i + 1, rows[i]) for i in range(params.n)]
 
 
-def _interpolate(xs: Sequence[int], ys: Sequence[int], q: int) -> list:
-    """Lagrange interpolation; returns ascending coefficients, len(xs) of them."""
+def _lagrange_basis(xs: Sequence[int], q: int) -> list:
+    """Ascending coefficients of each Lagrange polynomial of the points ``xs``.
+
+    Row i is the degree-(k-1) polynomial that is 1 at xs[i] and 0 at every
+    other point, so the rows form the inverse of the Vandermonde matrix.
+    """
     k = len(xs)
-    coeffs = [0] * k
+    basis = []
     for i in range(k):
         # numerator polynomial prod_{j != i} (x - x_j), built incrementally
         num = [1]
@@ -231,10 +294,16 @@ def _interpolate(xs: Sequence[int], ys: Sequence[int], q: int) -> list:
                 nxt[d] = (nxt[d] - c * xs[j]) % q
             num = nxt
             denom = denom * (xs[i] - xs[j]) % q
-        scale = ys[i] * pow(denom, -1, q) % q
-        for d in range(len(num)):
-            coeffs[d] = (coeffs[d] + scale * num[d]) % q
-    return coeffs
+        scale = pow(denom, -1, q)
+        basis.append([c * scale % q for c in num])
+    return basis
+
+
+def _interpolate(xs: Sequence[int], ys: Sequence[int], q: int) -> list:
+    """Lagrange interpolation; returns ascending coefficients, len(xs) of them."""
+    basis = _lagrange_basis(xs, q)
+    return [sum(y * row[d] for y, row in zip(ys, basis)) % q
+            for d in range(len(xs))]
 
 
 def _poly_eval(coeffs: Sequence[int], x: int, q: int) -> int:
@@ -349,46 +418,72 @@ def _decode_chunk(xs: Sequence[int], ys: Sequence[int], k: int, q: int,
 
 
 def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
-                    max_errors: Optional[int] = None) -> list:
+                    max_errors: Optional[int] = None) -> tuple:
     """Per-chunk error correction over a share map {index: elems}.
 
-    A Byzantine sender normally corrupts a whole share, so the error
-    positions found by correcting chunk 0 are tried as erasures for the
-    remaining chunks (interpolate clean points, verify); chunks that
-    do not fit that pattern fall back to full correction, keeping the
-    per-chunk unique-decoding semantics exact.
+    Returns ``(data, support)``: the k*chunks decoded elements and the
+    indices whose share equals the decoded codeword on every chunk.
+
+    A Byzantine sender normally corrupts a whole share, so chunk 0 is
+    corrected first and the indices it finds consistent ("clean") are
+    tried as the error pattern of every chunk: one Lagrange basis on the
+    first k clean indices interpolates all chunks at once, and the
+    candidates are checked at every clean index.  Chunks that fail the
+    check fall back to full correction, keeping the per-chunk
+    unique-decoding semantics exact.  A share element outside [0, q)
+    never matches, so it counts as an error in its chunk.
     """
     xs = sorted(shares)
     if not xs or xs[0] < 1 or xs[-1] > params.n:
         raise DecodeFailure("share indices outside 1..n")
     k, q = params.k, params.q
-    data = _decode_chunk(xs, [shares[x][0] for x in xs], k, q, max_errors)
-    bad = {x for x in xs if _poly_eval(data, x, q) != shares[x][0]}
-    clean = [x for x in xs if x not in bad]
-    for c in range(1, params.chunks):
-        ys = {x: shares[x][c] for x in xs}
-        p = None
-        if len(clean) >= k:
-            cand = _interpolate(clean[:k], [ys[x] for x in clean[:k]], q)
-            if all(_poly_eval(cand, x, q) == ys[x] for x in clean):
-                p = cand
-        if p is None:
-            p = _decode_chunk(xs, [ys[x] for x in xs], k, q, max_errors)
-        data.extend(p)
-    return data
+    first = _decode_chunk(xs, [shares[x][0] for x in xs], k, q, max_errors)
+    clean = [x for x in xs if _poly_eval(first, x, q) == shares[x][0]]
+    ys = [_pack(params, [e % q for e in shares[x]]) for x in clean[:k]]
+    coeffs = []                  # coeffs[d][c]: degree-d coefficient of chunk c
+    for row in zip(*_lagrange_basis(clean[:k], q)):
+        acc = 0
+        for w, y in zip(row, ys):
+            acc += w * y
+        coeffs.append(_unpack(params, acc))
+    rows = _evaluate(params, [_pack(params, c) for c in coeffs], clean)
+    failed = set()
+    for x, row in zip(clean, rows):
+        share = shares[x]
+        if row != share:
+            failed.update(c for c, (a, b) in enumerate(zip(row, share)) if a != b)
+    support = set(clean)
+    for c in sorted(failed):
+        p = _decode_chunk(xs, [shares[x][c] for x in xs], k, q, max_errors)
+        for d in range(k):
+            coeffs[d][c] = p[d]
+        support.difference_update(
+            x for x in clean if _poly_eval(p, x, q) != shares[x][c])
+    data = [coeffs[d][c] for c in range(params.chunks) for d in range(k)]
+    return data, support
 
 
 def ecc_decode(params: CodeParams, shares: Mapping[int, Sequence[int]],
-               max_errors: Optional[int] = None) -> bytes:
+               max_errors: Optional[int] = None) -> tuple:
     """Decode a byte message from m <= n shares with Byzantine errors.
 
     Recovers the unique message whose codeword differs from the given
-    shares in <= e positions whenever 2e + k <= m.
+    shares in <= e positions whenever 2e + k <= m.  Returns
+    ``(message, support)``, where ``support`` holds the indices whose
+    share equals ``ecc_encode(params, message)`` at that index.
     """
     for idx, elems in shares.items():
         if len(elems) != params.chunks:
             raise DecodeFailure(f"share {idx} has wrong chunk count")
-    return unpack_message(params, decode_elements(params, shares, max_errors))
+    data, support = decode_elements(params, shares, max_errors)
+    message = unpack_message(params, data)
+    framed = pack_message(params, message)
+    if framed != data:
+        # Nonzero padding bits, which no honest encoder produces: the
+        # message re-encodes to another codeword, so count its matches.
+        rows = encode_elements(params, framed)
+        support = {i for i, s in shares.items() if rows[i - 1] == tuple(s)}
+    return message, support
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +495,10 @@ class OecAccumulator:
     """Accumulate shares and decode once enough agree.
 
     Each submission past the k + t threshold triggers a decode attempt.
-    A decode is accepted only when re-encoding the decoded message matches
-    at least k + t of the stored shares (and any extra ``accept`` predicate
-    passes); the adversary holds at most t slots, so an accepted message is
-    pinned down by >= k honest shares.
+    A decode is accepted only when the decoded message's codeword matches
+    at least k + t of the stored shares (its support, see `ecc_decode`) and
+    any extra ``accept`` predicate passes; the adversary holds at most t
+    slots, so an accepted message is pinned down by >= k honest shares.
     """
 
     __slots__ = ("params", "threshold", "accept", "shares", "decoded", "done",
@@ -435,13 +530,12 @@ class OecAccumulator:
         self.attempts += 1
         try:
             # errors beyond m - threshold could never pass the match check
-            message = ecc_decode(self.params, self.shares,
-                                 max_errors=len(self.shares) - self.threshold)
+            message, support = ecc_decode(
+                self.params, self.shares,
+                max_errors=len(self.shares) - self.threshold)
         except DecodeFailure:
             return None
-        codeword = encode_elements(self.params, pack_message(self.params, message))
-        matches = sum(1 for i, s in self.shares.items() if codeword[i - 1] == s)
-        if matches < self.threshold:
+        if len(support) < self.threshold:
             return None
         if self.accept is not None and not self.accept(message):
             return None

@@ -349,7 +349,9 @@ class AcoolNode(ProtocolBase):
         if self.legacy or self.bua2.w is not None:
             return False
         if self.w2 is not None:
-            s, ev = self.bua2.input(self.w2)
+            # the same input as instance 1 has the same encoding
+            reuse = self.bua1.own_shares if self.w2 == self.bua1.w else None
+            s, ev = self.bua2.input(self.w2, reuse)
             sends += s
             self._absorb2(ev)
             return True

@@ -5,7 +5,7 @@ nodes wastes bandwidth.  Instead the lowest 3t+1 node ids form a
 committee that runs the full composition among themselves; each member
 then sends one coded share of the agreed message to every outsider, and
 outsiders reconstruct it by accumulated decode at the usual k+t
-threshold with the re-encoding match check.
+threshold with the codeword match check.
 
 An empty (bottom) committee decision is not encodable, so members
 disperse a one-bit marker instead and outsiders accept bottom on t+1

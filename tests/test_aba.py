@@ -9,7 +9,7 @@ from acool.aba import (
     CoinAbba, CoinOracle, OracleAbba, OracleAdjudicator, ORACLE_ID,
     oracle_abba_decide,
 )
-from acool.messages import AbbaIn, AbbaOut
+from acool.messages import AbbaIn, AbbaOut, Aux, Est
 
 
 def test_decision_rule_batch_form():
@@ -135,6 +135,16 @@ def test_coin_stalls_without_enough_inputs():
     # only t honest participants have inputs: quorums cannot form
     outs = run_coin_net(4, 1, {1: 1}, seed=2)
     assert set(outs.values()) == {None}
+
+
+@pytest.mark.parametrize("msg", [Est(None, 0), Aux(None, 0), Est("x", 1),
+                                 Aux(1.0, 1), Est(-1, 0)])
+def test_coin_ignores_ill_typed_or_negative_rounds(msg):
+    node = CoinAbba(1, 4, 1, CoinOracle(3))
+    node.input(1)
+    before = (dict(node.est_recv), dict(node.aux_recv), node.round)
+    assert node.handle(2, msg) == []
+    assert (node.est_recv, node.aux_recv, node.round) == before
 
 
 def test_coin_oracle_is_common_and_deterministic():

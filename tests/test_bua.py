@@ -77,6 +77,21 @@ def test_malformed_pair_counts_as_mismatch():
     assert not any(isinstance(e, SymbolDelivered) for e in events)
 
 
+def test_float_pair_equal_to_expected_counts_as_mismatch():
+    # floats compare equal to the expected ints, but are not field elements
+    expected = pair_for(P41, b"m1", 2, 1)
+    floats = tuple(tuple(float(e) for e in half) for half in expected)
+    assert floats == expected
+    direct = fresh()
+    direct.input(b"m1")
+    direct.on_symbol(2, floats)
+    queued = fresh()
+    queued.on_symbol(2, floats)
+    queued.input(b"m1")
+    for b in (direct, queued):
+        assert b.L0 == {2} and b.L1 == set() and 2 not in b.delivered
+
+
 def test_symbol_before_input_is_queued():
     b = fresh()
     b.on_symbol(2, pair_for(P41, b"m1", 2, 1))

@@ -1,19 +1,25 @@
 """Codec and online-error-correction tests.
 
 Expected values come from independent oracles: hand polynomial
-arithmetic over GF(7) and brute-force minimum-distance search over all
-q^k candidate polynomials.
+arithmetic over GF(7), brute-force minimum-distance search over all
+q^k candidate polynomials, and the straightforward per-chunk codec kept
+below as reference functions (Horner encode, one interpolation per
+chunk, OEC acceptance by re-encoding), which the lane-packed codec must
+match exactly.
 """
 
 import random
+from array import array
 
 import pytest
 
+from acool import field_ecc
 from acool.field_ecc import (
     CodeParams, DecodeFailure, MessageTooLong, OecAccumulator,
-    ResilienceViolation, SymbolShare, derive_params, ecc_decode, ecc_encode,
-    encode_elements, pack_message, params_for_message_bits, share_from_bytes,
-    share_to_bytes, unpack_message,
+    ResilienceViolation, SymbolShare, _decode_chunk, _poly_eval,
+    decode_elements, derive_params, ecc_decode, ecc_encode, encode_elements,
+    pack_message, params_for_message_bits, share_from_bytes, share_to_bytes,
+    unpack_message,
 )
 
 GF7 = CodeParams(n=6, t=1, k=2, q=7, chunks=1)
@@ -81,16 +87,12 @@ def test_gf7_two_errors_recovered():
     shares[2] = ((shares[2][0] + 3) % 7,)
     shares[5] = ((shares[5][0] + 1) % 7,)
     xs = sorted(shares)
-    from acool.field_ecc import _decode_chunk
-
     got = _decode_chunk(xs, [shares[x][0] for x in xs], 2, 7)
     assert got == [3, 5]
     assert brute_force_decode(GF7, shares) == [3, 5]
 
 
 def test_gf7_oracle_agreement_sampled():
-    from acool.field_ecc import _decode_chunk
-
     rng = random.Random(7)
     for _ in range(300):
         coeffs = [rng.randrange(7), rng.randrange(7)]
@@ -116,7 +118,8 @@ def test_roundtrip_with_corruption():
         e = (n - params.k) // 2
         for idx in rng.sample(sorted(shares), min(e, t)):
             shares[idx] = tuple(rng.randrange(params.q) for _ in range(params.chunks))
-        assert ecc_decode(params, shares) == msg
+        message, support = ecc_decode(params, shares)
+        assert message == msg
 
 
 def test_decode_failure_beyond_radius():
@@ -218,3 +221,281 @@ def test_determinism():
     a = [s.elems for s in ecc_encode(params, msg)]
     b = [s.elems for s in ecc_encode(params, msg)]
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# reference codec: the per-chunk loops the lane-packed codec replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_encode_elements(params, data):
+    """Horner evaluation of every chunk at every point."""
+    n, k, q, chunks = params.n, params.k, params.q, params.chunks
+    out = []
+    for x in range(1, n + 1):
+        vals = []
+        for c in range(chunks):
+            acc = 0
+            for coeff in reversed(data[c * k:(c + 1) * k]):
+                acc = (acc * x + coeff) % q
+            vals.append(acc)
+        out.append(tuple(vals))
+    return out
+
+
+def ref_interpolate(xs, ys, q):
+    """Lagrange interpolation of one chunk; ascending coefficients."""
+    k = len(xs)
+    coeffs = [0] * k
+    for i in range(k):
+        num = [1]
+        denom = 1
+        for j in range(k):
+            if j == i:
+                continue
+            nxt = [0] * (len(num) + 1)
+            for d, c in enumerate(num):
+                nxt[d + 1] = (nxt[d + 1] + c) % q
+                nxt[d] = (nxt[d] - c * xs[j]) % q
+            num = nxt
+            denom = denom * (xs[i] - xs[j]) % q
+        scale = ys[i] * pow(denom, -1, q) % q
+        for d in range(len(num)):
+            coeffs[d] = (coeffs[d] + scale * num[d]) % q
+    return coeffs
+
+
+def ref_decode_elements(params, shares, max_errors=None):
+    """One interpolation per chunk on chunk 0's clean indices, else correction."""
+    xs = sorted(shares)
+    if not xs or xs[0] < 1 or xs[-1] > params.n:
+        raise DecodeFailure("share indices outside 1..n")
+    k, q = params.k, params.q
+    data = _decode_chunk(xs, [shares[x][0] for x in xs], k, q, max_errors)
+    bad = {x for x in xs if _poly_eval(data, x, q) != shares[x][0]}
+    clean = [x for x in xs if x not in bad]
+    for c in range(1, params.chunks):
+        ys = {x: shares[x][c] for x in xs}
+        p = None
+        if len(clean) >= k:
+            cand = ref_interpolate(clean[:k], [ys[x] for x in clean[:k]], q)
+            if all(_poly_eval(cand, x, q) == ys[x] for x in clean):
+                p = cand
+        if p is None:
+            p = _decode_chunk(xs, [ys[x] for x in xs], k, q, max_errors)
+        data.extend(p)
+    return data
+
+
+def ref_matches(params, shares, data):
+    """Indices whose share equals the codeword of ``data``."""
+    rows = ref_encode_elements(params, data)
+    return {i for i, s in shares.items() if rows[i - 1] == tuple(s)}
+
+
+def ref_oec(params, arrivals):
+    """Accumulate-and-retry with acceptance by re-encoding.
+
+    Returns (message, arrival position of the accepting submit, attempts),
+    with None for the first two when nothing is accepted.
+    """
+    threshold = params.oec_threshold
+    shares = {}
+    attempts = 0
+    for pos, (idx, elems) in enumerate(arrivals):
+        if idx in shares:
+            continue
+        shares[idx] = tuple(elems)
+        if len(shares) < threshold:
+            continue
+        attempts += 1
+        try:
+            data = ref_decode_elements(params, shares, len(shares) - threshold)
+            message = unpack_message(params, data)
+        except DecodeFailure:
+            continue
+        framed = pack_message(params, message)
+        if len(ref_matches(params, shares, framed)) >= threshold:
+            return message, pos, attempts
+    return None, None, attempts
+
+
+def run_oec(params, arrivals):
+    acc = OecAccumulator(params)
+    for pos, (idx, elems) in enumerate(arrivals):
+        got = acc.submit(idx, elems)
+        if got is not None:
+            return got, pos, acc.attempts
+    return None, None, acc.attempts
+
+
+def decode_outcome(fn, params, shares, max_errors):
+    try:
+        return fn(params, shares, max_errors)
+    except DecodeFailure:
+        return DecodeFailure
+
+
+def geometry(k, chunks, q):
+    t = 3 * k
+    n = max(3 * t + 1, q - 1 if q > 257 else 0)
+    return CodeParams(n=n, t=t, k=k, q=q, chunks=chunks)
+
+
+GEOMETRIES = [geometry(k, chunks, q)
+              for q in (257, 263) for k in (1, 2, 5, 11) for chunks in (1, 2, 104)]
+GEOMETRIES.append(CodeParams(n=12, t=3, k=2, q=65537, chunks=3))  # 64-bit lanes
+
+
+def out_of_range(rng, q, v):
+    return rng.choice((v + q, -1 - v, q, 2 ** 70 + v))
+
+
+def corrupted_share_sets(rng, params, rows):
+    """Seeded share maps: whole-share garbage, per-chunk errors that defeat
+    chunk 0's error pattern, errors beyond the radius and elements outside
+    [0, q)."""
+    n, k, q, chunks = params.n, params.k, params.q, params.chunks
+    for trial in range(8):
+        m = rng.randint(k, min(n, 3 * k + 8))
+        xs = sorted(rng.sample(range(1, n + 1), m))
+        shares = {x: list(rows[x - 1]) for x in xs}
+        e = (m - k) // 2
+        kind = trial % 4
+        if kind == 0:          # whole shares replaced by garbage
+            for x in rng.sample(xs, rng.randint(0, e)):
+                shares[x] = [rng.randrange(q) for _ in range(chunks)]
+        elif kind == 1:        # independent error patterns per chunk
+            picked = rng.sample(range(chunks), rng.randint(1, chunks))
+            for c in picked + [chunks - 1]:
+                for x in rng.sample(xs, rng.randint(min(1, e), e)):
+                    shares[x][c] = (shares[x][c] + rng.randrange(1, q)) % q
+        elif kind == 2:        # one chunk beyond the correction radius
+            c = rng.randrange(chunks)
+            for x in rng.sample(xs, min(m, e + 1 + rng.randint(0, 2))):
+                shares[x][c] = (shares[x][c] + rng.randrange(1, q)) % q
+        else:                  # elements outside [0, q)
+            for _ in range(rng.randint(1, e + 2)):
+                x, c = rng.choice(xs), rng.randrange(chunks)
+                shares[x][c] = out_of_range(rng, q, shares[x][c])
+        max_errors = rng.choice((None, None, 0, 1, e))
+        yield {x: tuple(v) for x, v in shares.items()}, max_errors
+
+
+@pytest.mark.parametrize("params", GEOMETRIES,
+                         ids=lambda p: f"k{p.k}-c{p.chunks}-q{p.q}")
+def test_codec_matches_reference(params, monkeypatch):
+    corrections = []
+    decode_chunk = field_ecc._decode_chunk
+
+    def counted(*args):
+        corrections.append(1)
+        return decode_chunk(*args)
+
+    monkeypatch.setattr(field_ecc, "_decode_chunk", counted)
+    rng = random.Random(params.k * 1000 + params.chunks * 10 + params.q)
+    fallbacks = 0
+    for _ in range(3):
+        data = [rng.randrange(params.q) for _ in range(params.k * params.chunks)]
+        rows = ref_encode_elements(params, data)
+        assert encode_elements(params, data) == rows
+        for shares, max_errors in corrupted_share_sets(rng, params, rows):
+            del corrections[:]
+            got = decode_outcome(decode_elements, params, shares, max_errors)
+            want = decode_outcome(ref_decode_elements, params, shares, max_errors)
+            if want is DecodeFailure:
+                assert got is DecodeFailure
+                continue
+            assert got == (want, ref_matches(params, shares, want))
+            fallbacks += len(corrections) > 1
+    if params.k > 1 and params.chunks > 1:
+        assert fallbacks > 0     # some chunks went to full correction
+
+
+def test_largest_lane_sum():
+    # k*(q-1)^2 just below 2^32 fills a 32-bit lane; at x = q-1 the lane
+    # sums (q-1) + (q-1)^2 before reduction.
+    q = 46337
+    params = CodeParams(n=q - 1, t=0, k=2, q=q, chunks=2)
+    assert 8 * array(params.lane_code).itemsize == 32
+    data = [q - 1] * 4
+    rows = encode_elements(params, data)
+    assert rows == ref_encode_elements(params, data)
+    shares = {x: rows[x - 1] for x in range(q - 6, q)}
+    assert decode_elements(params, shares) == (data, set(shares))
+    shares[q - 1] = (q - 2, 2 * q)
+    assert decode_elements(params, shares) == (data, set(range(q - 6, q - 1)))
+
+
+def test_lane_width_is_the_narrowest_holding_k_q_squared():
+    widths = [8 * array(code).itemsize for code in "BHIQ"]
+    assert 8 * array(GEOMETRIES[-1].lane_code).itemsize == 64
+    for params in GEOMETRIES + [CodeParams(n=6, t=1, k=2, q=7, chunks=1)]:
+        need = (params.k * (params.q - 1) ** 2).bit_length()
+        width = 8 * array(params.lane_code).itemsize
+        assert width >= need
+        assert all(w < need for w in widths if w < width)
+    with pytest.raises(ValueError):
+        CodeParams(n=4, t=1, k=2, q=2 ** 32 + 15, chunks=1).lane_code
+
+
+@pytest.mark.parametrize("n,t,bits", [(7, 2, 64), (19, 6, 512), (31, 10, 1024)])
+def test_oec_matches_reference(n, t, bits):
+    params = params_for_message_bits(n, t, bits)
+    rng = random.Random(n)
+    q, chunks = params.q, params.chunks
+    for trial in range(12):
+        msg = bytes(rng.randrange(256) for _ in range(rng.randrange(1, bits // 8)))
+        good = [s.elems for s in ecc_encode(params, msg)]
+        bad = set(rng.sample(range(1, n + 1), t))
+        arrivals = []
+        for idx in rng.sample(range(1, n + 1), n):
+            elems = list(good[idx - 1])
+            if idx in bad:
+                kind = trial % 3
+                if kind == 0:
+                    elems = [rng.randrange(q) for _ in range(chunks)]
+                elif kind == 1:
+                    c = rng.randrange(chunks)
+                    elems[c] = (elems[c] + 1) % q
+                else:
+                    c = rng.randrange(chunks)
+                    elems[c] = out_of_range(rng, q, elems[c])
+            arrivals.append((idx, tuple(elems)))
+        assert run_oec(params, arrivals) == ref_oec(params, arrivals)
+
+
+@pytest.mark.parametrize("padding", ["low bit", "element above 2^b"])
+def test_noncanonical_frame_falls_back_to_reencode(padding, monkeypatch):
+    params = params_for_message_bits(19, 6, 256)
+    framed = pack_message(params, b"short")
+    crafted = list(framed)
+    crafted[-1] = 1 if padding == "low bit" else params.q - 1
+    rows = ref_encode_elements(params, crafted)
+    shares = {i + 1: rows[i] for i in range(params.n)}
+    assert unpack_message(params, crafted) == unpack_message(params, framed)
+    assert decode_elements(params, shares) == (crafted, set(shares))
+
+    encodes = []
+    encode = field_ecc.encode_elements
+
+    def counted(*args):
+        encodes.append(1)
+        return encode(*args)
+
+    monkeypatch.setattr(field_ecc, "encode_elements", counted)
+    message, support = ecc_decode(params, shares)
+    assert encodes == [1]
+    assert message == unpack_message(params, crafted)
+    assert support == ref_matches(params, shares, pack_message(params, message))
+    assert len(support) < params.k
+    arrivals = sorted(shares.items())
+    attempts = params.n - params.oec_threshold + 1
+    assert run_oec(params, arrivals) == ref_oec(params, arrivals) == (None, None, attempts)
+
+
+def test_canonical_frame_decodes_without_reencode(monkeypatch):
+    params = params_for_message_bits(19, 6, 256)
+    shares = {s.index: s.elems for s in ecc_encode(params, b"short")}
+    monkeypatch.setattr(field_ecc, "encode_elements", None)
+    assert ecc_decode(params, shares) == (b"short", set(shares))
