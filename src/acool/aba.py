@@ -37,8 +37,6 @@ ORACLE_ID = 0
 class OracleAbba:
     """Node-side handle of the adjudicated binary agreement."""
 
-    kind = "oracle"
-
     def __init__(self, node_id: int):
         self.node_id = node_id
         self.input_bit: Optional[int] = None
@@ -112,10 +110,13 @@ class CoinOracle:
         return h[0] & 1
 
 
+def _is_bit(bit) -> bool:
+    # 1.0 and True pass `in (0, 1)`, and a received bit may be relayed
+    return type(bit) is int and bit in (0, 1)
+
+
 class CoinAbba:
     """Round-based binary agreement over a perfect common coin."""
-
-    kind = "coin"
 
     def __init__(self, node_id: int, n: int, t: int, coin: CoinOracle):
         self.node_id = node_id
@@ -135,7 +136,6 @@ class CoinAbba:
         self.decide_seen: set = set()
         self.decide_recv = {0: set(), 1: set()}
         self.output: Optional[int] = None
-        self.rounds_run = 0
 
     def _broadcast(self, msg):
         return [(j, msg) for j in range(1, self.n + 1)]
@@ -161,7 +161,7 @@ class CoinAbba:
         return []
 
     def _on_est(self, frm: int, rnd: int, bit: int):
-        if bit not in (0, 1) or not isinstance(rnd, int) or rnd < 0:
+        if not _is_bit(bit) or type(rnd) is not int or rnd < 0:
             return []
         sends = []
         key = (rnd, bit)
@@ -183,13 +183,13 @@ class CoinAbba:
         return sends
 
     def _on_aux(self, frm: int, rnd: int, bit: int):
-        if bit not in (0, 1) or not isinstance(rnd, int) or rnd < 0:
+        if not _is_bit(bit) or type(rnd) is not int or rnd < 0:
             return []
         self.aux_recv.setdefault(rnd, {}).setdefault(frm, bit)
         return self._advance()
 
     def _on_decide(self, frm: int, bit: int):
-        if bit not in (0, 1) or frm in self.decide_seen:
+        if not _is_bit(bit) or frm in self.decide_seen:
             return []
         self.decide_seen.add(frm)
         self.decide_recv[bit].add(frm)
@@ -226,7 +226,6 @@ class CoinAbba:
             else:
                 self.est = s
             self.round = rnd + 1
-            self.rounds_run += 1
             key = (self.round, self.est)
             if key not in self.est_sent:
                 self.est_sent.add(key)

@@ -74,7 +74,6 @@ class Bua:
         self.params = cfg.params
         self.w: Optional[bytes] = None
         self.own_shares: Optional[list] = None   # own_shares[j-1] = elems for node j
-        self.enc_done = False
         self.L0: set = set()
         self.L1: set = set()
         self.S1p1: set = set()
@@ -110,7 +109,6 @@ class Bua:
         if own_shares is None:
             own_shares = [s.elems for s in ecc_encode(self.params, w)]
         self.own_shares = own_shares
-        self.enc_done = True
         me = self.cfg.self_id
         inst = self.cfg.instance
         my_elems = self.own_shares[me - 1]
@@ -121,6 +119,12 @@ class Bua:
             self._classify(frm, pair, ok)
         self._guards(sends, events)
         return sends, events
+
+    def handle(self, frm: int, msg):
+        """Route one SYMBOL or SI message addressed to this instance."""
+        if isinstance(msg, Symbol):
+            return self.on_symbol(frm, msg.pair)
+        return self.on_si(msg.phase, frm, msg.bit)
 
     def on_symbol(self, frm: int, pair):
         """First SYMBOL from ``frm``.
@@ -136,11 +140,13 @@ class Bua:
         if frm in self.symbol_seen:
             return sends, events
         self.symbol_seen.add(frm)
-        ok = self._well_formed(pair)
+        valid = self.params.valid_elems
+        ok = (isinstance(pair, tuple) and len(pair) == 2
+              and valid(pair[0]) and valid(pair[1]))
         if ok:
             self.delivered[frm] = pair
             events.append(SymbolDelivered(frm, pair))
-        if not self.enc_done:
+        if self.own_shares is None:
             self.pending.append((frm, pair, ok))
             return sends, events
         self._classify(frm, pair, ok)
@@ -148,9 +154,11 @@ class Bua:
         return sends, events
 
     def on_si(self, phase: int, frm: int, bit: int):
-        """First SI of ``phase`` from ``frm`` joins the indicator sets."""
+        """First SI of phase 1 or 2 from ``frm`` joins the indicator sets."""
         sends: list = []
         events: list = []
+        if type(phase) is not int or phase not in (1, 2):
+            return sends, events
         seen = self.si_seen[phase - 1]
         if frm in seen:
             return sends, events
@@ -164,19 +172,6 @@ class Bua:
         return sends, events
 
     # -- internals -------------------------------------------------------
-
-    def _well_formed(self, pair) -> bool:
-        chunks = self.params.chunks
-        q = self.params.q
-        if not isinstance(pair, tuple) or len(pair) != 2:
-            return False
-        for half in pair:
-            if not isinstance(half, tuple) or len(half) != chunks:
-                return False
-            for e in half:
-                if not isinstance(e, int) or not 0 <= e < q:
-                    return False
-        return True
 
     def _classify(self, frm: int, pair, well_formed: bool):
         me = self.cfg.self_id

@@ -20,8 +20,7 @@ import sys
 
 from .field_ecc import ResilienceViolation
 from .simnet import (
-    ADVERSARIES, CSV_HEADER, PROTOCOLS, SCHEDULERS, SCENARIOS, SimConfig,
-    run, sweep,
+    ADVERSARIES, PROTOCOLS, SCHEDULERS, SCENARIOS, SimConfig, run, sweep,
 )
 
 
@@ -118,8 +117,6 @@ def cmd_run(args) -> int:
             f.write(report.to_json() + "\n")
         with open(args.out + ".ndjson", "w") as f:
             f.write(report.log_ndjson() + "\n")
-        with open(args.out + ".csv", "w") as f:
-            f.write(CSV_HEADER + "\n" + report.metrics.csv_row(config) + "\n")
     if not all(report.checks.values()):
         return 2
     if report.reason != "ok":

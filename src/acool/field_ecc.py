@@ -29,7 +29,6 @@ narrowest machine width that does.
 from __future__ import annotations
 
 import logging
-import struct
 import sys
 from array import array
 from dataclasses import dataclass
@@ -111,6 +110,21 @@ class CodeParams:
     def oec_threshold(self) -> int:
         return self.k + self.t
 
+    def valid_elems(self, elems) -> bool:
+        """True when ``elems`` is one share: a tuple of ``chunks`` ints in [0, q)."""
+        if not isinstance(elems, tuple) or len(elems) != self.chunks:
+            return False
+        q = self.q
+        for e in elems:
+            if not isinstance(e, int) or not 0 <= e < q:
+                return False
+        return True
+
+    def valid_message(self, message) -> bool:
+        """True when ``message`` is bytes that fits the code after framing."""
+        return (isinstance(message, bytes)
+                and LENGTH_PREFIX_BITS + 8 * len(message) <= self.capacity_bits)
+
     @cached_property
     def lane_code(self) -> str:
         """`array` typecode of one lane of the packed codec arithmetic.
@@ -159,24 +173,6 @@ class SymbolShare(NamedTuple):
 
     index: int
     elems: tuple
-
-
-def share_to_bytes(share: SymbolShare) -> bytes:
-    """Wire form: index as u16, then each element as u32, big-endian."""
-    return struct.pack(">H", share.index) + b"".join(
-        struct.pack(">I", e) for e in share.elems
-    )
-
-
-def share_from_bytes(data: bytes) -> SymbolShare:
-    if len(data) < 2 or (len(data) - 2) % 4 != 0:
-        raise ValueError("malformed share encoding")
-    index = struct.unpack_from(">H", data)[0]
-    elems = tuple(
-        struct.unpack_from(">I", data, 2 + 4 * i)[0]
-        for i in range((len(data) - 2) // 4)
-    )
-    return SymbolShare(index, elems)
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +500,10 @@ class OecAccumulator:
     __slots__ = ("params", "threshold", "accept", "shares", "decoded", "done",
                  "attempts", "duplicates")
 
-    def __init__(self, params: CodeParams, threshold: Optional[int] = None,
+    def __init__(self, params: CodeParams,
                  accept: Optional[Callable[[bytes], bool]] = None):
         self.params = params
-        self.threshold = params.oec_threshold if threshold is None else threshold
+        self.threshold = params.oec_threshold
         self.accept = accept
         self.shares: dict = {}
         self.decoded: Optional[bytes] = None

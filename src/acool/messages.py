@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .field_ecc import CodeParams
-
 
 class Symbol(NamedTuple):
     """Coded-symbol exchange inside a unique-agreement instance."""
@@ -102,12 +100,6 @@ class AbbaOut(NamedTuple):
     bit: int
 
 
-ProtocolMsg = (
-    Symbol, Si, NewSymbol, Ready, CorrectSymbol, Shmdm,
-    Leader, Initial, LeaderMessage, Est, Aux, Decide, AbbaIn, AbbaOut,
-)
-
-
 def tag_of(msg) -> str:
     """Spec-facing tag used in metrics and event logs."""
     if isinstance(msg, Si):
@@ -115,9 +107,12 @@ def tag_of(msg) -> str:
     return type(msg).__name__.upper()
 
 
-def payload_bits(msg, params: CodeParams) -> int:
-    """Accounted payload width of a message under the given code geometry."""
-    sym = params.symbol_bits
+def payload_bits(msg, sym):
+    """Accounted payload width of a message whose coded symbol is ``sym`` bits.
+
+    ``sym`` is `CodeParams.symbol_bits` for the raw accounting, or the
+    fractional analytical width for the idealized one.
+    """
     if isinstance(msg, Symbol):
         return 2 * sym
     if isinstance(msg, (Si, Ready)):

@@ -25,7 +25,7 @@ order) before the next.  All cross-node effects travel as returned
 from __future__ import annotations
 
 import logging
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bua import Bua, BuaConfig, SiRecorded, SymbolDelivered
 from .field_ecc import CodeParams, OecAccumulator
@@ -49,6 +49,15 @@ class _Bottom:
 
 
 BOTTOM = _Bottom()
+
+
+class NodeState(NamedTuple):
+    """What the simulator reads from a node once its run is over."""
+
+    decode_attempts: int          # over every share accumulator of the node
+    buas: tuple                   # (SYMBOL/SI tag, Bua) of each instance
+    abba_race: bool               # both binary-agreement input rules fired
+    quorum_collision: bool        # both READY quorums reached n-t
 
 
 class ProtocolBase:
@@ -132,11 +141,23 @@ class ProtocolBase:
     # -- final multicast ---------------------------------------------------
 
     def _on_correct_symbol(self, frm: int, elems):
-        if frm in self.correct_seen or not self._valid_elems(elems):
+        if frm in self.correct_seen or not self.params.valid_elems(elems):
             return
         self.correct_seen.add(frm)
         if not self.oec_final.done:
             self.oec_final.submit(frm, elems)
+
+    def _absorb_final(self, bua: Bua, events):
+        """Fold the final-decode instance's events into calibration and decode."""
+        for ev in events:
+            if isinstance(ev, SymbolDelivered):
+                self.calib_dirty = True
+                if ev.sender in bua.S1p2:
+                    self._harvest_final(bua, ev.sender)
+            elif isinstance(ev, SiRecorded) and ev.phase == 2:
+                self.calib_dirty = True
+                if ev.bit == 1:
+                    self._harvest_final(bua, ev.sender)
 
     def _harvest_final(self, bua: Bua, j: int):
         """Store a phase-2-successful peer's own symbol for the final decode."""
@@ -182,12 +203,6 @@ class ProtocolBase:
         winners = sorted(y for y, c in counts.items() if c >= need)
         return winners[0] if winners else None
 
-    def _valid_elems(self, elems) -> bool:
-        if not isinstance(elems, tuple) or len(elems) != self.params.chunks:
-            return False
-        q = self.params.q
-        return all(isinstance(e, int) and 0 <= e < q for e in elems)
-
 
 class AcoolNode(ProtocolBase):
     """One node of the full agreement composition.
@@ -205,6 +220,8 @@ class AcoolNode(ProtocolBase):
         super().__init__(node_id, params)
         self.bua1 = Bua(BuaConfig(1, params, node_id))
         self.bua2 = Bua(BuaConfig(2, params, node_id))
+        # the instances SYMBOL and SI messages reach, by their tag
+        self.buas = {1: self.bua1} if legacy else {1: self.bua1, 2: self.bua2}
         self.abba = abba
         self.abba_in: Optional[int] = None
         self.w_input: Optional[bytes] = None
@@ -219,6 +236,10 @@ class AcoolNode(ProtocolBase):
         self.abba_race = False
 
     # -- external surface --------------------------------------------------
+
+    def introspect(self) -> NodeState:
+        return NodeState(self.oec_new.attempts + self.oec_final.attempts,
+                         tuple(self.buas.items()), self.abba_race, False)
 
     def input(self, w: bytes):
         sends: list = []
@@ -238,29 +259,20 @@ class AcoolNode(ProtocolBase):
         sends: list = []
         if self.terminated:
             return sends
-        if isinstance(msg, Symbol):
-            if msg.inst == 1:
-                s, ev = self.bua1.on_symbol(frm, msg.pair)
+        if isinstance(msg, (Symbol, Si)):
+            bua = self.buas.get(msg.inst) if type(msg.inst) is int else None
+            if bua is not None:
+                s, ev = bua.handle(frm, msg)
                 sends += s
-                self._absorb1(ev)
-            elif msg.inst == 2 and not self.legacy:
-                s, ev = self.bua2.on_symbol(frm, msg.pair)
-                sends += s
-                self._absorb2(ev)
-        elif isinstance(msg, Si):
-            if msg.phase in (1, 2):
-                if msg.inst == 1:
-                    s, ev = self.bua1.on_si(msg.phase, frm, msg.bit)
-                    sends += s
+                if bua is self.bua1:
                     self._absorb1(ev)
-                elif msg.inst == 2 and not self.legacy:
-                    s, ev = self.bua2.on_si(msg.phase, frm, msg.bit)
-                    sends += s
-                    self._absorb2(ev)
+                else:
+                    self._absorb_final(bua, ev)
         elif isinstance(msg, NewSymbol):
             if not self.legacy and frm not in self.newsym_seen:
                 self.newsym_seen.add(frm)
-                if self._valid_elems(msg.elems) and frm not in self.oec_new:
+                if (self.params.valid_elems(msg.elems)
+                        and frm not in self.oec_new):
                     self.oec_new.submit(frm, msg.elems)
         elif isinstance(msg, Ready):
             self._on_ready(frm, msg.bit)
@@ -291,18 +303,6 @@ class AcoolNode(ProtocolBase):
                         self.oec_new.submit(ev.sender, pair[1])
                 elif ev.phase == 2 and ev.bit == 0:
                     self.y_dirty = True
-
-    def _absorb2(self, events):
-        """Fold instance-2 events into the final decode and calibration."""
-        for ev in events:
-            if isinstance(ev, SymbolDelivered):
-                self.calib_dirty = True
-                if ev.sender in self.bua2.S1p2:
-                    self._harvest_final(self.bua2, ev.sender)
-            elif isinstance(ev, SiRecorded) and ev.phase == 2:
-                self.calib_dirty = True
-                if ev.bit == 1:
-                    self._harvest_final(self.bua2, ev.sender)
 
     # -- guard cascade -------------------------------------------------------
 
@@ -353,7 +353,7 @@ class AcoolNode(ProtocolBase):
             reuse = self.bua1.own_shares if self.w2 == self.bua1.w else None
             s, ev = self.bua2.input(self.w2, reuse)
             sends += s
-            self._absorb2(ev)
+            self._absorb_final(self.bua2, ev)
             return True
         if self.bua1.s2 == 1 and self.w_input is not None:
             self.w2 = self.w_input

@@ -15,34 +15,30 @@ unbalanced mode the leader simply broadcasts the whole message.
 from __future__ import annotations
 
 import logging
-from typing import Callable, Optional
+from typing import Optional
 
 from .bua import Bua, BuaConfig
 from .field_ecc import CodeParams, OecAccumulator, ecc_encode
 from .messages import (
     CorrectSymbol, Initial, Leader, LeaderMessage, Ready, Si, Symbol,
 )
-from .protocol import ProtocolBase
+from .protocol import NodeState, ProtocolBase
 
 log = logging.getLogger(__name__)
 
 
 class RbaNode(ProtocolBase):
-    """Reliable multi-valued agreement: totality without binary agreement.
+    """Reliable multi-valued agreement: totality without binary agreement."""
 
-    ``on_ready_value`` is an optional callback receiving the bit whose
-    quorum triggered the first READY; ``external_phase_go`` lets an outer
-    protocol force phase three.  Both hooks exist for compositions that
-    embed this machine and are unused here.
-    """
-
-    def __init__(self, node_id: int, params: CodeParams,
-                 on_ready_value: Optional[Callable[[int], None]] = None):
+    def __init__(self, node_id: int, params: CodeParams):
         super().__init__(node_id, params)
         self.bua = Bua(BuaConfig(0, params, node_id))
         self.w_input: Optional[bytes] = None
-        self.on_ready_value = on_ready_value
         self.quorum_collision = False
+
+    def introspect(self) -> NodeState:
+        return NodeState(self.oec_final.attempts, ((0, self.bua),), False,
+                         self.quorum_collision)
 
     def input(self, w: bytes):
         sends: list = []
@@ -53,7 +49,7 @@ class RbaNode(ProtocolBase):
         self.w_input = w
         s, ev = self.bua.input(w)
         sends += s
-        self._absorb(ev)
+        self._absorb_final(self.bua, ev)
         self._pump(sends)
         return sends
 
@@ -61,14 +57,10 @@ class RbaNode(ProtocolBase):
         sends: list = []
         if self.terminated:
             return sends
-        if isinstance(msg, Symbol) and msg.inst == 0:
-            s, ev = self.bua.on_symbol(frm, msg.pair)
+        if isinstance(msg, (Symbol, Si)) and msg.inst == 0:
+            s, ev = self.bua.handle(frm, msg)
             sends += s
-            self._absorb(ev)
-        elif isinstance(msg, Si) and msg.inst == 0 and msg.phase in (1, 2):
-            s, ev = self.bua.on_si(msg.phase, frm, msg.bit)
-            sends += s
-            self._absorb(ev)
+            self._absorb_final(self.bua, ev)
         elif isinstance(msg, Ready):
             self._on_ready(frm, msg.bit)
         elif isinstance(msg, CorrectSymbol):
@@ -77,27 +69,6 @@ class RbaNode(ProtocolBase):
             log.debug("node %d: dropping %r", self.node_id, msg)
         self._pump(sends)
         return sends
-
-    def external_phase_go(self):
-        """Force phase three from an outer protocol's positive decision."""
-        sends: list = []
-        if not self.ph3 and not self.terminated:
-            self.v_out = 1
-            self._pump(sends)
-        return sends
-
-    def _absorb(self, events):
-        from .bua import SiRecorded, SymbolDelivered
-
-        for ev in events:
-            if isinstance(ev, SymbolDelivered):
-                self.calib_dirty = True
-                if ev.sender in self.bua.S1p2:
-                    self._harvest_final(self.bua, ev.sender)
-            elif isinstance(ev, SiRecorded) and ev.phase == 2:
-                self.calib_dirty = True
-                if ev.bit == 1:
-                    self._harvest_final(self.bua, ev.sender)
 
     def _pump(self, sends):
         changed = True
@@ -122,8 +93,6 @@ class RbaNode(ProtocolBase):
             if len(sets[b]) >= n - t:
                 self.ready_sent = b
                 self._broadcast(Ready(b), sends)
-                if self.on_ready_value is not None:
-                    self.on_ready_value(b)
                 return True
         return False
 
@@ -150,9 +119,10 @@ class RbcNode:
     def is_terminated(self) -> bool:
         return self.inner.is_terminated()
 
-    @property
-    def terminated(self) -> bool:
-        return self.inner.terminated
+    def introspect(self) -> NodeState:
+        inner = self.inner.introspect()
+        return inner._replace(decode_attempts=self.initial_acc.attempts
+                              + inner.decode_attempts)
 
     def input(self, w: bytes):
         sends: list = []
@@ -176,13 +146,13 @@ class RbcNode:
             return sends
         if isinstance(msg, Leader):
             if (self.balanced and frm == self.leader and not self.leader_seen
-                    and self.inner._valid_elems(msg.elems)):
+                    and self.params.valid_elems(msg.elems)):
                 self.leader_seen = True
                 for j in range(1, self.params.n + 1):
                     sends.append((j, Initial(msg.elems)))
         elif isinstance(msg, Initial):
             if (self.balanced and frm not in self.initial_seen
-                    and self.inner._valid_elems(msg.elems)):
+                    and self.params.valid_elems(msg.elems)):
                 self.initial_seen.add(frm)
                 if not self.initial_acc.done:
                     got = self.initial_acc.submit(frm, msg.elems)
@@ -191,7 +161,8 @@ class RbcNode:
         elif isinstance(msg, LeaderMessage):
             if (not self.balanced and frm == self.leader and not self.leader_seen):
                 self.leader_seen = True
-                if self.w is None and msg.payload:
+                if (self.w is None and msg.payload
+                        and self.params.valid_message(msg.payload)):
                     self.w = msg.payload
         else:
             sends += self.inner.handle(frm, msg)

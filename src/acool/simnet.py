@@ -15,7 +15,8 @@ generators and every iteration order is fixed.
 Metrics account payload bits per message tag for honest senders only
 (Byzantine and binary-agreement side-channel bits are opt-in), per-node
 egress, decode attempts, and the causal-round depth (longest message
-chain) reached at honest termination.
+chain) reached at honest termination.  A message's tag and bits are
+computed once, when it is sent; nodes are read through `introspect()`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .aba import CoinAbba, CoinOracle, OracleAbba, OracleAdjudicator, ORACLE_ID
 from .field_ecc import CodeParams, params_for_message_bits
 from .messages import (
     AbbaIn, AbbaOut, Aux, CorrectSymbol, Decide, Est, Initial, Leader,
-    LeaderMessage, NewSymbol, Ready, Shmdm, Si, Symbol, payload_bits, tag_of,
+    NewSymbol, Ready, Shmdm, Si, Symbol, payload_bits, tag_of,
 )
 from .protocol import BOTTOM, AcoolNode
 from .rba_rbc import RbaNode, RbcNode
@@ -45,10 +46,6 @@ ADVERSARIES = (
     "random_byzantine",
 )
 SCHEDULERS = ("uniform", "lifo", "adversary")
-
-
-class EventCapExceeded(Exception):
-    """Raised by callers that treat a liveness failure as fatal."""
 
 
 def _subseed(seed: int, label: str) -> int:
@@ -174,10 +171,11 @@ class _Queue:
     def __len__(self):
         return len(self.events)
 
-    def push(self, step: int, frm: int, dst: int, msg, rnd: int):
+    def push(self, step: int, frm: int, dst: int, msg, rnd: int, tag: str,
+             bits: int):
         eid = self.next_id
         self.next_id += 1
-        self.events[eid] = (step, frm, dst, msg, rnd)
+        self.events[eid] = (step, frm, dst, msg, rnd, tag, bits)
         self.age.append(eid)
         self.stack.append(eid)
         self.pos[eid] = len(self.ids)
@@ -431,7 +429,6 @@ class Metrics:
     bits_by_tag: dict = field(default_factory=dict)
     total_bits: int = 0
     ideal_total_bits: float = 0.0
-    egress: dict = field(default_factory=dict)
     egress_by_tag: dict = field(default_factory=dict)
     max_causal_round: int = 0
     decode_attempts: int = 0
@@ -444,7 +441,8 @@ class Metrics:
             "bits_by_tag": dict(sorted(self.bits_by_tag.items())),
             "total_bits": self.total_bits,
             "ideal_total_bits": round(self.ideal_total_bits, 3),
-            "egress": {str(k): v for k, v in sorted(self.egress.items())},
+            "egress": {str(node): sum(tags.values())
+                       for node, tags in sorted(self.egress_by_tag.items())},
             "egress_by_tag": {
                 str(node): dict(sorted(tags.items()))
                 for node, tags in sorted(self.egress_by_tag.items())
@@ -455,18 +453,6 @@ class Metrics:
             "events_suppressed": self.events_suppressed,
             "abba_instances": self.abba_instances,
         }
-
-    def csv_row(self, config: "SimConfig") -> str:
-        return ",".join(str(x) for x in (
-            config.protocol, config.n, config.t, config.msg_len_bits,
-            config.adversary, config.scheduler, config.seed,
-            self.total_bits, self.max_causal_round, self.decode_attempts,
-            self.events_delivered,
-        ))
-
-
-CSV_HEADER = ("protocol,n,t,msg_len_bits,adversary,scheduler,seed,"
-              "total_bits,max_causal_round,decode_attempts,events_delivered")
 
 
 @dataclass
@@ -519,12 +505,8 @@ def _make_params(config: SimConfig) -> CodeParams:
     return params_for_message_bits(config.n, config.t, config.msg_len_bits)
 
 
-def run(config: SimConfig, strict: bool = False) -> RunReport:
-    """Execute one seeded run to termination, deadlock, or the event cap.
-
-    With ``strict`` a liveness failure raises EventCapExceeded instead of
-    being reported in the ``reason`` field.
-    """
+def run(config: SimConfig) -> RunReport:
+    """Execute one seeded run to termination, deadlock, or the event cap."""
     config.validate()
     params = _make_params(config)
     byz = frozenset(config.byzantine_ids())
@@ -583,31 +565,21 @@ def run(config: SimConfig, strict: bool = False) -> RunReport:
     k_ideal = config.t / 3 if config.t >= 1 else 1.0
     ideal_cb = max(config.msg_len_bits / k_ideal,
                    math.log2(params.q))
-
-    def ideal_bits_of(msg) -> float:
-        if isinstance(msg, Symbol):
-            return 2 * ideal_cb
-        if isinstance(msg, (NewSymbol, CorrectSymbol, Leader, Initial)):
-            return ideal_cb
-        if isinstance(msg, Shmdm):
-            return ideal_cb if msg.elems is not None else 1
-        return payload_bits(msg, params)
+    sym_bits = params.symbol_bits
 
     def enqueue(frm: int, sends):
         rnd = depth[frm] + 1
-        for dst, msg in sends:
-            queue.push(step, frm, dst, msg, rnd)
-            counted = (frm in nodes or frm == ORACLE_ID
+        counted_frm = (frm in nodes or frm == ORACLE_ID
                        or (frm in byz and config.count_byzantine_bits))
-            if isinstance(msg, (AbbaIn, AbbaOut)) and not config.count_abba_bits:
-                counted = False
-            if counted:
-                bits = payload_bits(msg, params)
-                tag = tag_of(msg)
+        for dst, msg in sends:
+            tag = tag_of(msg)
+            bits = payload_bits(msg, sym_bits)
+            queue.push(step, frm, dst, msg, rnd, tag, bits)
+            if counted_frm and (config.count_abba_bits
+                                or not isinstance(msg, (AbbaIn, AbbaOut))):
                 metrics.bits_by_tag[tag] = metrics.bits_by_tag.get(tag, 0) + bits
                 metrics.total_bits += bits
-                metrics.ideal_total_bits += ideal_bits_of(msg)
-                metrics.egress[frm] = metrics.egress.get(frm, 0) + bits
+                metrics.ideal_total_bits += payload_bits(msg, ideal_cb)
                 tags = metrics.egress_by_tag.setdefault(frm, {})
                 tags[tag] = tags.get(tag, 0) + bits
 
@@ -632,7 +604,7 @@ def run(config: SimConfig, strict: bool = False) -> RunReport:
         if not queue:
             reason = "deadlock"
             break
-        enq_step, frm, dst, msg, rnd = queue.pop(step)
+        enq_step, frm, dst, msg, rnd, tag, bits = queue.pop(step)
         step += 1
         if dst == ORACLE_ID:
             if adjudicator is not None and isinstance(msg, AbbaIn):
@@ -651,8 +623,7 @@ def run(config: SimConfig, strict: bool = False) -> RunReport:
             depth[dst] = max(depth[dst], rnd)
             sends = node.handle(frm, msg)
             metrics.events_delivered += 1
-            event_log.append((step, frm, dst, tag_of(msg),
-                              payload_bits(msg, params), rnd))
+            event_log.append((step, frm, dst, tag, bits, rnd))
             enqueue(dst, sends)
             if node.is_terminated():
                 terminated.add(dst)
@@ -660,15 +631,15 @@ def run(config: SimConfig, strict: bool = False) -> RunReport:
         elif dst in strategies:
             depth[dst] = max(depth[dst], rnd)
             metrics.events_delivered += 1
-            event_log.append((step, frm, dst, tag_of(msg),
-                              payload_bits(msg, params), rnd))
+            event_log.append((step, frm, dst, tag, bits, rnd))
             enqueue(dst, strategies[dst].on_deliver(frm, msg))
     if len(terminated) == len(nodes):
         reason = "ok"
 
+    states = [node.introspect() for node in nodes.values()]
     metrics.max_causal_round = max(term_depth.values(), default=0)
     metrics.abba_instances = abba_count[0]
-    metrics.decode_attempts = sum(_decode_attempts(nodes[i]) for i in nodes)
+    metrics.decode_attempts = sum(s.decode_attempts for s in states)
 
     outputs = {}
     for i in sorted(nodes):
@@ -679,62 +650,18 @@ def run(config: SimConfig, strict: bool = False) -> RunReport:
             "bottom": out is BOTTOM,
         }
 
-    checks = _run_checks(config, nodes, inputs, byz, reason)
+    checks = _run_checks(config, nodes, states, inputs, reason)
     flags = {
-        "abba_input_races": sum(
-            1 for v in nodes.values() if getattr(v, "abba_race", False)),
+        "abba_input_races": sum(s.abba_race for s in states),
         "vote_collisions": sum(
-            1 for v in nodes.values()
-            for _, b in _bua_instances(v) if b.vote_collision),
-        "quorum_collisions": sum(
-            1 for v in nodes.values()
-            if getattr(v, "quorum_collision", False)),
+            b.vote_collision for s in states for _, b in s.buas),
+        "quorum_collisions": sum(s.quorum_collision for s in states),
     }
-    report = RunReport(config.to_dict(), reason, outputs, checks, metrics,
-                       event_log, flags)
-    if strict and reason != "ok":
-        raise EventCapExceeded(f"liveness failure: {reason} after {step} events")
-    return report
+    return RunReport(config.to_dict(), reason, outputs, checks, metrics,
+                     event_log, flags)
 
 
-def _decode_attempts(node) -> int:
-    total = 0
-    for acc in _accumulators(node):
-        total += acc.attempts
-    return total
-
-
-def _accumulators(node):
-    if isinstance(node, AcoolNode):
-        return [node.oec_new, node.oec_final]
-    if isinstance(node, RbaNode):
-        return [node.oec_final]
-    if isinstance(node, RbcNode):
-        return [node.initial_acc, node.inner.oec_final]
-    if isinstance(node, SmallTNode):
-        accs = [node.oec]
-        if node.inner is not None:
-            accs += [node.inner.oec_new, node.inner.oec_final]
-        return accs
-    return []
-
-
-def _bua_instances(node):
-    if isinstance(node, AcoolNode):
-        pairs = [(1, node.bua1)]
-        if not node.legacy:
-            pairs.append((2, node.bua2))
-        return pairs
-    if isinstance(node, RbaNode):
-        return [(0, node.bua)]
-    if isinstance(node, RbcNode):
-        return [(0, node.inner.bua)]
-    if isinstance(node, SmallTNode) and node.inner is not None:
-        return [(1, node.inner.bua1), (2, node.inner.bua2)]
-    return []
-
-
-def _run_checks(config, nodes, inputs, byz, reason) -> dict:
+def _run_checks(config, nodes, states, inputs, reason) -> dict:
     """Post-hoc safety and agreement assertions over honest final states."""
     outs = []
     for i, node in nodes.items():
@@ -762,8 +689,8 @@ def _run_checks(config, nodes, inputs, byz, reason) -> dict:
     # unique agreement per instance: at most one input value among phase-2
     # successes, at most two among phase-1 successes
     per_inst: dict = {}
-    for node in nodes.values():
-        for tag, bua in _bua_instances(node):
+    for state in states:
+        for tag, bua in state.buas:
             s1set, s2set = per_inst.setdefault(tag, (set(), set()))
             if bua.w is not None:
                 if bua.s1 == 1:

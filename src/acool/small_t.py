@@ -19,7 +19,7 @@ from typing import Optional
 
 from .field_ecc import CodeParams, OecAccumulator, encode_elements, pack_message
 from .messages import Shmdm
-from .protocol import BOTTOM, AcoolNode
+from .protocol import BOTTOM, AcoolNode, NodeState
 
 log = logging.getLogger(__name__)
 
@@ -31,10 +31,10 @@ def committee_size(t: int) -> int:
 class SmallTNode:
     """Wrapper running the composition inside the committee [1..3t+1].
 
-    Committee members route all protocol traffic to an inner `AcoolNode`
-    whose peer space is the committee; outsiders only consume SHMDM
-    shares.  Outsider inputs are ignored (with a warning): only committee
-    inputs reach the agreement.
+    Committee members route the protocol traffic of committee senders to
+    an inner `AcoolNode` whose peer space is the committee; outsiders only
+    consume SHMDM shares.  Outsider inputs are ignored (with a warning):
+    only committee inputs reach the agreement.
     """
 
     def __init__(self, node_id: int, n: int, params: CodeParams, abba=None):
@@ -59,6 +59,13 @@ class SmallTNode:
     def is_terminated(self) -> bool:
         return self.terminated
 
+    def introspect(self) -> NodeState:
+        if self.inner is None:
+            return NodeState(self.oec.attempts, (), False, False)
+        inner = self.inner.introspect()
+        return inner._replace(decode_attempts=self.oec.attempts
+                              + inner.decode_attempts)
+
     def input(self, w: bytes):
         if not self.in_committee:
             log.warning("node %d outside committee: input ignored", self.node_id)
@@ -74,7 +81,7 @@ class SmallTNode:
         if isinstance(msg, Shmdm):
             self._on_shmdm(frm, msg)
             return sends
-        if self.in_committee:
+        if self.in_committee and frm <= self.n_prime:
             sends += self.inner.handle(frm, msg)
             sends += self._check_inner()
         return sends
@@ -89,7 +96,7 @@ class SmallTNode:
                 self.output = BOTTOM
                 self.terminated = True
             return
-        if self.oec.done or not self._valid_elems(msg.elems):
+        if self.oec.done or not self.params.valid_elems(msg.elems):
             return
         got = self.oec.submit(frm, msg.elems)
         if got is not None:
@@ -115,9 +122,3 @@ class SmallTNode:
         self.output = decided
         self.terminated = True
         return sends
-
-    def _valid_elems(self, elems) -> bool:
-        if not isinstance(elems, tuple) or len(elems) != self.params.chunks:
-            return False
-        q = self.params.q
-        return all(isinstance(e, int) and 0 <= e < q for e in elems)

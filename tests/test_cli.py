@@ -39,7 +39,7 @@ def test_liveness_failure_exits_3(capsys):
     assert code == 3
 
 
-def test_out_writes_report_log_and_csv(tmp_path, capsys):
+def test_out_writes_report_and_log(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["run", "--n", "4", "--t", "1", "--len", "64",
                  "--out", str(out)])
@@ -50,8 +50,8 @@ def test_out_writes_report_log_and_csv(tmp_path, capsys):
     assert log_lines and all(
         set(json.loads(l)) == {"step", "from", "to", "tag", "bits", "round"}
         for l in log_lines)
-    header, row = (tmp_path / "report.json.csv").read_text().splitlines()
-    assert header.startswith("protocol,n,t") and row.startswith("acool,4,1")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "report.json", "report.json.ndjson"]
 
 
 def test_env_override(monkeypatch, capsys):

@@ -16,10 +16,9 @@ import pytest
 from acool import field_ecc
 from acool.field_ecc import (
     CodeParams, DecodeFailure, MessageTooLong, OecAccumulator,
-    ResilienceViolation, SymbolShare, _decode_chunk, _poly_eval,
-    decode_elements, derive_params, ecc_decode, ecc_encode, encode_elements,
-    pack_message, params_for_message_bits, share_from_bytes, share_to_bytes,
-    unpack_message,
+    ResilienceViolation, _decode_chunk, _poly_eval, decode_elements,
+    derive_params, ecc_decode, ecc_encode, encode_elements, pack_message,
+    params_for_message_bits, unpack_message,
 )
 
 GF7 = CodeParams(n=6, t=1, k=2, q=7, chunks=1)
@@ -207,12 +206,6 @@ def test_oec_match_check_blocks_minority_decode():
     for idx in range(1, 4):
         acc.submit(idx, tuple(rng.randrange(params.q) for _ in range(params.chunks)))
     assert not acc.done
-
-
-def test_share_serialization_roundtrip():
-    share = SymbolShare(3, (1, 70000, 256))
-    assert share_from_bytes(share_to_bytes(share)) == share
-    assert len(share_to_bytes(share)) == 2 + 4 * 3
 
 
 def test_determinism():

@@ -1,0 +1,92 @@
+"""Honest nodes survive every ill-typed message a Byzantine peer can build.
+
+Every message type is sent to every honest node kind, first well-typed
+and then with one field at a time replaced by an ill-typed or
+out-of-range value, from every sender id of the simulated network.  For
+the committee variant that network is larger than the committee, so
+members also hear from ids outside their peer range.  A node must not
+raise, and must not send a message whose ``inst``, ``phase``, ``bit`` or
+``round`` is anything but an int.
+"""
+
+import pytest
+
+from acool.aba import CoinAbba, CoinOracle, OracleAbba
+from acool.field_ecc import ecc_encode, params_for_message_bits
+from acool.messages import (
+    AbbaIn, AbbaOut, Aux, CorrectSymbol, Decide, Est, Initial, Leader,
+    LeaderMessage, NewSymbol, Ready, Shmdm, Si, Symbol,
+)
+from acool.protocol import AcoolNode
+from acool.rba_rbc import RbaNode, RbcNode
+from acool.small_t import SmallTNode, committee_size
+
+N, T = 4, 1
+SMALL_N = 7                                # committee 1..4, outsiders 5..7
+P = params_for_message_bits(N, T, 64)
+P_COMMITTEE = params_for_message_bits(committee_size(T), T, 64)
+W = bytes(range(8))
+SHARE = ecc_encode(P, W)[0].elems
+
+BAD = (1.0, True, None, [1], -1, 2 ** 70, "1")
+INT_FIELDS = ("inst", "phase", "bit", "round")
+
+TEMPLATES = (
+    [Symbol(inst, (SHARE, SHARE)) for inst in (0, 1, 2)]
+    + [Si(inst, phase, 1) for inst in (0, 1, 2) for phase in (1, 2)]
+    + [NewSymbol(SHARE), Ready(1), CorrectSymbol(SHARE), Shmdm(SHARE),
+       Shmdm(None), Leader(SHARE), Initial(SHARE), LeaderMessage(W),
+       Est(0, 1), Aux(0, 1), Decide(1), AbbaIn(1), AbbaOut(1)]
+)
+
+
+def _cases():
+    for msg in TEMPLATES:
+        yield msg
+        for name in msg._fields:
+            for bad in BAD:
+                yield msg._replace(**{name: bad})
+    yield LeaderMessage(bytes(100))        # more than the code can carry
+
+
+def _with_input(node):
+    node.input(W)
+    return node
+
+
+# kind -> (network size, fresh node under test)
+KINDS = {
+    "acool-oracle": (N, lambda: _with_input(AcoolNode(2, P, OracleAbba(2)))),
+    "acool-coin": (N, lambda: _with_input(
+        AcoolNode(2, P, CoinAbba(2, N, T, CoinOracle(7))))),
+    "acool-legacy": (N, lambda: _with_input(
+        AcoolNode(2, P, OracleAbba(2), legacy=True))),
+    "rba": (N, lambda: _with_input(RbaNode(2, P))),
+    "rbc-balanced": (N, lambda: RbcNode(2, P, leader=1)),
+    "rbc-unbalanced": (N, lambda: RbcNode(2, P, leader=1, balanced=False)),
+    "small_t-member": (SMALL_N, lambda: _with_input(
+        SmallTNode(2, SMALL_N, P_COMMITTEE, OracleAbba(2)))),
+    "small_t-outsider": (SMALL_N, lambda: SmallTNode(6, SMALL_N, P_COMMITTEE)),
+}
+
+
+def _ill_typed(msg) -> bool:
+    return any(type(getattr(msg, name)) is not int
+               for name in INT_FIELDS if name in msg._fields)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_node_survives_malformed_messages(kind):
+    size, make = KINDS[kind]
+    problems = []
+    for msg in _cases():
+        node = make()
+        for frm in range(1, size + 1):
+            try:
+                sends = node.handle(frm, msg)
+            except Exception as e:             # collect all, assert once
+                problems.append(f"{msg!r} from {frm}: {type(e).__name__}: {e}")
+                break
+            problems += [f"{msg!r} from {frm} made it send {out!r}"
+                         for _, out in sends if _ill_typed(out)]
+    assert not problems, "\n".join(problems[:20])

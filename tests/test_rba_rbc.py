@@ -62,20 +62,12 @@ def test_rba_ready_thresholds_exact():
     assert node.v_out == 1
 
 
-def test_rba_external_phase_trigger():
-    node = RbaNode(1, P72)
-    node.input(W)
-    node.external_phase_go()
-    assert node.ph3 and not node.is_terminated()
-
-
 def test_rba_ready_value_callback():
-    seen = []
-    node = RbaNode(1, P72, on_ready_value=seen.append)
+    node = RbaNode(1, P72)
     node.input(W)
     for j in range(1, 6):
         node.handle(j, Si(0, 2, 1))
-    assert seen == [1]
+    assert node.ready_sent == 1
 
 
 def test_rba_fault_free_all_output_within_flat_rounds():

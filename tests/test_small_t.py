@@ -99,6 +99,14 @@ def test_end_to_end_with_committee_byzantine():
             assert rep.checks["totality"], (adv, seed)
 
 
+def test_member_ignores_traffic_from_outside_committee():
+    # a Byzantine outsider's SYMBOL once crashed a member's link classifier
+    rep = run(SimConfig(n=13, t=1, seed=20, msg_len_bits=64,
+                        protocol="small_t", adversary="random_byzantine",
+                        byzantine=(13,)))
+    assert rep.reason == "ok" and all(rep.checks.values())
+
+
 def test_total_bits_grow_linearly_in_n_at_fixed_t():
     totals = []
     for n in (10, 16, 22):
