@@ -6,17 +6,22 @@ and split into ``chunks`` independent (n, k) codewords that share the
 evaluation points x = 1..n.  Share j concatenates the j-th evaluation of
 every chunk, so comparing two shares compares all chunks at once.
 
-Decoding is true error correction (Berlekamp-Welch), not erasure-only:
-from m observed shares it recovers the unique codeword at distance <= e
-whenever 2e + k <= m.  Besides the message, the decoder returns its
-support: the shares that equal the decoded codeword on every chunk.
+Decoding is true error correction, not erasure-only: from m observed
+shares it recovers the unique codeword at distance <= e whenever
+2e + k <= m, with Gao's O(m^2) decoder (interpolation, then the extended
+Euclidean algorithm against prod (x - xi)).  A chunk is corrected only
+when the cheap path fails: the indices found error-free on chunk 0 seed
+every chunk at once, and each chunk corrected in full re-seeds the
+chunks still failing with the indices its codeword matches.  Besides the
+message, the decoder returns its support: the shares that equal the
+decoded codeword on every chunk.
 `OecAccumulator` wraps the decoder in the accumulate-retry loop used by
 the agreement protocols: collect shares one at a time, attempt a decode
 once k + t are present, and accept only when the support holds at least
 k + t of the stored shares.  The support counts matches against the
 codeword of the message's canonical frame; a decoded frame with nonzero
-padding bits, which no honest encoder produces, is re-encoded to count
-them.
+padding bits or an element above 2^b, which no honest encoder produces,
+is re-encoded to count them.
 
 Encoding and the clean decode path run on all chunks at once: the chunk
 values of one polynomial degree are packed into one int, one fixed-width
@@ -32,7 +37,8 @@ import logging
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
+from operator import mul
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 log = logging.getLogger(__name__)
@@ -195,20 +201,31 @@ def pack_message(params: CodeParams, message: bytes) -> list:
     return [(blob >> (cap - (m + 1) * b)) & mask for m in range(total)]
 
 
-def unpack_message(params: CodeParams, elems: Sequence[int]) -> bytes:
-    """Inverse of `pack_message`; raises DecodeFailure on a bad frame."""
+def _unframe(params: CodeParams, elems: Sequence[int]) -> tuple:
+    """Message of a decoded frame, and whether the frame is canonical.
+
+    A frame is canonical when every element is below 2^b and the padding
+    bits are zero, which is exactly ``pack_message(params, message) ==
+    elems``.  Raises DecodeFailure on a length prefix beyond capacity.
+    """
     b = params.elem_payload_bits
     cap = params.capacity_bits
     blob = 0
+    wide = 0
     for e in elems:
         blob = (blob << b) | e
+        wide |= e
     length = blob >> (cap - LENGTH_PREFIX_BITS)
     if LENGTH_PREFIX_BITS + 8 * length > cap:
         raise DecodeFailure("decoded length prefix exceeds capacity")
-    if length == 0:
-        return b""
     shift = cap - LENGTH_PREFIX_BITS - 8 * length
-    return ((blob >> shift) & ((1 << (8 * length)) - 1)).to_bytes(length, "big")
+    message = ((blob >> shift) & ((1 << (8 * length)) - 1)).to_bytes(length, "big")
+    return message, wide >> b == 0 and blob & ((1 << shift) - 1) == 0
+
+
+def unpack_message(params: CodeParams, elems: Sequence[int]) -> bytes:
+    """Inverse of `pack_message`; raises DecodeFailure on a bad frame."""
+    return _unframe(params, elems)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -222,23 +239,25 @@ def _pack(params: CodeParams, values: Sequence[int]) -> int:
     return int.from_bytes(array(code, values).tobytes(), sys.byteorder)
 
 
-def _unpack(params: CodeParams, packed: int) -> list:
-    """Inverse of `_pack` for a non-negative lane sum, each lane reduced mod q."""
+def _unpack(params: CodeParams, packed: int, lanes: int) -> list:
+    """Inverse of `_pack` for a non-negative sum of ``lanes`` lanes, each
+    lane reduced mod q."""
     code, q = params.lane_code, params.q
-    raw = packed.to_bytes(params.chunks * array(code).itemsize, sys.byteorder)
+    raw = packed.to_bytes(lanes * array(code).itemsize, sys.byteorder)
     return [v % q for v in array(code, raw)]
 
 
-def _evaluate(params: CodeParams, coeffs: Sequence[int], xs: Sequence[int]) -> list:
-    """Evaluate every chunk's polynomial at each x in ``xs``.
+def _evaluate(params: CodeParams, coeffs: Sequence[int], xs: Sequence[int],
+              lanes: int) -> list:
+    """Evaluate ``lanes`` packed polynomials at each x in ``xs``.
 
-    ``coeffs[d]`` packs the degree-d coefficient of every chunk (see
-    `_pack`).  Each lane sums k products below q^2, so it stays under
+    ``coeffs[d]`` packs the degree-d coefficient of each lane's polynomial
+    (see `_pack`).  Each lane sums k products below q^2, so it stays under
     k*(q-1)^2, which the lane width holds without carrying into its
     neighbour.
     """
     code, q, powers = params.lane_code, params.q, params.powers
-    nbytes = params.chunks * array(code).itemsize
+    nbytes = lanes * array(code).itemsize
     rows = []
     for x in xs:
         acc = 0
@@ -260,7 +279,7 @@ def encode_elements(params: CodeParams, data: Sequence[int]) -> list:
     if len(data) != k * chunks:
         raise ValueError(f"expected {k * chunks} data elements, got {len(data)}")
     coeffs = [_pack(params, data[d::k]) for d in range(k)]
-    return _evaluate(params, coeffs, range(1, params.n + 1))
+    return _evaluate(params, coeffs, range(1, params.n + 1), params.chunks)
 
 
 def ecc_encode(params: CodeParams, message: bytes) -> list:
@@ -269,37 +288,47 @@ def ecc_encode(params: CodeParams, message: bytes) -> list:
     return [SymbolShare(i + 1, rows[i]) for i in range(params.n)]
 
 
-def _lagrange_basis(xs: Sequence[int], q: int) -> list:
-    """Ascending coefficients of each Lagrange polynomial of the points ``xs``.
+def _lagrange(xs: Sequence[int], q: int) -> tuple:
+    """Vanishing polynomial and Lagrange numerators and weights of ``xs``.
 
-    Row i is the degree-(k-1) polynomial that is 1 at xs[i] and 0 at every
-    other point, so the rows form the inverse of the Vandermonde matrix.
+    Returns ``(g0, columns, weights)``: g0 = prod (x - xi) in ascending
+    coefficients; columns[d][i] is the degree-d coefficient of the
+    numerator g0 / (x - xs[i]), and weights[i] the inverse of its value at
+    xs[i].  The i-th Lagrange polynomial, 1 at xs[i] and 0 at every other
+    point, is weights[i] times the i-th numerator.  The synthetic
+    divisions run side by side, one coefficient of all of them at a time.
     """
-    k = len(xs)
-    basis = []
-    for i in range(k):
-        # numerator polynomial prod_{j != i} (x - x_j), built incrementally
-        num = [1]
-        denom = 1
-        for j in range(k):
-            if j == i:
-                continue
-            nxt = [0] * (len(num) + 1)
-            for d, c in enumerate(num):
-                nxt[d + 1] = (nxt[d + 1] + c) % q
-                nxt[d] = (nxt[d] - c * xs[j]) % q
-            num = nxt
-            denom = denom * (xs[i] - xs[j]) % q
-        scale = pow(denom, -1, q)
-        basis.append([c * scale % q for c in num])
-    return basis
+    m = len(xs)
+    g0 = [1] + [0] * m
+    for i, xi in enumerate(xs, 1):       # g0 *= (x - xi)
+        for d in range(i, 0, -1):
+            g0[d] = (g0[d - 1] - xi * g0[d]) % q
+        g0[0] = -xi * g0[0] % q
+    columns = [None] * m
+    col = [0] * m
+    for d in range(m, 0, -1):
+        gd = g0[d]
+        col = [(gd + x * c) % q for x, c in zip(xs, col)]
+        columns[d - 1] = col
+    weights = []
+    for xi in xs:
+        den = 1
+        for xj in xs:
+            if xj != xi:
+                den *= xi - xj
+        weights.append(pow(den % q, -1, q))
+    return g0, columns, weights
 
 
-def _interpolate(xs: Sequence[int], ys: Sequence[int], q: int) -> list:
-    """Lagrange interpolation; returns ascending coefficients, len(xs) of them."""
-    basis = _lagrange_basis(xs, q)
-    return [sum(y * row[d] for y, row in zip(ys, basis)) % q
-            for d in range(len(xs))]
+def _interpolate(xs: Sequence[int], ys: Sequence[int], q: int,
+                 lagrange: Optional[tuple] = None) -> list:
+    """Lagrange interpolation; returns ascending coefficients, len(xs) of them.
+
+    ``lagrange`` is `_lagrange` of ``xs`` when the caller already has it.
+    """
+    _, columns, weights = lagrange or _lagrange(xs, q)
+    scaled = [y * w for y, w in zip(ys, weights)]
+    return [sum(map(mul, scaled, col)) % q for col in columns]
 
 
 def _poly_eval(coeffs: Sequence[int], x: int, q: int) -> int:
@@ -309,38 +338,11 @@ def _poly_eval(coeffs: Sequence[int], x: int, q: int) -> int:
     return acc
 
 
-def _solve_linear(mat: list, rhs: list, q: int) -> Optional[list]:
-    """Solve mat * z = rhs over GF(q); free variables are set to 0.
-
-    Returns None when the system is inconsistent.
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [list(mat[r]) + [rhs[r] % q] for r in range(rows)]
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c] % q != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = pow(aug[r][c], -1, q)
-        aug[r] = [v * inv % q for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] % q != 0:
-                f = aug[i][c]
-                aug[i] = [(aug[i][j] - f * aug[r][j]) % q for j in range(cols + 1)]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][cols] % q != 0:
-            return None
-    sol = [0] * cols
-    for row, c in enumerate(pivot_cols):
-        sol[c] = aug[row][cols]
-    return sol
+def _trim(p: list) -> list:
+    """Drop zero leading coefficients in place; the zero polynomial is []."""
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
 def _poly_div(num: Sequence[int], den: Sequence[int], q: int):
@@ -350,23 +352,47 @@ def _poly_div(num: Sequence[int], den: Sequence[int], q: int):
     while dd > 0 and den[dd] == 0:
         dd -= 1
     lead_inv = pow(den[dd], -1, q)
+    den = den[:dd + 1]
     quot = [0] * max(1, len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i] * lead_inv % q
         quot[i - dd] = c
         if c:
-            for j in range(dd + 1):
-                num[i - dd + j] = (num[i - dd + j] - c * den[j]) % q
+            lo = i - dd
+            num[lo:i + 1] = [(a - c * b) % q for a, b in zip(num[lo:i + 1], den)]
     return quot, num[:dd] if dd else []
 
 
+def _sub_product(a: Sequence[int], b: Sequence[int], c: Sequence[int],
+                 q: int) -> list:
+    """a - b*c over GF(q), trimmed."""
+    out = list(a) + [0] * max(0, len(b) + len(c) - 1 - len(a))
+    for i, bi in enumerate(b):
+        if bi:
+            out[i:i + len(c)] = [v - bi * w for v, w in zip(out[i:i + len(c)], c)]
+    return _trim([v % q for v in out])
+
+
 def _decode_chunk(xs: Sequence[int], ys: Sequence[int], k: int, q: int,
-                  max_errors: Optional[int] = None) -> list:
+                  max_errors: Optional[int] = None,
+                  lagrange_of_xs: Optional[Callable[[], tuple]] = None) -> list:
     """Recover the degree-(k-1) polynomial behind m >= k noisy evaluations.
 
-    Corrects up to e = (m - k) // 2 errors via Berlekamp-Welch, lowered
-    to ``max_errors`` when the caller can rule out larger error counts.
-    Raises DecodeFailure when no codeword lies within that radius.
+    Corrects up to e = (m - k) // 2 errors, lowered to ``max_errors`` when
+    the caller can rule out larger error counts.  Raises DecodeFailure
+    when no codeword lies within that radius.  Because 2e + k <= m, at most
+    one codeword lies within it, so any exact bounded-distance decoder
+    gives the same answer.
+
+    Shares that all fit the polynomial through the first k are returned
+    at once.  Otherwise Gao's decoder (S. Gao, "A New Algorithm for
+    Decoding Reed-Solomon Codes", 2003) runs in O(m^2): g1 interpolates all
+    m points and g0 = prod (x - xi) vanishes on them; the extended
+    Euclidean algorithm on (g0, g1) stops at the first remainder r of
+    degree below (m + k) / 2, and r divided by its Bezout cofactor v of g1
+    is the codeword whenever one lies within (m - k) // 2.
+    ``lagrange_of_xs`` returns `_lagrange` of ``xs``; callers that correct
+    several chunks over the same indices pass one that builds it once.
     """
     m = len(xs)
     if m < k:
@@ -380,37 +406,61 @@ def _decode_chunk(xs: Sequence[int], ys: Sequence[int], k: int, q: int,
         e = min(e, max_errors)
     if e <= 0:
         raise DecodeFailure("inconsistent shares with no correction margin")
-    # Unknowns: Q coefficients (deg <= k+e-1) then E's low coefficients
-    # (E monic of degree e).  Equation per point:
-    #   Q(x) - y * (E_low(x) + x^e) = 0.
-    ncols = (k + e) + e
-    mat = []
-    rhs = []
-    for x, y in zip(xs, ys):
-        row = [0] * ncols
-        xp = 1
-        for d in range(k + e):
-            row[d] = xp
-            xp = xp * x % q
-        xp = 1
-        for d in range(e):
-            row[k + e + d] = -y * xp % q
-            xp = xp * x % q
-        mat.append(row)
-        rhs.append(y * pow(x, e, q) % q)
-    sol = _solve_linear(mat, rhs, q)
-    if sol is None:
-        raise DecodeFailure("no error locator of admissible degree")
-    qpoly = sol[: k + e]
-    epoly = sol[k + e :] + [1]
-    p, rem = _poly_div(qpoly, epoly, q)
-    if any(rem):
-        raise DecodeFailure("error locator does not divide the quotient")
-    p = [c % q for c in p[:k]] + [0] * max(0, k - len(p))
+    lagrange = lagrange_of_xs() if lagrange_of_xs else _lagrange(xs, q)
+    r0 = lagrange[0]
+    r1 = _trim(_interpolate(xs, ys, q, lagrange))
+    v0, v1 = [], [1]
+    while 2 * (len(r1) - 1) >= m + k:
+        quot, rem = _poly_div(r0, r1, q)
+        r0, r1 = r1, _trim(rem)
+        v0, v1 = v1, _sub_product(v0, quot, v1, q)
+    p, rem = _poly_div(r1, v1, q)
+    _trim(p)
+    if any(rem) or len(p) > k:
+        raise DecodeFailure("no codeword within (m - k) / 2 of the shares")
+    p += [0] * (k - len(p))
     errors = sum(1 for x, y in zip(xs, ys) if _poly_eval(p, x, q) != y)
     if errors > e:
         raise DecodeFailure("nearest codeword outside correctable radius")
     return p
+
+
+def _fit(params: CodeParams, shares: Mapping[int, Sequence[int]],
+         seed: Sequence[int], chunks: Sequence[int], coeffs: list) -> list:
+    """Try ``seed`` as the error-free indices of every chunk in ``chunks``.
+
+    One Lagrange interpolation on the first k seed indices fits all those
+    chunks at once, and each candidate is checked at every seed index.
+    Each candidate is written to ``coeffs`` (coeffs[d][c] is the degree-d
+    coefficient of chunk c); the chunks whose candidate fails are returned
+    in order.
+    """
+    if not chunks:
+        return []
+    k, q, lanes = params.k, params.q, len(chunks)
+    whole = lanes == params.chunks
+    ys = [_pack(params, [shares[x][c] % q for c in chunks]) for x in seed[:k]]
+    _, columns, weights = _lagrange(seed[:k], q)
+    fitted = []                  # fitted[d][j]: degree-d coefficient of chunks[j]
+    for d, col in enumerate(columns):
+        acc = 0
+        for c, w, y in zip(col, weights, ys):
+            acc += c * w % q * y
+        fitted.append(_unpack(params, acc, lanes))
+        if whole:
+            coeffs[d] = fitted[d]
+        else:
+            for c, v in zip(chunks, fitted[d]):
+                coeffs[d][c] = v
+    rows = _evaluate(params, [_pack(params, c) for c in fitted], seed, lanes)
+    failed = set()
+    for x, row in zip(seed, rows):
+        share = shares[x]
+        if not whole:
+            share = tuple([share[c] for c in chunks])
+        if row != share:
+            failed.update(j for j, (a, b) in enumerate(zip(row, share)) if a != b)
+    return [chunks[j] for j in sorted(failed)]
 
 
 def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
@@ -421,40 +471,37 @@ def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
     indices whose share equals the decoded codeword on every chunk.
 
     A Byzantine sender normally corrupts a whole share, so chunk 0 is
-    corrected first and the indices it finds consistent ("clean") are
-    tried as the error pattern of every chunk: one Lagrange basis on the
-    first k clean indices interpolates all chunks at once, and the
-    candidates are checked at every clean index.  Chunks that fail the
-    check fall back to full correction, keeping the per-chunk
-    unique-decoding semantics exact.  A share element outside [0, q)
-    never matches, so it counts as an error in its chunk.
+    corrected first and the indices it finds consistent ("clean") seed
+    every chunk at once (see `_fit`).  A chunk that fails is corrected in
+    full, and the indices that agree with its codeword, at least m - e of
+    them, seed the chunks still failing; only those that fail again are
+    corrected in full, and so on.  Each chunk's result is exact: a
+    candidate that matches m - e or more shares lies within the radius,
+    so it is the unique codeword there that full correction would return.
+    A share element outside [0, q) never matches, so it counts as an
+    error in its chunk.  The support is the clean indices that every
+    chunk's codeword matches.
     """
     xs = sorted(shares)
     if not xs or xs[0] < 1 or xs[-1] > params.n:
         raise DecodeFailure("share indices outside 1..n")
     k, q = params.k, params.q
-    first = _decode_chunk(xs, [shares[x][0] for x in xs], k, q, max_errors)
-    clean = [x for x in xs if _poly_eval(first, x, q) == shares[x][0]]
-    ys = [_pack(params, [e % q for e in shares[x]]) for x in clean[:k]]
-    coeffs = []                  # coeffs[d][c]: degree-d coefficient of chunk c
-    for row in zip(*_lagrange_basis(clean[:k], q)):
-        acc = 0
-        for w, y in zip(row, ys):
-            acc += w * y
-        coeffs.append(_unpack(params, acc))
-    rows = _evaluate(params, [_pack(params, c) for c in coeffs], clean)
-    failed = set()
-    for x, row in zip(clean, rows):
-        share = shares[x]
-        if row != share:
-            failed.update(c for c, (a, b) in enumerate(zip(row, share)) if a != b)
-    support = set(clean)
-    for c in sorted(failed):
-        p = _decode_chunk(xs, [shares[x][c] for x in xs], k, q, max_errors)
+    lagrange_of_xs = cache(partial(_lagrange, xs, q))
+    first = _decode_chunk(xs, [shares[x][0] for x in xs], k, q, max_errors,
+                          lagrange_of_xs)
+    seed = [x for x in xs if _poly_eval(first, x, q) == shares[x][0]]
+    support = set(seed)
+    coeffs = [None] * k          # coeffs[d][c]: degree-d coefficient of chunk c
+    failing = _fit(params, shares, seed, range(params.chunks), coeffs)
+    while failing:
+        c = failing[0]
+        ys = [shares[x][c] for x in xs]
+        p = _decode_chunk(xs, ys, k, q, max_errors, lagrange_of_xs)
         for d in range(k):
             coeffs[d][c] = p[d]
-        support.difference_update(
-            x for x in clean if _poly_eval(p, x, q) != shares[x][c])
+        seed = [x for x, y in zip(xs, ys) if _poly_eval(p, x, q) == y]
+        support.intersection_update(seed)
+        failing = _fit(params, shares, seed, failing[1:], coeffs)
     data = [coeffs[d][c] for c in range(params.chunks) for d in range(k)]
     return data, support
 
@@ -472,12 +519,12 @@ def ecc_decode(params: CodeParams, shares: Mapping[int, Sequence[int]],
         if len(elems) != params.chunks:
             raise DecodeFailure(f"share {idx} has wrong chunk count")
     data, support = decode_elements(params, shares, max_errors)
-    message = unpack_message(params, data)
-    framed = pack_message(params, message)
-    if framed != data:
-        # Nonzero padding bits, which no honest encoder produces: the
-        # message re-encodes to another codeword, so count its matches.
-        rows = encode_elements(params, framed)
+    message, canonical = _unframe(params, data)
+    if not canonical:
+        # Nonzero padding bits or an element above 2^b, which no honest
+        # encoder produces: the message re-encodes to another codeword, so
+        # count its matches.
+        rows = encode_elements(params, pack_message(params, message))
         support = {i for i, s in shares.items() if rows[i - 1] == tuple(s)}
     return message, support
 

@@ -111,7 +111,10 @@ def payload_bits(msg, sym):
     """Accounted payload width of a message whose coded symbol is ``sym`` bits.
 
     ``sym`` is `CodeParams.symbol_bits` for the raw accounting, or the
-    fractional analytical width for the idealized one.
+    fractional analytical width for the idealized one.  An ill-typed
+    object a Byzantine node may send, a `LeaderMessage` whose payload is
+    not bytes or anything that is no message at all, counts 0 bits:
+    honest nodes drop it.
     """
     if isinstance(msg, Symbol):
         return 2 * sym
@@ -122,9 +125,9 @@ def payload_bits(msg, sym):
     if isinstance(msg, Shmdm):
         return sym if msg.elems is not None else 1
     if isinstance(msg, LeaderMessage):
-        return 8 * len(msg.payload)
+        return 8 * len(msg.payload) if isinstance(msg.payload, bytes) else 0
     if isinstance(msg, (Est, Aux, Decide)):
         return 8
     if isinstance(msg, (AbbaIn, AbbaOut)):
         return 1
-    raise TypeError(f"unknown message {msg!r}")
+    return 0

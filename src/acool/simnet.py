@@ -571,15 +571,23 @@ def run(config: SimConfig) -> RunReport:
         rnd = depth[frm] + 1
         counted_frm = (frm in nodes or frm == ORACLE_ID
                        or (frm in byz and config.count_byzantine_bits))
+        last = object()              # never a sent message, not even None
         for dst, msg in sends:
-            tag = tag_of(msg)
-            bits = payload_bits(msg, sym_bits)
+            if msg is not last:
+                # a broadcast lists one object n times: account it once
+                last = msg
+                tag = tag_of(msg)
+                bits = payload_bits(msg, sym_bits)
+                counted = counted_frm and (
+                    config.count_abba_bits
+                    or not isinstance(msg, (AbbaIn, AbbaOut)))
+                if counted:
+                    ideal = payload_bits(msg, ideal_cb)
             queue.push(step, frm, dst, msg, rnd, tag, bits)
-            if counted_frm and (config.count_abba_bits
-                                or not isinstance(msg, (AbbaIn, AbbaOut))):
+            if counted:
                 metrics.bits_by_tag[tag] = metrics.bits_by_tag.get(tag, 0) + bits
                 metrics.total_bits += bits
-                metrics.ideal_total_bits += payload_bits(msg, ideal_cb)
+                metrics.ideal_total_bits += ideal
                 tags = metrics.egress_by_tag.setdefault(frm, {})
                 tags[tag] = tags.get(tag, 0) + bits
 

@@ -4,8 +4,9 @@ Expected values come from independent oracles: hand polynomial
 arithmetic over GF(7), brute-force minimum-distance search over all
 q^k candidate polynomials, and the straightforward per-chunk codec kept
 below as reference functions (Horner encode, one interpolation per
-chunk, OEC acceptance by re-encoding), which the lane-packed codec must
-match exactly.
+chunk, Berlekamp-Welch correction by Gaussian elimination, OEC
+acceptance by re-encoding), which the lane-packed codec and Gao's
+decoder must match exactly.
 """
 
 import random
@@ -16,7 +17,7 @@ import pytest
 from acool import field_ecc
 from acool.field_ecc import (
     CodeParams, DecodeFailure, MessageTooLong, OecAccumulator,
-    ResilienceViolation, _decode_chunk, _poly_eval, decode_elements,
+    ResilienceViolation, _decode_chunk, _unframe, decode_elements,
     derive_params, ecc_decode, ecc_encode, encode_elements, pack_message,
     params_for_message_bits, unpack_message,
 )
@@ -258,24 +259,120 @@ def ref_interpolate(xs, ys, q):
     return coeffs
 
 
-def ref_decode_elements(params, shares, max_errors=None):
-    """One interpolation per chunk on chunk 0's clean indices, else correction."""
+def ref_eval(coeffs, x, q):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % q
+    return acc
+
+
+def ref_solve_linear(mat, rhs, q):
+    """Solve mat * z = rhs over GF(q) by Gaussian elimination; free
+    variables are set to 0.  Returns None when the system is inconsistent."""
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    aug = [list(mat[r]) + [rhs[r] % q] for r in range(rows)]
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if aug[i][c] % q != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = pow(aug[r][c], -1, q)
+        aug[r] = [v * inv % q for v in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c] % q != 0:
+                f = aug[i][c]
+                aug[i] = [(aug[i][j] - f * aug[r][j]) % q for j in range(cols + 1)]
+        pivot_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if aug[i][cols] % q != 0:
+            return None
+    sol = [0] * cols
+    for row, c in enumerate(pivot_cols):
+        sol[c] = aug[row][cols]
+    return sol
+
+
+def ref_poly_div(num, den, q):
+    """Long division of ascending-coefficient polynomials: (quot, rem)."""
+    num = list(num)
+    dd = len(den) - 1
+    while dd > 0 and den[dd] == 0:
+        dd -= 1
+    lead_inv = pow(den[dd], -1, q)
+    quot = [0] * max(1, len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i] * lead_inv % q
+        quot[i - dd] = c
+        if c:
+            for j in range(dd + 1):
+                num[i - dd + j] = (num[i - dd + j] - c * den[j]) % q
+    return quot, num[:dd] if dd else []
+
+
+def ref_decode_chunk(xs, ys, k, q, max_errors=None):
+    """Berlekamp-Welch: one linear system over GF(q), solved by elimination."""
+    m = len(xs)
+    if m < k:
+        raise DecodeFailure("fewer shares than data symbols")
+    p = ref_interpolate(xs[:k], ys[:k], q)
+    if all(ref_eval(p, x, q) == y for x, y in zip(xs, ys)):
+        return p
+    e = (m - k) // 2
+    if max_errors is not None:
+        e = min(e, max_errors)
+    if e <= 0:
+        raise DecodeFailure("inconsistent shares with no correction margin")
+    # Unknowns: Q's k + e coefficients, then the low coefficients of the
+    # monic degree-e error locator E.  One equation per point:
+    #   Q(x) - y * (E_low(x) + x^e) = 0.
+    mat, rhs = [], []
+    for x, y in zip(xs, ys):
+        mat.append([pow(x, d, q) for d in range(k + e)]
+                   + [-y * pow(x, d, q) % q for d in range(e)])
+        rhs.append(y * pow(x, e, q) % q)
+    sol = ref_solve_linear(mat, rhs, q)
+    if sol is None:
+        raise DecodeFailure("no error locator of admissible degree")
+    p, rem = ref_poly_div(sol[:k + e], sol[k + e:] + [1], q)
+    if any(rem):
+        raise DecodeFailure("error locator does not divide the quotient")
+    p = p[:k] + [0] * max(0, k - len(p))
+    if sum(1 for x, y in zip(xs, ys) if ref_eval(p, x, q) != y) > e:
+        raise DecodeFailure("nearest codeword outside correctable radius")
+    return p
+
+
+def ref_decode_elements(params, shares, max_errors=None, corrections=None):
+    """One interpolation per chunk on chunk 0's clean indices, else correction.
+
+    Appends one entry to ``corrections`` per `ref_decode_chunk` call.
+    """
+    def decode_chunk(ys):
+        if corrections is not None:
+            corrections.append(1)
+        return ref_decode_chunk(xs, ys, k, q, max_errors)
+
     xs = sorted(shares)
     if not xs or xs[0] < 1 or xs[-1] > params.n:
         raise DecodeFailure("share indices outside 1..n")
     k, q = params.k, params.q
-    data = _decode_chunk(xs, [shares[x][0] for x in xs], k, q, max_errors)
-    bad = {x for x in xs if _poly_eval(data, x, q) != shares[x][0]}
-    clean = [x for x in xs if x not in bad]
+    data = decode_chunk([shares[x][0] for x in xs])
+    clean = [x for x in xs if ref_eval(data, x, q) == shares[x][0]]
     for c in range(1, params.chunks):
         ys = {x: shares[x][c] for x in xs}
         p = None
         if len(clean) >= k:
             cand = ref_interpolate(clean[:k], [ys[x] for x in clean[:k]], q)
-            if all(_poly_eval(cand, x, q) == ys[x] for x in clean):
+            if all(ref_eval(cand, x, q) == ys[x] for x in clean):
                 p = cand
         if p is None:
-            p = _decode_chunk(xs, [ys[x] for x in xs], k, q, max_errors)
+            p = decode_chunk([ys[x] for x in xs])
         data.extend(p)
     return data
 
@@ -344,17 +441,20 @@ def out_of_range(rng, q, v):
     return rng.choice((v + q, -1 - v, q, 2 ** 70 + v))
 
 
-def corrupted_share_sets(rng, params, rows):
+def corrupted_share_sets(rng, params, data):
     """Seeded share maps: whole-share garbage, per-chunk errors that defeat
-    chunk 0's error pattern, errors beyond the radius and elements outside
-    [0, q)."""
+    chunk 0's error pattern, errors beyond the radius, elements outside
+    [0, q), and shares of a second codeword that equals the first on
+    chunk 0 (as the all-zero top of the length prefix makes two messages
+    do)."""
     n, k, q, chunks = params.n, params.k, params.q, params.chunks
-    for trial in range(8):
+    rows = ref_encode_elements(params, data)
+    for trial in range(10):
         m = rng.randint(k, min(n, 3 * k + 8))
         xs = sorted(rng.sample(range(1, n + 1), m))
         shares = {x: list(rows[x - 1]) for x in xs}
         e = (m - k) // 2
-        kind = trial % 4
+        kind = trial % 5
         if kind == 0:          # whole shares replaced by garbage
             for x in rng.sample(xs, rng.randint(0, e)):
                 shares[x] = [rng.randrange(q) for _ in range(chunks)]
@@ -367,11 +467,16 @@ def corrupted_share_sets(rng, params, rows):
             c = rng.randrange(chunks)
             for x in rng.sample(xs, min(m, e + 1 + rng.randint(0, 2))):
                 shares[x][c] = (shares[x][c] + rng.randrange(1, q)) % q
-        else:                  # elements outside [0, q)
+        elif kind == 3:        # elements outside [0, q)
             for _ in range(rng.randint(1, e + 2)):
                 x, c = rng.choice(xs), rng.randrange(chunks)
                 shares[x][c] = out_of_range(rng, q, shares[x][c])
-        max_errors = rng.choice((None, None, 0, 1, e))
+        else:                  # a second codeword, equal on chunk 0
+            other = data[:k] + [rng.randrange(q) for _ in range(k * (chunks - 1))]
+            second = ref_encode_elements(params, other)
+            for x in rng.sample(xs, rng.randint(0, min(m, e + 1))):
+                shares[x] = list(second[x - 1])
+        max_errors = rng.choice((None, None, 0, 1, e, m - params.oec_threshold))
         yield {x: tuple(v) for x, v in shares.items()}, max_errors
 
 
@@ -387,22 +492,70 @@ def test_codec_matches_reference(params, monkeypatch):
 
     monkeypatch.setattr(field_ecc, "_decode_chunk", counted)
     rng = random.Random(params.k * 1000 + params.chunks * 10 + params.q)
-    fallbacks = 0
+    fallbacks = reseeded = 0
     for _ in range(3):
         data = [rng.randrange(params.q) for _ in range(params.k * params.chunks)]
         rows = ref_encode_elements(params, data)
         assert encode_elements(params, data) == rows
-        for shares, max_errors in corrupted_share_sets(rng, params, rows):
+        for shares, max_errors in corrupted_share_sets(rng, params, data):
             del corrections[:]
+            ref_corrections = []
             got = decode_outcome(decode_elements, params, shares, max_errors)
-            want = decode_outcome(ref_decode_elements, params, shares, max_errors)
+            want = decode_outcome(
+                lambda *args: ref_decode_elements(*args, ref_corrections),
+                params, shares, max_errors)
             if want is DecodeFailure:
                 assert got is DecodeFailure
                 continue
             assert got == (want, ref_matches(params, shares, want))
+            assert len(corrections) <= len(ref_corrections)
             fallbacks += len(corrections) > 1
+            reseeded += len(corrections) < len(ref_corrections)
     if params.k > 1 and params.chunks > 1:
         assert fallbacks > 0     # some chunks went to full correction
+    if params.chunks > 2:
+        # some chunk that failed chunk 0's clean set passed on the indices
+        # another chunk's full correction found, without its own
+        assert reseeded > 0
+
+
+@pytest.mark.parametrize("n,k", [(31, 3), (13, 1), (49, 5)])
+def test_decode_chunk_matches_berlekamp_welch(n, k):
+    """Gao's decoder against the reference at the workloads' geometries."""
+    q = 257
+    t = (n - 1) // 3
+    rng = random.Random(n * 100 + k)
+    outcomes = set()             # "failed", "clean" or "corrected"
+    for m in range(k, n + 1):
+        xs = sorted(rng.sample(range(1, n + 1), m))
+        e = (m - k) // 2
+        for kind in ("garbage", "second codeword"):
+            coeffs = [rng.randrange(q) for _ in range(k)]
+            ys = [ref_eval(coeffs, x, q) for x in xs]
+            if kind == "garbage":
+                for i in rng.sample(range(m), min(m, rng.randint(0, e + 2))):
+                    ys[i] = rng.randrange(q)
+            else:
+                other = [rng.randrange(q) for _ in range(k)]
+                for i in rng.sample(range(m), rng.randint(0, m)):
+                    ys[i] = ref_eval(other, xs[i], q)
+            max_errors = rng.choice((None, m - (k + t), rng.randint(0, e)))
+            try:
+                want = ref_decode_chunk(xs, ys, k, q, max_errors)
+            except DecodeFailure:
+                want = DecodeFailure
+            try:
+                got = _decode_chunk(xs, ys, k, q, max_errors)
+            except DecodeFailure:
+                got = DecodeFailure
+            assert got == want, (m, kind, max_errors)
+            if want is DecodeFailure:
+                outcomes.add("failed")
+            elif all(ref_eval(want, x, q) == y for x, y in zip(xs, ys)):
+                outcomes.add("clean")
+            else:
+                outcomes.add("corrected")
+    assert outcomes == {"failed", "clean", "corrected"}
 
 
 def test_largest_lane_sum():
@@ -492,3 +645,25 @@ def test_canonical_frame_decodes_without_reencode(monkeypatch):
     shares = {s.index: s.elems for s in ecc_encode(params, b"short")}
     monkeypatch.setattr(field_ecc, "encode_elements", None)
     assert ecc_decode(params, shares) == (b"short", set(shares))
+
+
+def test_canonical_flag_is_pack_of_unpack():
+    params = params_for_message_bits(19, 6, 256)
+    rng = random.Random(4)
+    b, total = params.elem_payload_bits, params.k * params.chunks
+    framed = pack_message(params, b"short")
+    seen = set()
+    for _ in range(400):
+        elems = list(framed)
+        for _ in range(rng.randrange(3)):
+            i = rng.randrange(total)
+            elems[i] = rng.choice((rng.randrange(1 << b), rng.randrange(params.q),
+                                   (1 << b) + rng.randrange(params.q - (1 << b))))
+        try:
+            message = unpack_message(params, elems)
+        except DecodeFailure:
+            continue
+        canonical = _unframe(params, elems) == (message, True)
+        assert canonical == (pack_message(params, message) == elems)
+        seen.add(canonical)
+    assert seen == {True, False}

@@ -6,11 +6,13 @@ out-of-range value, from every sender id of the simulated network.  For
 the committee variant that network is larger than the committee, so
 members also hear from ids outside their peer range.  A node must not
 raise, and must not send a message whose ``inst``, ``phase``, ``bit`` or
-``round`` is anything but an int.
+``round`` is anything but an int.  Whole runs with a Byzantine node that
+sends objects of no message type must end like fault-free ones.
 """
 
 import pytest
 
+from acool import simnet
 from acool.aba import CoinAbba, CoinOracle, OracleAbba
 from acool.field_ecc import ecc_encode, params_for_message_bits
 from acool.messages import (
@@ -90,3 +92,40 @@ def test_node_survives_malformed_messages(kind):
             problems += [f"{msg!r} from {frm} made it send {out!r}"
                          for _, out in sends if _ill_typed(out)]
     assert not problems, "\n".join(problems[:20])
+
+
+class IllTypedSender(simnet.Strategy):
+    """Sends every node ``None``, a non-bytes `LeaderMessage` and a bare
+    `object()`, at start and on its first few deliveries."""
+
+    budget = 3
+
+    def _spray(self):
+        if self.budget <= 0:
+            return []
+        self.budget -= 1
+        return [(dst, msg) for dst in range(1, self.ctx.n + 1)
+                for msg in (None, LeaderMessage(1.0), object())]
+
+    def on_start(self, w):
+        return self._spray()
+
+    def on_deliver(self, frm, msg):
+        return self._spray()
+
+
+@pytest.mark.parametrize("protocol,extra", [
+    ("acool", {}), ("acool", {"abba": "coin"}), ("rba", {}),
+    ("rbc", {"balanced": False}), ("small_t", {}),
+])
+def test_run_survives_ill_typed_sends(protocol, extra, monkeypatch):
+    monkeypatch.setitem(simnet._STRATEGIES, "crash_silent", IllTypedSender)
+    n, t = (SMALL_N, T) if protocol == "small_t" else (N, T)
+    cfg = simnet.SimConfig(n=n, t=t, seed=3, msg_len_bits=64, protocol=protocol,
+                           adversary="crash_silent", count_byzantine_bits=True,
+                           **extra)
+    rep = simnet.run(cfg)
+    assert rep.reason == "ok" and all(rep.checks.values()), rep.to_json()
+    byz, = cfg.byzantine_ids()
+    assert rep.metrics.egress_by_tag[byz] == {
+        "LEADERMESSAGE": 0, "NONETYPE": 0, "OBJECT": 0}
