@@ -48,7 +48,7 @@ def _add_common(p: _Parser):
                    default=float(_env("small_t_ratio", 2.0)),
                    help="auto selects small_t when n >= ratio * (3t+1)")
     p.add_argument("--n", type=int, default=int(_env("n", 4)))
-    p.add_argument("--t", type=int, default=None,
+    p.add_argument("--t", type=int, default=_env("t", None),
                    help="fault bound; default floor((n-1)/3)")
     p.add_argument("--len", type=int, dest="msg_len_bits",
                    default=int(_env("len", 256)),
@@ -106,6 +106,7 @@ def cmd_run(args) -> int:
             scheduler=args.scheduler, abba=args.abba,
             abba_hint=args.abba_hint, skip_brba=args.skip_brba,
             count_abba_bits=args.count_abba_bits,
+            count_byzantine_bits=args.count_byzantine_bits,
             legacy_cool=args.legacy_cool, event_cap=args.event_cap,
         )
     else:

@@ -9,19 +9,23 @@ every chunk, so comparing two shares compares all chunks at once.
 Decoding is true error correction, not erasure-only: from m observed
 shares it recovers the unique codeword at distance <= e whenever
 2e + k <= m, with Gao's O(m^2) decoder (interpolation, then the extended
-Euclidean algorithm against prod (x - xi)).  A chunk is corrected only
-when the cheap path fails: the indices found error-free on chunk 0 seed
-every chunk at once, and each chunk corrected in full re-seeds the
-chunks still failing with the indices its codeword matches.  Besides the
-message, the decoder returns its support: the shares that equal the
-decoded codeword on every chunk.
+Euclidean algorithm against prod (x - xi), stopped as soon as the
+degree of the error locator passes the correctable radius).  A chunk is
+corrected only when the cheap path fails: the indices found error-free
+on chunk 0 seed every chunk at once, and each chunk corrected in full
+re-seeds the chunks still failing with the indices its codeword matches.
+Besides the message, the decoder returns its support: the shares that
+equal the decoded codeword on every chunk.
 `OecAccumulator` wraps the decoder in the accumulate-retry loop used by
 the agreement protocols: collect shares one at a time, attempt a decode
 once k + t are present, and accept only when the support holds at least
 k + t of the stored shares.  The support counts matches against the
 codeword of the message's canonical frame; a decoded frame with nonzero
 padding bits or an element above 2^b, which no honest encoder produces,
-is re-encoded to count them.
+is re-encoded to count them.  Between attempts the accumulator carries
+chunk 0's start of Gao's decoder, the vanishing polynomial and the
+interpolant of the stored shares, and extends it by one O(m) Newton step
+per new share when an attempt needs it, in place of the O(m^2) rebuild.
 
 Encoding and the clean decode path run on all chunks at once: the chunk
 values of one polynomial degree are packed into one int, one fixed-width
@@ -38,6 +42,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
+from itertools import islice
 from operator import mul
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -375,7 +380,8 @@ def _sub_product(a: Sequence[int], b: Sequence[int], c: Sequence[int],
 
 def _decode_chunk(xs: Sequence[int], ys: Sequence[int], k: int, q: int,
                   max_errors: Optional[int] = None,
-                  lagrange_of_xs: Optional[Callable[[], tuple]] = None) -> list:
+                  lagrange_of_xs: Optional[Callable[[], tuple]] = None,
+                  gao_start: Optional[Callable[[], tuple]] = None) -> list:
     """Recover the degree-(k-1) polynomial behind m >= k noisy evaluations.
 
     Corrects up to e = (m - k) // 2 errors, lowered to ``max_errors`` when
@@ -390,9 +396,15 @@ def _decode_chunk(xs: Sequence[int], ys: Sequence[int], k: int, q: int,
     m points and g0 = prod (x - xi) vanishes on them; the extended
     Euclidean algorithm on (g0, g1) stops at the first remainder r of
     degree below (m + k) / 2, and r divided by its Bezout cofactor v of g1
-    is the codeword whenever one lies within (m - k) // 2.
+    is the codeword whenever one lies within (m - k) // 2.  The degree of
+    v only grows, and a codeword within the radius e ends the loop with v
+    its error locator, of degree <= e, so the loop stops with DecodeFailure
+    as soon as deg v > e.
     ``lagrange_of_xs`` returns `_lagrange` of ``xs``; callers that correct
     several chunks over the same indices pass one that builds it once.
+    ``gao_start`` returns (g0, g1) ready-made, g1 trimmed, for a caller
+    that keeps them across calls (see `OecAccumulator`); neither list is
+    modified.
     """
     m = len(xs)
     if m < k:
@@ -406,14 +418,19 @@ def _decode_chunk(xs: Sequence[int], ys: Sequence[int], k: int, q: int,
         e = min(e, max_errors)
     if e <= 0:
         raise DecodeFailure("inconsistent shares with no correction margin")
-    lagrange = lagrange_of_xs() if lagrange_of_xs else _lagrange(xs, q)
-    r0 = lagrange[0]
-    r1 = _trim(_interpolate(xs, ys, q, lagrange))
+    if gao_start:
+        r0, r1 = gao_start()
+    else:
+        lagrange = lagrange_of_xs() if lagrange_of_xs else _lagrange(xs, q)
+        r0 = lagrange[0]
+        r1 = _trim(_interpolate(xs, ys, q, lagrange))
     v0, v1 = [], [1]
     while 2 * (len(r1) - 1) >= m + k:
         quot, rem = _poly_div(r0, r1, q)
         r0, r1 = r1, _trim(rem)
         v0, v1 = v1, _sub_product(v0, quot, v1, q)
+        if len(v1) - 1 > e:
+            raise DecodeFailure("error locator degree beyond the radius")
     p, rem = _poly_div(r1, v1, q)
     _trim(p)
     if any(rem) or len(p) > k:
@@ -464,7 +481,8 @@ def _fit(params: CodeParams, shares: Mapping[int, Sequence[int]],
 
 
 def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
-                    max_errors: Optional[int] = None) -> tuple:
+                    max_errors: Optional[int] = None,
+                    gao_start: Optional[Callable[[], tuple]] = None) -> tuple:
     """Per-chunk error correction over a share map {index: elems}.
 
     Returns ``(data, support)``: the k*chunks decoded elements and the
@@ -480,7 +498,9 @@ def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
     so it is the unique codeword there that full correction would return.
     A share element outside [0, q) never matches, so it counts as an
     error in its chunk.  The support is the clean indices that every
-    chunk's codeword matches.
+    chunk's codeword matches.  ``gao_start`` is chunk 0's (see
+    `_decode_chunk`); the other chunks build theirs from one shared
+    Lagrange basis.
     """
     xs = sorted(shares)
     if not xs or xs[0] < 1 or xs[-1] > params.n:
@@ -488,7 +508,7 @@ def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
     k, q = params.k, params.q
     lagrange_of_xs = cache(partial(_lagrange, xs, q))
     first = _decode_chunk(xs, [shares[x][0] for x in xs], k, q, max_errors,
-                          lagrange_of_xs)
+                          lagrange_of_xs, gao_start)
     seed = [x for x in xs if _poly_eval(first, x, q) == shares[x][0]]
     support = set(seed)
     coeffs = [None] * k          # coeffs[d][c]: degree-d coefficient of chunk c
@@ -507,18 +527,20 @@ def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
 
 
 def ecc_decode(params: CodeParams, shares: Mapping[int, Sequence[int]],
-               max_errors: Optional[int] = None) -> tuple:
+               max_errors: Optional[int] = None,
+               gao_start: Optional[Callable[[], tuple]] = None) -> tuple:
     """Decode a byte message from m <= n shares with Byzantine errors.
 
     Recovers the unique message whose codeword differs from the given
     shares in <= e positions whenever 2e + k <= m.  Returns
     ``(message, support)``, where ``support`` holds the indices whose
     share equals ``ecc_encode(params, message)`` at that index.
+    ``gao_start`` is passed on to `decode_elements`.
     """
     for idx, elems in shares.items():
         if len(elems) != params.chunks:
             raise DecodeFailure(f"share {idx} has wrong chunk count")
-    data, support = decode_elements(params, shares, max_errors)
+    data, support = decode_elements(params, shares, max_errors, gao_start)
     message, canonical = _unframe(params, data)
     if not canonical:
         # Nonzero padding bits or an element above 2^b, which no honest
@@ -542,10 +564,19 @@ class OecAccumulator:
     at least k + t of the stored shares (its support, see `ecc_decode`) and
     any extra ``accept`` predicate passes; the adversary holds at most t
     slots, so an accepted message is pinned down by >= k honest shares.
+
+    Successive attempts see the same shares plus new ones, so chunk 0's
+    start of Gao's decoder, g0 = prod (X - x) and the interpolant g1 of
+    chunk 0, is carried from one attempt to the next.  It is brought up to
+    date only when an attempt reaches Gao's decoder, by one Newton step
+    per share stored since: c = (y - g1(x)) / g0(x), g1 += c * g0,
+    g0 *= (X - x), which is O(m) per share.  Both polynomials are unique,
+    whatever the order of the shares, so the decode is the one a fresh
+    build gives.
     """
 
     __slots__ = ("params", "threshold", "accept", "shares", "decoded", "done",
-                 "attempts", "duplicates")
+                 "attempts", "duplicates", "_g0", "_g1", "_folded")
 
     def __init__(self, params: CodeParams,
                  accept: Optional[Callable[[bytes], bool]] = None):
@@ -557,9 +588,26 @@ class OecAccumulator:
         self.done = False
         self.attempts = 0
         self.duplicates = 0
+        self._g0 = [1]             # prod (X - x) over the first _folded shares
+        self._g1 = []              # their chunk-0 interpolant, trimmed
+        self._folded = 0
 
     def __contains__(self, index: int) -> bool:
         return index in self.shares
+
+    def _gao_start(self) -> tuple:
+        """(g0, g1) of chunk 0 over every stored share, folding in new ones."""
+        q = self.params.q
+        g0, g1 = self._g0, self._g1
+        for x, elems in islice(self.shares.items(), self._folded, None):
+            c = ((elems[0] - _poly_eval(g1, x, q))
+                 * pow(_poly_eval(g0, x, q), -1, q) % q)
+            if c:                  # deg g1 < deg g0 and g0 is monic
+                g1 = [(a + c * b) % q
+                      for a, b in zip(g1 + [0] * (len(g0) - len(g1)), g0)]
+            g0 = [(a - x * b) % q for a, b in zip([0] + g0, g0 + [0])]
+        self._g0, self._g1, self._folded = g0, g1, len(self.shares)
+        return g0, g1
 
     def submit(self, index: int, elems: Sequence[int]) -> Optional[bytes]:
         """Store one share; returns the message on the accepting attempt."""
@@ -575,7 +623,8 @@ class OecAccumulator:
             # errors beyond m - threshold could never pass the match check
             message, support = ecc_decode(
                 self.params, self.shares,
-                max_errors=len(self.shares) - self.threshold)
+                max_errors=len(self.shares) - self.threshold,
+                gao_start=self._gao_start)
         except DecodeFailure:
             return None
         if len(support) < self.threshold:

@@ -250,8 +250,17 @@ class Strategy:
         return []
 
     def _rand_elems(self):
+        # randrange(q) inlined: its rejection loop over getrandbits, so the
+        # draws and the generator's state afterwards are the same
         p = self.ctx.params
-        return tuple(self.ctx.rng.randrange(p.q) for _ in range(p.chunks))
+        q, bits, getrandbits = p.q, p.q.bit_length(), self.ctx.rng.getrandbits
+        out = []
+        for _ in range(p.chunks):
+            r = getrandbits(bits)
+            while r >= q:
+                r = getrandbits(bits)
+            out.append(r)
+        return tuple(out)
 
 
 class CrashSilent(Strategy):

@@ -59,6 +59,21 @@ def test_env_override(monkeypatch, capsys):
     code = main(["run", "--n", "4", "--t", "1", "--len", "64"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["config"]["seed"] == 9
+    monkeypatch.setenv("ACOOL_T", "0")
+    code = main(["run", "--n", "4", "--len", "64"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["config"]["t"] == 0
+    code = main(["run", "--n", "4", "--t", "1", "--len", "64"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["config"]["t"] == 1
+
+
+def test_scenario_keeps_count_byzantine_bits(capsys):
+    args = ["--n", "7", "--t", "2", "--len", "64", "--count-byzantine-bits"]
+    for extra in ([], ["--scenario", "split-input"]):
+        code = main(["run"] + extra + args)
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["config"]["count_byzantine_bits"] is True
 
 
 def test_scenario_list(capsys):

@@ -411,12 +411,24 @@ def ref_oec(params, arrivals):
 
 
 def run_oec(params, arrivals):
+    """Submit every arrival, also after acceptance, which must change nothing.
+
+    Returns what `ref_oec` returns.
+    """
     acc = OecAccumulator(params)
+    accepted = None
     for pos, (idx, elems) in enumerate(arrivals):
         got = acc.submit(idx, elems)
-        if got is not None:
-            return got, pos, acc.attempts
-    return None, None, acc.attempts
+        if accepted is None and got is not None:
+            accepted = got, pos, acc.attempts
+        else:
+            assert got is None
+    if accepted is None:
+        assert not acc.done and acc.decoded is None
+        return None, None, acc.attempts
+    assert acc.done and acc.decoded == accepted[0]
+    assert acc.attempts == accepted[2]
+    return accepted
 
 
 def decode_outcome(fn, params, shares, max_errors):
@@ -585,30 +597,80 @@ def test_lane_width_is_the_narrowest_holding_k_q_squared():
         CodeParams(n=4, t=1, k=2, q=2 ** 32 + 15, chunks=1).lane_code
 
 
-@pytest.mark.parametrize("n,t,bits", [(7, 2, 64), (19, 6, 512), (31, 10, 1024)])
+def oec_arrivals(rng, params, kind):
+    """One share per node in random order, the t Byzantine ones corrupted by
+    ``kind``, with re-submissions of earlier indices mixed in."""
+    n, t, k, q, chunks = params.n, params.t, params.k, params.q, params.chunks
+    msg = bytes(rng.randrange(256) for _ in range(
+        rng.randrange(1, params.capacity_bits // 8 - 4)))
+    framed = pack_message(params, msg)
+    good = encode_elements(params, framed)
+    # a second codeword, equal to the first on chunk 0
+    second = encode_elements(params, framed[:k] + [
+        rng.randrange(q) for _ in range(k * (chunks - 1))])
+    bad = set(rng.sample(range(1, n + 1), t))
+    arrivals = []
+    for idx in rng.sample(range(1, n + 1), n):
+        elems = list(good[idx - 1])
+        if idx in bad:
+            if kind == 0:
+                elems = [rng.randrange(q) for _ in range(chunks)]
+            elif kind == 1:
+                c = rng.randrange(chunks)
+                elems[c] = (elems[c] + 1) % q
+            elif kind == 2:
+                c = rng.randrange(chunks)
+                elems[c] = out_of_range(rng, q, elems[c])
+            else:
+                elems = list(second[idx - 1])
+        arrivals.append((idx, tuple(elems)))
+    for _ in range(rng.randint(1, n // 2)):
+        pos = rng.randrange(1, n + 1)
+        idx = rng.choice(arrivals[:pos])[0]
+        elems = rng.choice((good[idx - 1], second[idx - 1],
+                            tuple(rng.randrange(q) for _ in range(chunks))))
+        arrivals.insert(pos, (idx, elems))
+    return arrivals
+
+
+@pytest.mark.parametrize("n,t,bits", [(7, 2, 64), (19, 6, 512), (31, 10, 1024),
+                                      (49, 16, 256)])
 def test_oec_matches_reference(n, t, bits):
     params = params_for_message_bits(n, t, bits)
     rng = random.Random(n)
-    q, chunks = params.q, params.chunks
-    for trial in range(12):
-        msg = bytes(rng.randrange(256) for _ in range(rng.randrange(1, bits // 8)))
-        good = [s.elems for s in ecc_encode(params, msg)]
-        bad = set(rng.sample(range(1, n + 1), t))
-        arrivals = []
-        for idx in rng.sample(range(1, n + 1), n):
-            elems = list(good[idx - 1])
-            if idx in bad:
-                kind = trial % 3
-                if kind == 0:
-                    elems = [rng.randrange(q) for _ in range(chunks)]
-                elif kind == 1:
-                    c = rng.randrange(chunks)
-                    elems[c] = (elems[c] + 1) % q
-                else:
-                    c = rng.randrange(chunks)
-                    elems[c] = out_of_range(rng, q, elems[c])
-            arrivals.append((idx, tuple(elems)))
-        assert run_oec(params, arrivals) == ref_oec(params, arrivals)
+    accepted = 0
+    for trial in range(16):
+        arrivals = oec_arrivals(rng, params, trial % 4)
+        got = run_oec(params, arrivals)
+        assert got == ref_oec(params, arrivals)
+        accepted += got[1] is not None and got[1] < len(arrivals) - 1
+    assert accepted > 0           # some submits came after acceptance
+
+
+@pytest.mark.parametrize("n,t,bits", [(31, 10, 1024), (49, 16, 256)])
+def test_oec_carried_gao_start_equals_fresh_build(n, t, bits, monkeypatch):
+    """After every lazy fold, the accumulator's chunk-0 g0 and g1 are the
+    vanishing polynomial and the interpolant built from scratch."""
+    params = params_for_message_bits(n, t, bits)
+    q = params.q
+    gao_start = OecAccumulator._gao_start
+    steps = set()                 # shares folded in by one call
+
+    def checked(acc):
+        before = acc._folded
+        g0, g1 = gao_start(acc)
+        xs = sorted(acc.shares)
+        ys = [acc.shares[x][0] for x in xs]
+        assert g0 == field_ecc._lagrange(xs, q)[0]
+        assert g1 == field_ecc._trim(field_ecc._interpolate(xs, ys, q))
+        steps.add(len(xs) - before)
+        return g0, g1
+
+    monkeypatch.setattr(OecAccumulator, "_gao_start", checked)
+    rng = random.Random(n + 1)
+    for trial in range(8):
+        run_oec(params, oec_arrivals(rng, params, trial % 4))
+    assert 1 in steps and max(steps) > 1   # one share, and several at once
 
 
 @pytest.mark.parametrize("padding", ["low bit", "element above 2^b"])

@@ -51,6 +51,9 @@ def _cases() -> dict:
         n=31, t=10, seed=21, msg_len_bits=512, adversary="garbage_shares",
         scheduler="adversary")
     cases["acool-k5-clean"] = SimConfig(n=49, t=16, seed=22, msg_len_bits=512)
+    cases["acool-k5-garbage"] = SimConfig(
+        n=49, t=16, seed=23, msg_len_bits=256, adversary="garbage_shares",
+        scheduler="adversary")
     cases["acool-skip-brba-counted"] = SimConfig(
         n=7, t=2, seed=8, msg_len_bits=64, adversary="ready_spammer",
         skip_brba=True, count_abba_bits=True, count_byzantine_bits=True)
@@ -120,6 +123,8 @@ DIGESTS = {
         "aec72ae2f020f25c04df3397701a72276c224f9a11af74e031404e4ccc759ca2",
     "acool-k5-clean":
         "9f6c0dccb030685bd2016b9277ddc15eb5df81667cc1f650005b5baee906af49",
+    "acool-k5-garbage":
+        "163169828d0905440ed5447ab264b99be201e047d8df206ee0d879eeb41bf406",
     "acool-none-adversary":
         "3d0d1d157f6dfc454a4a789841f08b8b205fbd84edf33ea74d67e574b050cb82",
     "acool-none-lifo":

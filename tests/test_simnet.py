@@ -1,10 +1,15 @@
 """Simulator harness tests: determinism, fairness, accounting, config."""
 
+import random
+
 import pytest
 
-from acool.field_ecc import ResilienceViolation, params_for_message_bits
+from acool.field_ecc import (
+    CodeParams, ResilienceViolation, params_for_message_bits,
+)
 from acool.simnet import (
-    ADVERSARIES, SCHEDULERS, SimConfig, run, scenario_split_input, sweep,
+    ADVERSARIES, SCHEDULERS, SimConfig, Strategy, _AdvCtx, run,
+    scenario_split_input, sweep,
 )
 
 
@@ -154,3 +159,16 @@ def test_default_byzantine_ids_are_last_t():
     assert cfg.byzantine_ids() == (6, 7)
     cfg = SimConfig(n=31, t=2, protocol="small_t", adversary="crash_silent")
     assert cfg.byzantine_ids() == (6, 7)    # inside the 3t+1 committee
+
+
+@pytest.mark.parametrize("chunks", [1, 44, 104])
+@pytest.mark.parametrize("q", [257, 263, 65537])
+def test_rand_elems_draws_the_randrange_stream(q, chunks):
+    """Garbage draws consume the generator exactly as randrange(q) does."""
+    params = CodeParams(n=4, t=1, k=1, q=q, chunks=chunks)
+    rng, ref = random.Random(q + chunks), random.Random(q + chunks)
+    strategy = Strategy(_AdvCtx(4, 4, 1, params, rng, (), None))
+    for _ in range(20):
+        assert strategy._rand_elems() == tuple(ref.randrange(q)
+                                               for _ in range(chunks))
+        assert rng.getstate() == ref.getstate()
