@@ -188,15 +188,22 @@ class Bua:
         Order: phase-1 one, phase-1 zero, phase-2 zero, phase-2 one,
         vote one, vote zero.  Every flag is write-once and the sets only
         grow, so delivery order cannot change which guards eventually fire.
+        A union or intersection is built only when the set sizes alone
+        cannot settle its threshold.
         """
         n, t = self.params.n, self.params.t
         if self.s1 is None and len(self.L1) >= n - t:
             self._set_s(1, 1, sends, events)
         if self.s1 is None and len(self.L0) >= t + 1:
             self._set_s(1, 0, sends, events)
-        if self.s2 is None and (self.s1 == 0 or len(self.S0p1 | self.L0) >= t + 1):
+        s0p1, l0 = self.S0p1, self.L0
+        if self.s2 is None and (
+                self.s1 == 0 or len(s0p1) > t or len(l0) > t
+                or (len(s0p1) + len(l0) > t and len(s0p1 | l0) > t)):
             self._set_s(2, 0, sends, events)
-        if self.s2 is None and self.s1 == 1 and len(self.S1p1 & self.L1) >= n - t:
+        if (self.s2 is None and self.s1 == 1
+                and len(self.S1p1) >= n - t and len(self.L1) >= n - t
+                and len(self.S1p1 & self.L1) >= n - t):
             self._set_s(2, 1, sends, events)
         if self.vote is None and len(self.S1p2) >= n - t:
             if len(self.S0p2) >= t + 1:

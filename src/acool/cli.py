@@ -6,7 +6,8 @@ as JSON; ``sweep`` runs a parameter grid and prints summary CSV;
 the acceptance suite and prints one pass/fail line per criterion.
 
 Every flag has an environment-variable override with prefix ``ACOOL_``
-(for example ``ACOOL_SEED=7``).  Exit codes: 0 success, 1 bad
+(for example ``ACOOL_SEED=7``); argparse converts it like the flag, so a
+bad value is an argument error of the subcommands that take it.  Exit codes: 0 success, 1 bad
 arguments, 2 property violation, 3 liveness failure (event cap or
 deadlock).
 """
@@ -45,15 +46,15 @@ def _add_common(p: _Parser):
                    help="auto picks small_t once n reaches the committee "
                         "ratio threshold")
     p.add_argument("--small-t-ratio", type=float,
-                   default=float(_env("small_t_ratio", 2.0)),
+                   default=_env("small_t_ratio", 2.0),
                    help="auto selects small_t when n >= ratio * (3t+1)")
-    p.add_argument("--n", type=int, default=int(_env("n", 4)))
+    p.add_argument("--n", type=int, default=_env("n", 4))
     p.add_argument("--t", type=int, default=_env("t", None),
                    help="fault bound; default floor((n-1)/3)")
     p.add_argument("--len", type=int, dest="msg_len_bits",
-                   default=int(_env("len", 256)),
+                   default=_env("len", 256),
                    help="message length in bits")
-    p.add_argument("--seed", type=int, default=int(_env("seed", 0)))
+    p.add_argument("--seed", type=int, default=_env("seed", 0))
     p.add_argument("--adversary", choices=("none",) + ADVERSARIES,
                    default=_env("adversary", "none"))
     p.add_argument("--scheduler", choices=SCHEDULERS,
@@ -61,7 +62,7 @@ def _add_common(p: _Parser):
     p.add_argument("--abba", choices=("oracle", "coin"),
                    default=_env("abba", "oracle"))
     p.add_argument("--abba-hint", type=int, choices=(0, 1),
-                   default=int(_env("abba_hint", 0)))
+                   default=_env("abba_hint", 0))
     p.add_argument("--skip-brba", action="store_true",
                    default=_env_flag("skip_brba"))
     p.add_argument("--count-abba-bits", action="store_true",
@@ -70,11 +71,11 @@ def _add_common(p: _Parser):
                    default=_env_flag("count_byzantine_bits"))
     p.add_argument("--legacy-cool", action="store_true",
                    default=_env_flag("legacy_cool"))
-    p.add_argument("--leader", type=int, default=int(_env("leader", 1)))
+    p.add_argument("--leader", type=int, default=_env("leader", 1))
     p.add_argument("--unbalanced", action="store_true",
                    default=_env_flag("unbalanced"))
     p.add_argument("--event-cap", type=int,
-                   default=int(_env("event_cap", 1_000_000)))
+                   default=_env("event_cap", 1_000_000))
     p.add_argument("--out", default=_env("out", None),
                    help="write report JSON here (event log beside it)")
 
@@ -179,7 +180,7 @@ def main(argv=None) -> int:
     _add_common(p_sweep)
     p_sweep.add_argument("--n-list", default=_env("n_list", "4,7,13"),
                          help="comma-separated node counts")
-    p_sweep.add_argument("--seeds", type=int, default=int(_env("seeds", 3)))
+    p_sweep.add_argument("--seeds", type=int, default=_env("seeds", 3))
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_list = sub.add_parser("scenario-list", help="list canned scenarios")
@@ -189,7 +190,7 @@ def main(argv=None) -> int:
     p_acc.add_argument("--quick", action="store_true",
                        default=_env_flag("quick"))
     p_acc.add_argument("--workers", type=int,
-                       default=int(_env("workers", os.cpu_count() or 1)))
+                       default=_env("workers", os.cpu_count() or 1))
     p_acc.set_defaults(func=cmd_accept)
 
     try:

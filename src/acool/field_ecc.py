@@ -41,7 +41,7 @@ import logging
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property
 from itertools import islice
 from operator import mul
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
@@ -122,14 +122,34 @@ class CodeParams:
         return self.k + self.t
 
     def valid_elems(self, elems) -> bool:
-        """True when ``elems`` is one share: a tuple of ``chunks`` ints in [0, q)."""
+        """True when ``elems`` is one share: a tuple of ``chunks`` ints in [0, q).
+
+        A run hands the same share object to this check many times: a
+        sender's own share goes to every node, and instance 2 reuses
+        instance 1's encoding.  Every accepted object whose type is exactly
+        ``tuple`` is therefore kept in `accepted_shares` under its id, and
+        a later call on that very object returns at once.  The entry keeps
+        the object alive, so its id cannot pass to another object.  A
+        tuple subclass is never kept, because it could iterate differently
+        next time; an equal but distinct object is checked in full.
+        """
+        accepted = self.accepted_shares
+        if accepted.get(id(elems), accepted) is elems:
+            return True
         if not isinstance(elems, tuple) or len(elems) != self.chunks:
             return False
         q = self.q
         for e in elems:
             if not isinstance(e, int) or not 0 <= e < q:
                 return False
+        if type(elems) is tuple:
+            accepted[id(elems)] = elems
         return True
+
+    @cached_property
+    def accepted_shares(self) -> dict:
+        """id -> share object, for every exact tuple `valid_elems` accepted."""
+        return {}
 
     def valid_message(self, message) -> bool:
         """True when ``message`` is bytes that fits the code after framing."""
@@ -381,7 +401,8 @@ def _sub_product(a: Sequence[int], b: Sequence[int], c: Sequence[int],
 def _decode_chunk(xs: Sequence[int], ys: Sequence[int], k: int, q: int,
                   max_errors: Optional[int] = None,
                   lagrange_of_xs: Optional[Callable[[], tuple]] = None,
-                  gao_start: Optional[Callable[[], tuple]] = None) -> list:
+                  gao_start: Optional[Callable[[], tuple]] = None,
+                  head: Optional[tuple] = None) -> list:
     """Recover the degree-(k-1) polynomial behind m >= k noisy evaluations.
 
     Corrects up to e = (m - k) // 2 errors, lowered to ``max_errors`` when
@@ -404,13 +425,14 @@ def _decode_chunk(xs: Sequence[int], ys: Sequence[int], k: int, q: int,
     several chunks over the same indices pass one that builds it once.
     ``gao_start`` returns (g0, g1) ready-made, g1 trimmed, for a caller
     that keeps them across calls (see `OecAccumulator`); neither list is
-    modified.
+    modified.  ``head`` is `_lagrange` of ``xs[:k]`` when the caller
+    already has it.
     """
     m = len(xs)
     if m < k:
         raise DecodeFailure("fewer shares than data symbols")
     # Zero-error fast path: fit the first k points and check the rest.
-    p = _interpolate(xs[:k], ys[:k], q)
+    p = _interpolate(xs[:k], ys[:k], q, head)
     if all(_poly_eval(p, x, q) == y for x, y in zip(xs, ys)):
         return p
     e = (m - k) // 2
@@ -443,21 +465,26 @@ def _decode_chunk(xs: Sequence[int], ys: Sequence[int], k: int, q: int,
 
 
 def _fit(params: CodeParams, shares: Mapping[int, Sequence[int]],
-         seed: Sequence[int], chunks: Sequence[int], coeffs: list) -> list:
+         seed: Sequence[int], chunks: Sequence[int], coeffs: list,
+         head: tuple) -> list:
     """Try ``seed`` as the error-free indices of every chunk in ``chunks``.
 
     One Lagrange interpolation on the first k seed indices fits all those
     chunks at once, and each candidate is checked at every seed index.
     Each candidate is written to ``coeffs`` (coeffs[d][c] is the degree-d
     coefficient of chunk c); the chunks whose candidate fails are returned
-    in order.
+    in order.  ``head`` is (indices, `_lagrange` of them) from an earlier
+    build; it is used when the indices are the first k seed indices.
     """
     if not chunks:
         return []
     k, q, lanes = params.k, params.q, len(chunks)
     whole = lanes == params.chunks
     ys = [_pack(params, [shares[x][c] % q for c in chunks]) for x in seed[:k]]
-    _, columns, weights = _lagrange(seed[:k], q)
+    head_xs, lagrange = head
+    if seed[:k] != head_xs:
+        lagrange = _lagrange(seed[:k], q)
+    _, columns, weights = lagrange
     fitted = []                  # fitted[d][j]: degree-d coefficient of chunks[j]
     for d, col in enumerate(columns):
         acc = 0
@@ -500,28 +527,40 @@ def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
     error in its chunk.  The support is the clean indices that every
     chunk's codeword matches.  ``gao_start`` is chunk 0's (see
     `_decode_chunk`); the other chunks build theirs from one shared
-    Lagrange basis.
+    Lagrange basis.  The basis of the first k indices, which chunk 0's
+    fast path builds, is built once and reused wherever the same k
+    indices come up again: in every later fast path, and in `_fit`
+    whenever the seed starts with them, as it does on every clean decode.
     """
     xs = sorted(shares)
     if not xs or xs[0] < 1 or xs[-1] > params.n:
         raise DecodeFailure("share indices outside 1..n")
     k, q = params.k, params.q
-    lagrange_of_xs = cache(partial(_lagrange, xs, q))
+    head = (xs[:k], _lagrange(xs[:k], q))
+    whole = None                 # _lagrange of all of xs, built on demand
+
+    def lagrange_of_xs():
+        nonlocal whole
+        if whole is None:
+            whole = _lagrange(xs, q)
+        return whole
+
     first = _decode_chunk(xs, [shares[x][0] for x in xs], k, q, max_errors,
-                          lagrange_of_xs, gao_start)
+                          lagrange_of_xs, gao_start, head[1])
     seed = [x for x in xs if _poly_eval(first, x, q) == shares[x][0]]
     support = set(seed)
     coeffs = [None] * k          # coeffs[d][c]: degree-d coefficient of chunk c
-    failing = _fit(params, shares, seed, range(params.chunks), coeffs)
+    failing = _fit(params, shares, seed, range(params.chunks), coeffs, head)
     while failing:
         c = failing[0]
         ys = [shares[x][c] for x in xs]
-        p = _decode_chunk(xs, ys, k, q, max_errors, lagrange_of_xs)
+        p = _decode_chunk(xs, ys, k, q, max_errors, lagrange_of_xs, None,
+                          head[1])
         for d in range(k):
             coeffs[d][c] = p[d]
         seed = [x for x, y in zip(xs, ys) if _poly_eval(p, x, q) == y]
         support.intersection_update(seed)
-        failing = _fit(params, shares, seed, failing[1:], coeffs)
+        failing = _fit(params, shares, seed, failing[1:], coeffs, head)
     data = [coeffs[d][c] for c in range(params.chunks) for d in range(k)]
     return data, support
 

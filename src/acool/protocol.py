@@ -17,9 +17,14 @@ a final honest-majority multicast decode:
   it, and decodes the agreed message from k+t matching symbols.
 
 Handlers are synchronous and deterministic: every inbound event is
-processed to quiescence (all standing guards re-evaluated in a fixed
-order) before the next.  All cross-node effects travel as returned
-(destination, message) pairs; nothing here touches a network.
+processed to quiescence before the next.  A node is quiescent between
+events: no standing guard can fire.  A message can therefore enable only
+the guards whose inputs its handler changed, so `AcoolNode._pump` first
+evaluates only those, in the fixed guard order; once any guard fires,
+every guard runs, in the same order, until a full pass fires none.  The
+sends come out in the order a full re-evaluation after every event
+would give.  All cross-node effects travel as returned (destination,
+message) pairs; nothing here touches a network.
 """
 
 from __future__ import annotations
@@ -150,11 +155,11 @@ class ProtocolBase:
     def _absorb_final(self, bua: Bua, events):
         """Fold the final-decode instance's events into calibration and decode."""
         for ev in events:
-            if isinstance(ev, SymbolDelivered):
+            if type(ev) is SymbolDelivered:
                 self.calib_dirty = True
                 if ev.sender in bua.S1p2:
                     self._harvest_final(bua, ev.sender)
-            elif isinstance(ev, SiRecorded) and ev.phase == 2:
+            elif type(ev) is SiRecorded and ev.phase == 2:
                 self.calib_dirty = True
                 if ev.bit == 1:
                     self._harvest_final(bua, ev.sender)
@@ -204,6 +209,12 @@ class ProtocolBase:
         return winners[0] if winners else None
 
 
+# `AcoolNode._pump`'s guards, one bit each, in evaluation order
+(_NEW_SYMBOL, _ADOPT_W2, _SECOND_INPUT, _ABBA_INPUT, _ABBA_OUTPUT, _READY,
+ _DECISION, _FINAL_DECODE) = (1 << i for i in range(8))
+_ALL_GUARDS = (1 << 8) - 1
+
+
 class AcoolNode(ProtocolBase):
     """One node of the full agreement composition.
 
@@ -234,6 +245,10 @@ class AcoolNode(ProtocolBase):
         self.skip_brba = skip_brba
         self.legacy = legacy
         self.abba_race = False
+        # guards an instance-1 event can enable; the legacy final decode
+        # runs on instance 1
+        self.wake1 = (_NEW_SYMBOL | _ADOPT_W2 | _SECOND_INPUT | _ABBA_INPUT
+                      | (_FINAL_DECODE if legacy else 0))
 
     # -- external surface --------------------------------------------------
 
@@ -259,44 +274,79 @@ class AcoolNode(ProtocolBase):
         sends: list = []
         if self.terminated:
             return sends
-        if isinstance(msg, (Symbol, Si)):
-            bua = self.buas.get(msg.inst) if type(msg.inst) is int else None
-            if bua is not None:
-                s, ev = bua.handle(frm, msg)
-                sends += s
-                if bua is self.bua1:
-                    self._absorb1(ev)
-                else:
-                    self._absorb_final(bua, ev)
-        elif isinstance(msg, NewSymbol):
-            if not self.legacy and frm not in self.newsym_seen:
-                self.newsym_seen.add(frm)
-                if (self.params.valid_elems(msg.elems)
-                        and frm not in self.oec_new):
-                    self.oec_new.submit(frm, msg.elems)
-        elif isinstance(msg, Ready):
-            self._on_ready(frm, msg.bit)
-        elif isinstance(msg, CorrectSymbol):
-            self._on_correct_symbol(frm, msg.elems)
-        elif isinstance(msg, (Est, Aux, Decide, AbbaOut)):
-            sends += self.abba.handle(frm, msg)
-        else:
+        on = self._HANDLERS.get(type(msg))
+        if on is None:
             log.debug("node %d: dropping %r", self.node_id, msg)
-        self._pump(sends)
+            return sends
+        wake = on(self, frm, msg, sends)
+        if wake:
+            self._pump(sends, wake)
         return sends
+
+    # -- message handlers ----------------------------------------------------
+    #
+    # Each appends its sends and returns the `_pump` guards whose inputs it
+    # may have changed, 0 when it changed none.
+
+    def _on_instance(self, frm: int, msg, sends) -> int:
+        inst = msg.inst
+        bua = self.buas.get(inst) if type(inst) is int else None
+        if bua is None:
+            return 0
+        if type(msg) is Symbol:
+            s, ev = bua.on_symbol(frm, msg.pair)
+        else:
+            s, ev = bua.on_si(msg.phase, frm, msg.bit)
+        if not ev:               # no set or flag a guard reads has changed
+            return 0
+        sends += s
+        if bua is self.bua1:
+            self._absorb1(ev)
+            return self.wake1
+        self._absorb_final(bua, ev)
+        return _ABBA_INPUT | _FINAL_DECODE
+
+    def _on_new_symbol(self, frm: int, msg, sends) -> int:
+        if self.legacy or frm in self.newsym_seen:
+            return 0
+        self.newsym_seen.add(frm)
+        if not self.params.valid_elems(msg.elems) or frm in self.oec_new:
+            return 0
+        self.oec_new.submit(frm, msg.elems)
+        return _ADOPT_W2
+
+    def _on_ready_msg(self, frm: int, msg, sends) -> int:
+        self._on_ready(frm, msg.bit)
+        return _READY
+
+    def _on_correct_symbol_msg(self, frm: int, msg, sends) -> int:
+        self._on_correct_symbol(frm, msg.elems)
+        return _FINAL_DECODE
+
+    def _on_abba(self, frm: int, msg, sends) -> int:
+        sends += self.abba.handle(frm, msg)
+        return _ABBA_OUTPUT
+
+    _HANDLERS = {
+        Symbol: _on_instance, Si: _on_instance,
+        NewSymbol: _on_new_symbol,
+        Ready: _on_ready_msg,
+        CorrectSymbol: _on_correct_symbol_msg,
+        Est: _on_abba, Aux: _on_abba, Decide: _on_abba, AbbaOut: _on_abba,
+    }
 
     # -- event absorption ---------------------------------------------------
 
     def _absorb1(self, events):
         """Fold instance-1 events into the majority table and share decoder."""
         for ev in events:
-            if isinstance(ev, SymbolDelivered):
+            if type(ev) is SymbolDelivered:
                 j, pair = ev.sender, ev.pair
                 self.y_table.setdefault(pair[0], set()).add(j)
                 self.y_dirty = True
                 if j in self.bua1.S1p1 and j not in self.oec_new:
                     self.oec_new.submit(j, pair[1])
-            elif isinstance(ev, SiRecorded):
+            elif type(ev) is SiRecorded:
                 if ev.phase == 1 and ev.bit == 1:
                     pair = self.bua1.delivered.get(ev.sender)
                     if pair is not None and ev.sender not in self.oec_new:
@@ -306,23 +356,40 @@ class AcoolNode(ProtocolBase):
 
     # -- guard cascade -------------------------------------------------------
 
-    def _pump(self, sends):
-        """Re-evaluate all standing guards until quiescent."""
-        changed = True
-        while changed and not self.terminated:
+    def _pump(self, sends, wake: int = _ALL_GUARDS):
+        """Evaluate the standing guards in fixed order until quiescent.
+
+        ``wake`` holds the guards the last event may have enabled; the
+        node was quiescent before it, so no other guard can fire, and
+        only these are evaluated.  Once one fires, every guard after it
+        in that pass and every guard in each later pass is evaluated,
+        until a full pass fires none, so the sends and their order are
+        those of re-evaluating every guard after every event.
+        """
+        hb = self.bua1 if self.legacy else self.bua2
+        while not self.terminated:
             changed = False
-            changed |= self._new_symbol_guard(sends)
-            if self.w2 is None and self.oec_new.decoded is not None:
+            if wake & _NEW_SYMBOL:
+                changed = self._new_symbol_guard(sends)
+            if ((changed or wake & _ADOPT_W2) and self.w2 is None
+                    and self.oec_new.decoded is not None):
                 self.w2 = self.oec_new.decoded
                 changed = True
-            changed |= self._second_input_guard(sends)
-            changed |= self._abba_input_guard(sends)
-            changed |= self._abba_output_guard(sends)
-            if not self.skip_brba:
+            if changed or wake & _SECOND_INPUT:
+                changed |= self._second_input_guard(sends)
+            if changed or wake & _ABBA_INPUT:
+                changed |= self._abba_input_guard(sends)
+            if changed or wake & _ABBA_OUTPUT:
+                changed |= self._abba_output_guard(sends)
+            if not self.skip_brba and (changed or wake & _READY):
                 changed |= self._ready_guards(sends)
-            changed |= self._decision_guard()
-            hb = self.bua1 if self.legacy else self.bua2
-            changed |= self._final_decode_guard(hb, sends)
+            if changed or wake & _DECISION:
+                changed |= self._decision_guard()
+            if changed or wake & _FINAL_DECODE:
+                changed |= self._final_decode_guard(hb, sends)
+            if not changed:
+                return
+            wake = _ALL_GUARDS
 
     def _new_symbol_guard(self, sends) -> bool:
         """Adopt and gossip the per-index majority symbol when starved.

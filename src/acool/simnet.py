@@ -151,17 +151,24 @@ class SimConfig:
 
 
 class _Queue:
-    """Pending deliveries with O(1) policy picks and an aging guarantee."""
+    """Pending deliveries with O(1) policy picks and an aging guarantee.
+
+    A random pick draws its index the way ``rng.randrange(len)`` does,
+    with the same `getrandbits` rejection loop inlined, so the draws and
+    the generator's state are those of `randrange`.
+    """
 
     def __init__(self, rng: random.Random, policy: str, victims: frozenset,
                  window: int):
         self.rng = rng
-        self.policy = policy
+        self.getrandbits = rng.getrandbits
+        self.lifo = policy == "lifo"
+        self.adversary = policy == "adversary"
         self.victims = victims
         self.window = window
         self.events: dict = {}
         self.age: deque = deque()
-        self.stack: list = []
+        self.stack: list = []                # lifo policy only
         self.ids: list = []
         self.pos: dict = {}
         self.pref_ids: list = []             # non-victim targets, adversary policy
@@ -174,49 +181,61 @@ class _Queue:
     def push(self, step: int, frm: int, dst: int, msg, rnd: int, tag: str,
              bits: int):
         eid = self.next_id
-        self.next_id += 1
+        self.next_id = eid + 1
         self.events[eid] = (step, frm, dst, msg, rnd, tag, bits)
         self.age.append(eid)
-        self.stack.append(eid)
         self.pos[eid] = len(self.ids)
         self.ids.append(eid)
-        if self.policy == "adversary" and dst not in self.victims:
+        if self.lifo:
+            self.stack.append(eid)
+        elif self.adversary and dst not in self.victims:
             self.pref_pos[eid] = len(self.pref_ids)
             self.pref_ids.append(eid)
 
+    def _pick(self, ids: list) -> int:
+        """ids[rng.randrange(len(ids))], drawing exactly as `randrange`."""
+        n = len(ids)
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return ids[r]
+
     def _remove(self, eid: int):
-        idx = self.pos.pop(eid)
-        last = self.ids.pop()
+        ids, pos = self.ids, self.pos
+        idx = pos.pop(eid)
+        last = ids.pop()
         if last != eid:
-            self.ids[idx] = last
-            self.pos[last] = idx
-        if eid in self.pref_pos:
-            idx = self.pref_pos.pop(eid)
-            last = self.pref_ids.pop()
+            ids[idx] = last
+            pos[last] = idx
+        if self.adversary and eid in self.pref_pos:
+            ids, pos = self.pref_ids, self.pref_pos
+            idx = pos.pop(eid)
+            last = ids.pop()
             if last != eid:
-                self.pref_ids[idx] = last
-                self.pref_pos[last] = idx
+                ids[idx] = last
+                pos[last] = idx
         return self.events.pop(eid)
 
     def pop(self, step: int):
+        events, age = self.events, self.age
         # aging: anything past the fairness window is delivered first
-        while self.age and self.age[0] not in self.events:
-            self.age.popleft()
-        if self.age:
-            oldest = self.age[0]
-            if step - self.events[oldest][0] > self.window:
-                self.age.popleft()
+        while age and age[0] not in events:
+            age.popleft()
+        if age:
+            oldest = age[0]
+            if step - events[oldest][0] > self.window:
+                age.popleft()
                 return self._remove(oldest)
-        if self.policy == "lifo" and self.rng.random() < 0.9:
-            while self.stack and self.stack[-1] not in self.events:
-                self.stack.pop()
-            if self.stack:
-                return self._remove(self.stack.pop())
-        if self.policy == "adversary" and self.pref_ids:
-            eid = self.pref_ids[self.rng.randrange(len(self.pref_ids))]
-            return self._remove(eid)
-        eid = self.ids[self.rng.randrange(len(self.ids))]
-        return self._remove(eid)
+        if self.lifo and self.rng.random() < 0.9:
+            stack = self.stack
+            while stack and stack[-1] not in events:
+                stack.pop()
+            if stack:
+                return self._remove(stack.pop())
+        if self.adversary and self.pref_ids:
+            return self._remove(self._pick(self.pref_ids))
+        return self._remove(self._pick(self.ids))
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +599,10 @@ def run(config: SimConfig) -> RunReport:
         rnd = depth[frm] + 1
         counted_frm = (frm in nodes or frm == ORACLE_ID
                        or (frm in byz and config.count_byzantine_bits))
+        push = queue.push
+        by_tag = metrics.bits_by_tag
+        egress = None                # this sender's row, made on its first count
+        total, ideal_total = metrics.total_bits, metrics.ideal_total_bits
         last = object()              # never a sent message, not even None
         for dst, msg in sends:
             if msg is not last:
@@ -592,13 +615,15 @@ def run(config: SimConfig) -> RunReport:
                     or not isinstance(msg, (AbbaIn, AbbaOut)))
                 if counted:
                     ideal = payload_bits(msg, ideal_cb)
-            queue.push(step, frm, dst, msg, rnd, tag, bits)
+                    if egress is None:
+                        egress = metrics.egress_by_tag.setdefault(frm, {})
+            push(step, frm, dst, msg, rnd, tag, bits)
             if counted:
-                metrics.bits_by_tag[tag] = metrics.bits_by_tag.get(tag, 0) + bits
-                metrics.total_bits += bits
-                metrics.ideal_total_bits += ideal
-                tags = metrics.egress_by_tag.setdefault(frm, {})
-                tags[tag] = tags.get(tag, 0) + bits
+                by_tag[tag] = by_tag.get(tag, 0) + bits
+                total += bits
+                ideal_total += ideal
+                egress[tag] = egress.get(tag, 0) + bits
+        metrics.total_bits, metrics.ideal_total_bits = total, ideal_total
 
     # feed inputs in id order; committee outsiders never input
     inputs = config.effective_inputs()
@@ -613,12 +638,14 @@ def run(config: SimConfig) -> RunReport:
             enqueue(i, strategies[i].on_start(w))
 
     terminated = {i for i in nodes if nodes[i].is_terminated()}
+    live = len(nodes)
+    delivered = suppressed = 0
     reason = "cap"
     while step < config.event_cap:
-        if len(terminated) == len(nodes):
+        if len(terminated) == live:
             reason = "ok"
             break
-        if not queue:
+        if not queue.events:
             reason = "deadlock"
             break
         enq_step, frm, dst, msg, rnd, tag, bits = queue.pop(step)
@@ -627,29 +654,37 @@ def run(config: SimConfig) -> RunReport:
             if adjudicator is not None and isinstance(msg, AbbaIn):
                 depth[ORACLE_ID] = max(depth[ORACLE_ID], rnd)
                 decided = adjudicator.on_input(frm, msg.bit)
-                metrics.events_delivered += 1
+                delivered += 1
                 if decided is not None:
                     enqueue(ORACLE_ID,
                             [(p, AbbaOut(decided)) for p in participants])
             continue
-        if dst in nodes:
-            node = nodes[dst]
-            if node.is_terminated():
-                metrics.events_suppressed += 1
+        node = nodes.get(dst)
+        if node is not None:
+            # a node's state changes only in its own handlers, so the set
+            # holds every terminated node
+            if dst in terminated:
+                suppressed += 1
                 continue
-            depth[dst] = max(depth[dst], rnd)
+            if rnd > depth[dst]:
+                depth[dst] = rnd
             sends = node.handle(frm, msg)
-            metrics.events_delivered += 1
+            delivered += 1
             event_log.append((step, frm, dst, tag, bits, rnd))
-            enqueue(dst, sends)
+            if sends:
+                enqueue(dst, sends)
             if node.is_terminated():
                 terminated.add(dst)
                 term_depth[dst] = depth[dst]
         elif dst in strategies:
-            depth[dst] = max(depth[dst], rnd)
-            metrics.events_delivered += 1
+            if rnd > depth[dst]:
+                depth[dst] = rnd
+            delivered += 1
             event_log.append((step, frm, dst, tag, bits, rnd))
-            enqueue(dst, strategies[dst].on_deliver(frm, msg))
+            sends = strategies[dst].on_deliver(frm, msg)
+            if sends:
+                enqueue(dst, sends)
+    metrics.events_delivered, metrics.events_suppressed = delivered, suppressed
     if len(terminated) == len(nodes):
         reason = "ok"
 

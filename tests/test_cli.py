@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from acool.cli import main
 
 
@@ -66,6 +68,26 @@ def test_env_override(monkeypatch, capsys):
     code = main(["run", "--n", "4", "--t", "1", "--len", "64"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["config"]["t"] == 1
+
+
+# each numeric override and the subcommand whose parser reads it
+NUMERIC_OVERRIDES = (
+    ("N", "run"), ("SEED", "run"), ("LEN", "run"), ("LEADER", "run"),
+    ("EVENT_CAP", "run"), ("ABBA_HINT", "run"), ("SMALL_T_RATIO", "run"),
+    ("T", "run"), ("SEEDS", "sweep"), ("WORKERS", "accept"),
+)
+
+
+@pytest.mark.parametrize("name,command", NUMERIC_OVERRIDES)
+def test_bad_env_override_is_an_argument_error(name, command, monkeypatch,
+                                               capsys):
+    monkeypatch.setenv(f"ACOOL_{name}", "x")
+    assert main([command]) == 1
+    err = capsys.readouterr().err
+    assert "error: argument --" in err and "'x'" in err
+    # a subcommand without that flag does not read it
+    assert main(["scenario-list"]) == 0
+    assert "split-input" in capsys.readouterr().out
 
 
 def test_scenario_keeps_count_byzantine_bits(capsys):

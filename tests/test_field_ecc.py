@@ -729,3 +729,54 @@ def test_canonical_flag_is_pack_of_unpack():
         assert canonical == (pack_message(params, message) == elems)
         seen.add(canonical)
     assert seen == {True, False}
+
+
+def ref_valid_elems(params, elems):
+    """The share check as a plain loop, without the accepted-object cache."""
+    if not isinstance(elems, tuple) or len(elems) != params.chunks:
+        return False
+    return all(isinstance(e, int) and 0 <= e < params.q for e in elems)
+
+
+class _FlakyShare(tuple):
+    """A tuple subclass that iterates as a valid share only the first time."""
+
+    def __iter__(self):
+        self.calls = getattr(self, "calls", 0) + 1
+        if self.calls == 1:
+            return super().__iter__()
+        return iter([-1] * len(self))
+
+
+def test_valid_elems_cache_matches_plain_loop():
+    params = params_for_message_bits(7, 2, 64)
+    share = ecc_encode(params, b"cached!")[3].elems
+    with_bool = (True,) + share[1:]
+    inputs = [
+        share, with_bool, tuple(share), share[:-1], share + (0,),
+        (params.q,) + share[1:], (-1,) + share[1:], (2 ** 70,) + share[1:],
+        (1.0,) + share[1:], ("1",) + share[1:], (None,) + share[1:],
+        list(share), None, b"share", 7,
+    ]
+    for _ in range(2):           # before the cache holds them, then after
+        for elems in inputs:
+            assert params.valid_elems(elems) == ref_valid_elems(params, elems)
+    accepted = params.accepted_shares
+    assert accepted[id(share)] is share and accepted[id(with_bool)] is with_bool
+
+
+def test_valid_elems_cache_never_hits_other_objects():
+    params = params_for_message_bits(4, 1, 64)
+    share = tuple([1] * params.chunks)
+    assert params.valid_elems(share)
+    # a sentinel-free probe, accepted.get(id(x)) is x, would accept None
+    assert not params.valid_elems(None)
+    as_list = list(share)
+    assert not params.valid_elems(as_list) and not params.valid_elems(as_list)
+    float_copy = (1.0,) + share[1:]
+    assert float_copy == share and not params.valid_elems(float_copy)
+    flaky = _FlakyShare(share)
+    assert params.valid_elems(flaky)          # first iteration: valid
+    assert not params.valid_elems(flaky)      # checked again, not cached
+    assert id(flaky) not in params.accepted_shares
+    assert list(params.accepted_shares.values()) == [share]

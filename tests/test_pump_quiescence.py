@@ -1,0 +1,148 @@
+"""The woken-guard pump leaves every node quiescent.
+
+`AcoolNode._pump` evaluates, after a message, only the guards its handler
+can enable.  That is sound only if no other guard could fire: after each
+`handle` call on a live node, a full cascade over all eight guards must
+send nothing and change no flag.  The check runs over the acceptance-grid
+slice (every strategy and scheduler at n = 4, 7 and 10, equal inputs and
+two camps, both binary-agreement hints) and over the wirings the grid
+leaves out, Byzantine replicas included.  Scripted flows cover the wake
+bits no run of those needs.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from acool.aba import OracleAbba
+from acool.field_ecc import ecc_encode, params_for_message_bits
+from acool.messages import CorrectSymbol, NewSymbol, Ready, Si, Symbol
+from acool.protocol import AcoolNode
+from acool.simnet import (
+    ADVERSARIES, SCHEDULERS, SimConfig, run, scenario_split_input,
+)
+
+
+def _state(node):
+    return (node.w2, node.y_major, node.abba_in, node.ready_sent, node.v_out,
+            node.ph3, node.calibrated, node.terminated, node.bua2.w,
+            node.abba.output)
+
+
+def _grid():
+    for seed in (0, 1):
+        for n, t in ((4, 1), (7, 2), (10, 3)):
+            for adversary in ADVERSARIES:
+                for scheduler in SCHEDULERS:
+                    equal = SimConfig(n=n, t=t, seed=seed, msg_len_bits=64,
+                                      adversary=adversary, scheduler=scheduler,
+                                      abba_hint=seed % 2)
+                    camp_a = equal.default_message(1)
+                    camp_b = equal.default_message(2)
+                    yield equal
+                    yield replace(equal, inputs={
+                        i: camp_a if i <= n // 2 else camp_b
+                        for i in range(1, n + 1)})
+
+
+def _variants():
+    """Wirings the grid leaves out: legacy, coin agreement, no READY stage."""
+    for seed in (0, 1):
+        for n, t in ((4, 1), (7, 2), (10, 3)):
+            for adversary in ADVERSARIES:
+                base = SimConfig(n=n, t=t, seed=seed, msg_len_bits=64,
+                                 adversary=adversary, scheduler="adversary")
+                yield replace(base, legacy_cool=True)
+                yield replace(base, abba="coin", skip_brba=seed == 1)
+            yield scenario_split_input(n, t, seed=seed, msg_len_bits=64,
+                                       abba="coin")
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Run a full cascade after every `AcoolNode.handle` on a live node."""
+    handle = AcoolNode.handle
+    calls = []
+
+    def handle_then_full_pump(self, frm, msg):
+        sends = handle(self, frm, msg)
+        if not self.terminated:
+            before = _state(self)
+            extra = []
+            self._pump(extra)
+            assert extra == [] and _state(self) == before, (
+                f"node {self.node_id} not quiescent after {msg!r} from {frm}")
+            calls.append(1)
+        return sends
+
+    monkeypatch.setattr(AcoolNode, "handle", handle_then_full_pump)
+    return calls
+
+
+@pytest.mark.parametrize("configs,runs", [(_grid, 252), (_variants, 90)],
+                         ids=["accept-grid", "variants"])
+def test_full_cascade_after_every_delivery_changes_nothing(configs, runs,
+                                                           checked):
+    done = 0
+    for config in configs():
+        report = run(config)
+        assert report.reason == "ok" and all(report.checks.values())
+        done += 1
+    assert done == runs and len(checked) > 100 * runs
+
+
+def test_legacy_phase2_success_after_phase_three_wakes_final_decode(checked):
+    """Legacy decodes on instance 1, so an instance-1 event can finish it."""
+    params = params_for_message_bits(4, 1, 64)
+    w = b"legacy-1"
+    rows = [s.elems for s in ecc_encode(params, w)]
+    node = AcoolNode(1, params, OracleAbba(1), legacy=True)
+    node.input(w)
+    for j in (2, 3, 4):
+        node.handle(j, Si(1, 2, 1))               # vote 1 before own s2
+    for j in (2, 3, 4):
+        node.handle(j, Ready(1))
+    assert node.ph3 and node.bua1.s2 is None and not node.terminated
+    for j in (1, 2, 3, 4):
+        node.handle(j, Symbol(1, (rows[0], rows[j - 1])))
+    for j in (1, 2, 3):
+        node.handle(j, Si(1, 1, 1))               # own phase-2 success
+    assert node.terminated and node.poll_output() == w
+    assert len(checked) == 12
+
+
+def test_correct_symbol_that_completes_the_final_decode_terminates(checked):
+    params = params_for_message_bits(4, 1, 64)
+    w = b"final-w!"
+    rows = [s.elems for s in ecc_encode(params, w)]
+    garbage = tuple((v + 1) % params.q for v in rows[2])
+    node = AcoolNode(1, params, OracleAbba(1))
+    node.input(b"other")
+    node.handle(2, NewSymbol(rows[1]))
+    node.handle(3, NewSymbol(rows[2]))            # instance 2 runs on w
+    node.handle(2, Symbol(2, (rows[0], rows[1])))
+    node.handle(3, Symbol(2, (rows[0], garbage)))
+    for j in (2, 3):
+        node.handle(j, Si(2, 2, 1))               # harvested shares disagree
+    for j in (2, 3, 4):
+        node.handle(j, Ready(1))
+    assert node.calibrated and node.oec_final.decoded is None
+    node.handle(1, CorrectSymbol(rows[0]))        # own symbol loops back
+    assert node.terminated and node.poll_output() == w
+
+
+def test_phase2_success_before_shared_decode_starts_second_instance(checked):
+    """Peers' NEWSYMBOLs of other values keep the shared decode failing."""
+    params = params_for_message_bits(4, 1, 64)
+    w = b"own-val!"
+    rows = [s.elems for s in ecc_encode(params, w)]
+    node = AcoolNode(1, params, OracleAbba(1))
+    node.input(w)
+    node.handle(2, NewSymbol(ecc_encode(params, b"value-A!")[1].elems))
+    node.handle(3, NewSymbol(ecc_encode(params, b"value-B!")[2].elems))
+    for j in (1, 2, 3, 4):
+        node.handle(j, Symbol(1, (rows[0], rows[j - 1])))
+    for j in (1, 2, 3, 4):
+        node.handle(j, Si(1, 1, 1))
+    assert node.bua1.s2 == 1 and node.oec_new.decoded is None
+    assert node.w2 == w and node.bua2.w == w

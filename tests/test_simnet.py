@@ -1,6 +1,7 @@
 """Simulator harness tests: determinism, fairness, accounting, config."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -8,7 +9,7 @@ from acool.field_ecc import (
     CodeParams, ResilienceViolation, params_for_message_bits,
 )
 from acool.simnet import (
-    ADVERSARIES, SCHEDULERS, SimConfig, Strategy, _AdvCtx, run,
+    ADVERSARIES, SCHEDULERS, SimConfig, Strategy, _AdvCtx, _Queue, run,
     scenario_split_input, sweep,
 )
 
@@ -172,3 +173,81 @@ def test_rand_elems_draws_the_randrange_stream(q, chunks):
         assert strategy._rand_elems() == tuple(ref.randrange(q)
                                                for _ in range(chunks))
         assert rng.getstate() == ref.getstate()
+
+
+
+class RefQueue:
+    """Reference scheduler queue: the same structure, picks by randrange."""
+
+    def __init__(self, rng, policy, victims, window):
+        self.rng, self.policy, self.victims, self.window = (
+            rng, policy, victims, window)
+        self.events, self.age, self.stack = {}, deque(), []
+        self.ids, self.pos = [], {}
+        self.pref_ids, self.pref_pos = [], {}
+        self.next_id = 0
+
+    def __len__(self):
+        return len(self.events)
+
+    def push(self, step, frm, dst, msg, rnd, tag, bits):
+        eid = self.next_id
+        self.next_id += 1
+        self.events[eid] = (step, frm, dst, msg, rnd, tag, bits)
+        self.age.append(eid)
+        self.stack.append(eid)
+        self.pos[eid] = len(self.ids)
+        self.ids.append(eid)
+        if self.policy == "adversary" and dst not in self.victims:
+            self.pref_pos[eid] = len(self.pref_ids)
+            self.pref_ids.append(eid)
+
+    def _remove(self, eid):
+        for ids, pos in ((self.ids, self.pos), (self.pref_ids, self.pref_pos)):
+            if eid in pos:
+                idx = pos.pop(eid)
+                last = ids.pop()
+                if last != eid:
+                    ids[idx] = last
+                    pos[last] = idx
+        return self.events.pop(eid)
+
+    def pop(self, step):
+        while self.age and self.age[0] not in self.events:
+            self.age.popleft()
+        if self.age and step - self.events[self.age[0]][0] > self.window:
+            return self._remove(self.age.popleft())
+        if self.policy == "lifo" and self.rng.random() < 0.9:
+            while self.stack and self.stack[-1] not in self.events:
+                self.stack.pop()
+            if self.stack:
+                return self._remove(self.stack.pop())
+        if self.policy == "adversary" and self.pref_ids:
+            return self._remove(
+                self.pref_ids[self.rng.randrange(len(self.pref_ids))])
+        return self._remove(self.ids[self.rng.randrange(len(self.ids))])
+
+
+@pytest.mark.parametrize("policy", SCHEDULERS)
+def test_queue_picks_draw_the_randrange_stream(policy):
+    """Same pushes and pops: same deliveries and generator state as randrange."""
+    drive = random.Random(policy)
+    queue = _Queue(random.Random(5), policy, frozenset({1, 2}), 40)
+    ref = RefQueue(random.Random(5), policy, frozenset({1, 2}), 40)
+    step = 0
+    for _ in range(3000):
+        if drive.random() < 0.55 or not ref:
+            # one message to a random run of destinations, as a broadcast
+            for dst in range(1, drive.randrange(1, 8)):
+                args = (step, drive.randrange(8), dst, ("m", step), 1, "T", 1)
+                queue.push(*args)
+                ref.push(*args)
+        else:
+            step += 1
+            assert queue.pop(step) == ref.pop(step)
+            assert queue.rng.getstate() == ref.rng.getstate()
+        assert len(queue) == len(ref)
+    while ref:
+        step += 1
+        assert queue.pop(step) == ref.pop(step)
+    assert queue.rng.getstate() == ref.rng.getstate()
