@@ -94,13 +94,17 @@ def _grid_reports(quick: bool, workers: int) -> list:
     return rows
 
 
-def _fails(rows, pred) -> list:
-    return [r for r in rows if not pred(r)]
+def _grid_violations(quick: bool, workers: int, ok: Callable,
+                     style: Optional[str] = None) -> tuple:
+    """Grid rows (of one input style, if given) and those failing ``ok``."""
+    rows = [r for r in _grid_reports(quick, workers)
+            if style is None or r["style"] == style]
+    return rows, [r for r in rows if not ok(r)]
 
 
 def crit1_safety(quick: bool, workers: int):
-    rows = _grid_reports(quick, workers)
-    bad = _fails(rows, lambda r: r["checks"]["consistency"])
+    rows, bad = _grid_violations(quick, workers,
+                                 lambda r: r["checks"]["consistency"])
     detail = (f"{len(rows)} runs over {len(GRID)} grid points x "
               f"{len(ADVERSARIES)} adversaries x {len(SCHEDULERS)} schedulers; "
               f"{len(bad)} consistency violations")
@@ -108,16 +112,16 @@ def crit1_safety(quick: bool, workers: int):
 
 
 def crit2_validity(quick: bool, workers: int):
-    rows = [r for r in _grid_reports(quick, workers) if r["style"] == "equal"]
-    bad = _fails(rows, lambda r: r["reason"] == "ok"
-                 and r["checks"].get("validity", False))
+    rows, bad = _grid_violations(
+        quick, workers, lambda r: r["reason"] == "ok"
+        and r["checks"].get("validity", False), style="equal")
     return not bad, (f"{len(rows)} equal-input runs; "
                      f"{len(bad)} validity violations")
 
 
 def crit3_termination(quick: bool, workers: int):
-    rows = _grid_reports(quick, workers)
-    stalled = _fails(rows, lambda r: r["reason"] == "ok")
+    rows, stalled = _grid_violations(quick, workers,
+                                     lambda r: r["reason"] == "ok")
     seeds = 3 if quick else 10
     # the adjudicated agreement has totality built in; exercise liveness
     # under the message-based one as well
@@ -152,9 +156,9 @@ def crit3_termination(quick: bool, workers: int):
 
 
 def crit4_unique_agreement(quick: bool, workers: int):
-    rows = _grid_reports(quick, workers)
-    bad = _fails(rows, lambda r: r["checks"]["unique_agreement"]
-                 and r["checks"]["gamma1_at_most_2"])
+    rows, bad = _grid_violations(
+        quick, workers, lambda r: r["checks"]["unique_agreement"]
+        and r["checks"]["gamma1_at_most_2"])
     return not bad, (f"{len(rows)} runs; {len(bad)} unique-agreement or "
                      f"phase-1-spread violations")
 
@@ -274,33 +278,25 @@ def crit6_codec_oracle(quick: bool, workers: int):
 def crit7_rba_rbc(quick: bool, workers: int):
     seeds = 5 if quick else 20
     n, t = 7, 2
-    configs = []
-    metas = []
+    # (protocol, leader, live): equal honest inputs (rba) or an honest
+    # leader (rbc) force both termination and the common output under
+    # every catalogued adversary; a Byzantine leader forces agreement only
+    kinds = (("rba", 1, True), ("rbc", 1, True), ("rbc", n, False))
+    configs, lives = [], []
     for adv, sched, seed in itertools.product(ADVERSARIES, SCHEDULERS,
                                               range(seeds)):
-        configs.append(SimConfig(n=n, t=t, seed=seed, msg_len_bits=64,
-                                 protocol="rba", adversary=adv,
-                                 scheduler=sched))
-        metas.append(("rba", adv))
-        configs.append(SimConfig(n=n, t=t, seed=seed, msg_len_bits=64,
-                                 protocol="rbc", adversary=adv,
-                                 scheduler=sched))
-        metas.append(("rbc-honest-leader", adv))
-        configs.append(SimConfig(n=n, t=t, seed=seed, msg_len_bits=64,
-                                 protocol="rbc", leader=n, adversary=adv,
-                                 scheduler=sched))
-        metas.append(("rbc-byzantine-leader", adv))
+        for protocol, leader, live in kinds:
+            configs.append(SimConfig(n=n, t=t, seed=seed, msg_len_bits=64,
+                                     protocol=protocol, leader=leader,
+                                     adversary=adv, scheduler=sched))
+            lives.append(live)
     results = _run_many(configs, workers)
-    bad = []
-    for meta, r in zip(metas, results):
-        kind, adv = meta
+    bad = 0
+    for live, r in zip(lives, results):
         ok = r["checks"]["consistency"] and r["checks"]["totality"]
-        # equal honest inputs (rba) or an honest leader (rbc) force both
-        # termination and the common output under every catalogued adversary
-        if kind == "rba" or kind == "rbc-honest-leader" or adv == "none":
+        if live:
             ok = ok and r["reason"] == "ok" and r["checks"].get("validity", False)
-        if not ok:
-            bad.append(meta)
+        bad += not ok
 
     ell = 1024
     params = derive_params(n, t, ell + 32)
@@ -314,7 +310,7 @@ def crit7_rba_rbc(quick: bool, workers: int):
                  unbalanced.metrics.egress_by_tag[1]["LEADERMESSAGE"]
                  >= n * ell)
     ok = not bad and egress_ok
-    return ok, (f"{len(results)} runs ({len(bad)} property failures); "
+    return ok, (f"{len(results)} runs ({bad} property failures); "
                 f"balanced leader dispersal {lead_bits} bits <= "
                 f"{bound:.0f}, unbalanced >= {n * ell}: {egress_ok}")
 

@@ -120,12 +120,6 @@ class Bua:
         self._guards(sends, events)
         return sends, events
 
-    def handle(self, frm: int, msg):
-        """Route one SYMBOL or SI message addressed to this instance."""
-        if isinstance(msg, Symbol):
-            return self.on_symbol(frm, msg.pair)
-        return self.on_si(msg.phase, frm, msg.bit)
-
     def on_symbol(self, frm: int, pair):
         """First SYMBOL from ``frm``.
 

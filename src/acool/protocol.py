@@ -16,15 +16,20 @@ a final honest-majority multicast decode:
   coded symbol by majority over instance-2 phase-2 successes, multicasts
   it, and decodes the agreed message from k+t matching symbols.
 
+`ProtocolBase` is the node skeleton shared with the reliable-agreement
+variants of `rba_rbc`: input, exact-type dispatch, SYMBOL/SI routing by
+an exact `int` tag, READY tallying, the decision and the final decode.
+
 Handlers are synchronous and deterministic: every inbound event is
 processed to quiescence before the next.  A node is quiescent between
 events: no standing guard can fire.  A message can therefore enable only
-the guards whose inputs its handler changed, so `AcoolNode._pump` first
-evaluates only those, in the fixed guard order; once any guard fires,
-every guard runs, in the same order, until a full pass fires none.  The
-sends come out in the order a full re-evaluation after every event
-would give.  All cross-node effects travel as returned (destination,
-message) pairs; nothing here touches a network.
+the guards whose inputs its handler changed, so `handle` pumps only when
+a handler reports some, and `AcoolNode._pump` first evaluates only
+those, in the fixed guard order; once any guard fires, every guard runs,
+in the same order, until a full pass fires none.  The sends come out in
+the order a full re-evaluation after every event would give.  All
+cross-node effects travel as returned (destination, message) pairs;
+nothing here touches a network.
 """
 
 from __future__ import annotations
@@ -65,17 +70,28 @@ class NodeState(NamedTuple):
     quorum_collision: bool        # both READY quorums reached n-t
 
 
-class ProtocolBase:
-    """READY tallying, decision handling and final-multicast machinery.
+# `AcoolNode._pump`'s guards, one bit each, in evaluation order; a
+# `ProtocolBase` handler returns those it may enable
+(_NEW_SYMBOL, _ADOPT_W2, _SECOND_INPUT, _ABBA_INPUT, _ABBA_OUTPUT, _READY,
+ _DECISION, _FINAL_DECODE) = (1 << i for i in range(8))
+_ALL_GUARDS = (1 << 8) - 1
 
-    Shared by the binary-agreement composition and the reliable-agreement
-    variant; subclasses differ only in what triggers the first READY and
-    which unique-agreement instance backs the final decode.
+
+class ProtocolBase:
+    """One node's lifecycle over its unique-agreement instances.
+
+    A subclass fills ``buas`` (SYMBOL/SI tag -> instance; input starts the
+    first) and supplies ``_absorb(bua, events)``, its extra `_HANDLERS`
+    and ``_pump(sends, wake)``.  A handler appends its sends and returns
+    the guards it may have enabled as a bit set, 0 for none; `handle`
+    pumps only on a nonzero wake.
     """
 
     def __init__(self, node_id: int, params: CodeParams):
         self.node_id = node_id
         self.params = params
+        self.buas: dict = {}                      # SYMBOL/SI tag -> Bua
+        self.w_input: Optional[bytes] = None
         self.ready_sent: Optional[int] = None     # bit sent, None if not yet
         self.ready_seen: set = set()
         self.ready_from = {0: set(), 1: set()}
@@ -89,6 +105,35 @@ class ProtocolBase:
         self.terminated = False
 
     # -- lifecycle -------------------------------------------------------
+
+    def input(self, w: bytes):
+        """Start the first instance on ``w``, then run every guard."""
+        sends: list = []
+        if self.terminated or self.w_input is not None:
+            return sends
+        if not w:
+            log.debug("node %d: empty input ignored", self.node_id)
+            return sends
+        self.w_input = w
+        bua = next(iter(self.buas.values()))
+        s, ev = bua.input(w)
+        sends += s
+        self._absorb(bua, ev)
+        self._pump(sends)
+        return sends
+
+    def handle(self, frm: int, msg):
+        sends: list = []
+        if self.terminated:
+            return sends
+        on = self._HANDLERS.get(type(msg))
+        if on is None:
+            log.debug("node %d: dropping %r", self.node_id, msg)
+            return sends
+        wake = on(self, frm, msg, sends)
+        if wake:
+            self._pump(sends, wake)
+        return sends
 
     def poll_output(self):
         return self.output
@@ -105,13 +150,46 @@ class ProtocolBase:
         for j in range(1, self.params.n + 1):
             sends.append((j, msg))
 
-    # -- READY stage -------------------------------------------------------
+    # -- shared message handlers ---------------------------------------------
 
-    def _on_ready(self, frm: int, bit: int):
+    def _on_instance(self, frm: int, msg, sends) -> int:
+        inst = msg.inst
+        bua = self.buas.get(inst) if type(inst) is int else None
+        if bua is None:
+            return 0
+        if type(msg) is Symbol:
+            s, ev = bua.on_symbol(frm, msg.pair)
+        else:
+            s, ev = bua.on_si(msg.phase, frm, msg.bit)
+        if not ev:               # no set or flag a guard reads has changed
+            return 0
+        sends += s
+        return self._absorb(bua, ev)
+
+    def _on_ready(self, frm: int, msg, sends) -> int:
+        bit = msg.bit
         if frm in self.ready_seen or bit not in (0, 1):
-            return
+            return 0
         self.ready_seen.add(frm)
         self.ready_from[bit].add(frm)
+        return _READY
+
+    def _on_correct_symbol(self, frm: int, msg, sends) -> int:
+        elems = msg.elems
+        if frm in self.correct_seen or not self.params.valid_elems(elems):
+            return 0
+        self.correct_seen.add(frm)
+        if not self.oec_final.done:
+            self.oec_final.submit(frm, elems)
+        return _FINAL_DECODE
+
+    _HANDLERS = {
+        Symbol: _on_instance, Si: _on_instance,
+        Ready: _on_ready,
+        CorrectSymbol: _on_correct_symbol,
+    }
+
+    # -- READY stage -------------------------------------------------------
 
     def _ready_guards(self, sends) -> bool:
         """Amplify at t+1, decide at 2t+1.  Returns True on a state change."""
@@ -145,14 +223,7 @@ class ProtocolBase:
 
     # -- final multicast ---------------------------------------------------
 
-    def _on_correct_symbol(self, frm: int, elems):
-        if frm in self.correct_seen or not self.params.valid_elems(elems):
-            return
-        self.correct_seen.add(frm)
-        if not self.oec_final.done:
-            self.oec_final.submit(frm, elems)
-
-    def _absorb_final(self, bua: Bua, events):
+    def _absorb_final(self, bua: Bua, events) -> int:
         """Fold the final-decode instance's events into calibration and decode."""
         for ev in events:
             if type(ev) is SymbolDelivered:
@@ -163,6 +234,7 @@ class ProtocolBase:
                 self.calib_dirty = True
                 if ev.bit == 1:
                     self._harvest_final(bua, ev.sender)
+        return _FINAL_DECODE
 
     def _harvest_final(self, bua: Bua, j: int):
         """Store a phase-2-successful peer's own symbol for the final decode."""
@@ -209,12 +281,6 @@ class ProtocolBase:
         return winners[0] if winners else None
 
 
-# `AcoolNode._pump`'s guards, one bit each, in evaluation order
-(_NEW_SYMBOL, _ADOPT_W2, _SECOND_INPUT, _ABBA_INPUT, _ABBA_OUTPUT, _READY,
- _DECISION, _FINAL_DECODE) = (1 << i for i in range(8))
-_ALL_GUARDS = (1 << 8) - 1
-
-
 class AcoolNode(ProtocolBase):
     """One node of the full agreement composition.
 
@@ -231,11 +297,9 @@ class AcoolNode(ProtocolBase):
         super().__init__(node_id, params)
         self.bua1 = Bua(BuaConfig(1, params, node_id))
         self.bua2 = Bua(BuaConfig(2, params, node_id))
-        # the instances SYMBOL and SI messages reach, by their tag
         self.buas = {1: self.bua1} if legacy else {1: self.bua1, 2: self.bua2}
         self.abba = abba
         self.abba_in: Optional[int] = None
-        self.w_input: Optional[bytes] = None
         self.w2: Optional[bytes] = None            # derived second input
         self.oec_new = OecAccumulator(params)
         self.y_table: dict = {}                    # symbol value -> senders
@@ -250,61 +314,16 @@ class AcoolNode(ProtocolBase):
         self.wake1 = (_NEW_SYMBOL | _ADOPT_W2 | _SECOND_INPUT | _ABBA_INPUT
                       | (_FINAL_DECODE if legacy else 0))
 
-    # -- external surface --------------------------------------------------
+    # bound in the class body: the perfbench tracer wraps the entry points
+    # each class holds itself
+    input = ProtocolBase.input
+    handle = ProtocolBase.handle
 
     def introspect(self) -> NodeState:
         return NodeState(self.oec_new.attempts + self.oec_final.attempts,
                          tuple(self.buas.items()), self.abba_race, False)
 
-    def input(self, w: bytes):
-        sends: list = []
-        if self.terminated or self.w_input is not None:
-            return sends
-        if not w:
-            log.debug("node %d: empty input ignored", self.node_id)
-            return sends
-        self.w_input = w
-        s, ev = self.bua1.input(w)
-        sends += s
-        self._absorb1(ev)
-        self._pump(sends)
-        return sends
-
-    def handle(self, frm: int, msg):
-        sends: list = []
-        if self.terminated:
-            return sends
-        on = self._HANDLERS.get(type(msg))
-        if on is None:
-            log.debug("node %d: dropping %r", self.node_id, msg)
-            return sends
-        wake = on(self, frm, msg, sends)
-        if wake:
-            self._pump(sends, wake)
-        return sends
-
     # -- message handlers ----------------------------------------------------
-    #
-    # Each appends its sends and returns the `_pump` guards whose inputs it
-    # may have changed, 0 when it changed none.
-
-    def _on_instance(self, frm: int, msg, sends) -> int:
-        inst = msg.inst
-        bua = self.buas.get(inst) if type(inst) is int else None
-        if bua is None:
-            return 0
-        if type(msg) is Symbol:
-            s, ev = bua.on_symbol(frm, msg.pair)
-        else:
-            s, ev = bua.on_si(msg.phase, frm, msg.bit)
-        if not ev:               # no set or flag a guard reads has changed
-            return 0
-        sends += s
-        if bua is self.bua1:
-            self._absorb1(ev)
-            return self.wake1
-        self._absorb_final(bua, ev)
-        return _ABBA_INPUT | _FINAL_DECODE
 
     def _on_new_symbol(self, frm: int, msg, sends) -> int:
         if self.legacy or frm in self.newsym_seen:
@@ -315,30 +334,22 @@ class AcoolNode(ProtocolBase):
         self.oec_new.submit(frm, msg.elems)
         return _ADOPT_W2
 
-    def _on_ready_msg(self, frm: int, msg, sends) -> int:
-        self._on_ready(frm, msg.bit)
-        return _READY
-
-    def _on_correct_symbol_msg(self, frm: int, msg, sends) -> int:
-        self._on_correct_symbol(frm, msg.elems)
-        return _FINAL_DECODE
-
     def _on_abba(self, frm: int, msg, sends) -> int:
         sends += self.abba.handle(frm, msg)
         return _ABBA_OUTPUT
 
     _HANDLERS = {
-        Symbol: _on_instance, Si: _on_instance,
+        **ProtocolBase._HANDLERS,
         NewSymbol: _on_new_symbol,
-        Ready: _on_ready_msg,
-        CorrectSymbol: _on_correct_symbol_msg,
         Est: _on_abba, Aux: _on_abba, Decide: _on_abba, AbbaOut: _on_abba,
     }
 
     # -- event absorption ---------------------------------------------------
 
-    def _absorb1(self, events):
-        """Fold instance-1 events into the majority table and share decoder."""
+    def _absorb(self, bua: Bua, events) -> int:
+        if bua is not self.bua1:
+            return self._absorb_final(bua, events) | _ABBA_INPUT
+        # fold instance-1 events into the majority table and share decoder
         for ev in events:
             if type(ev) is SymbolDelivered:
                 j, pair = ev.sender, ev.pair
@@ -353,6 +364,7 @@ class AcoolNode(ProtocolBase):
                         self.oec_new.submit(ev.sender, pair[1])
                 elif ev.phase == 2 and ev.bit == 0:
                     self.y_dirty = True
+        return self.wake1
 
     # -- guard cascade -------------------------------------------------------
 

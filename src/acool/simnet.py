@@ -26,8 +26,8 @@ import json
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple, Optional
 
 from .aba import CoinAbba, CoinOracle, OracleAbba, OracleAdjudicator, ORACLE_ID
 from .field_ecc import CodeParams, params_for_message_bits
@@ -126,15 +126,9 @@ class SimConfig:
         return {i: w for i in range(1, self.n + 1)}
 
     def to_dict(self) -> dict:
-        d = {
-            "n": self.n, "t": self.t, "seed": self.seed,
-            "msg_len_bits": self.msg_len_bits, "protocol": self.protocol,
-            "adversary": self.adversary, "scheduler": self.scheduler,
-            "abba": self.abba, "abba_hint": self.abba_hint,
-            "skip_brba": self.skip_brba, "count_abba_bits": self.count_abba_bits,
-            "count_byzantine_bits": self.count_byzantine_bits,
-            "legacy_cool": self.legacy_cool, "leader": self.leader,
-            "balanced": self.balanced, "event_cap": self.event_cap,
+        # shallow: `asdict` would deep-copy every field on every run
+        return {
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "fairness_window": self.window(),
             "byzantine": list(self.byzantine_ids()),
             "adversary_targets": sorted(self.adversary_targets or ()),
@@ -142,7 +136,6 @@ class SimConfig:
                        for k, v in sorted(self.effective_inputs().items())
                        if v is not None},
         }
-        return d
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +236,14 @@ class _Queue:
 # ---------------------------------------------------------------------------
 
 
-class _AdvCtx:
-    __slots__ = ("self_id", "n", "t", "params", "rng", "targets", "fresh_node")
-
-    def __init__(self, self_id, n, t, params, rng, targets, fresh_node):
-        self.self_id = self_id
-        self.n = n
-        self.t = t
-        self.params = params
-        self.rng = rng
-        self.targets = targets
-        self.fresh_node = fresh_node
+class _AdvCtx(NamedTuple):
+    self_id: int
+    n: int
+    t: int
+    params: CodeParams
+    rng: random.Random
+    targets: frozenset
+    fresh_node: Callable
 
 
 class Strategy:
@@ -287,21 +277,33 @@ class CrashSilent(Strategy):
 
 
 class _Replica(Strategy):
-    """Base for strategies that corrupt an honest replica's traffic."""
+    """Base for strategies that corrupt the traffic of ``replicas`` honest
+    replicas; `_rewrite` gets each replica's sends, in replica order."""
+
+    replicas = 1
 
     def __init__(self, ctx):
         super().__init__(ctx)
-        self.node = ctx.fresh_node(ctx.self_id)
+        self.nodes = [ctx.fresh_node(ctx.self_id) for _ in range(self.replicas)]
+
+    def inputs(self, w) -> tuple:
+        """One input per replica; none at all when ``w`` is None."""
+        return () if w is None else (w,)
 
     def on_start(self, w):
-        if w is None:
+        ws = self.inputs(w)
+        if not ws:
             return []
-        return self._rewrite(self.node.input(w))
+        return self._rewrite(*[node.input(x) for node, x in zip(self.nodes, ws)])
 
     def on_deliver(self, frm, msg):
-        if self.node.is_terminated():
-            return []
-        return self._rewrite(self.node.handle(frm, msg))
+        # a terminated replica's `handle` sends nothing; once all of them
+        # have terminated, the strategy sends nothing either
+        live, sends = False, []
+        for node in self.nodes:
+            live = live or not node.is_terminated()
+            sends.append(node.handle(frm, msg))
+        return self._rewrite(*sends) if live else []
 
     def _rewrite(self, sends):
         return sends
@@ -315,14 +317,9 @@ class GarbageShares(_Replica):
         for dst, msg in sends:
             if isinstance(msg, Symbol):
                 msg = Symbol(msg.inst, (self._rand_elems(), self._rand_elems()))
-            elif isinstance(msg, NewSymbol):
-                msg = NewSymbol(self._rand_elems())
-            elif isinstance(msg, CorrectSymbol):
-                msg = CorrectSymbol(self._rand_elems())
-            elif isinstance(msg, (Leader, Initial)):
+            elif (isinstance(msg, (NewSymbol, CorrectSymbol, Leader, Initial))
+                  or isinstance(msg, Shmdm) and msg.elems is not None):
                 msg = type(msg)(self._rand_elems())
-            elif isinstance(msg, Shmdm) and msg.elems is not None:
-                msg = Shmdm(self._rand_elems())
             out.append((dst, msg))
         return out
 
@@ -335,37 +332,27 @@ class WithholdFromSubset(_Replica):
         return [(dst, msg) for dst, msg in sends if dst not in targets]
 
 
-class _TwoFaced(Strategy):
+class _TwoFaced(_Replica):
     """Two honest replicas with different inputs, split across recipients."""
 
+    replicas = 2
     drop_phase2 = False
 
-    def __init__(self, ctx):
-        super().__init__(ctx)
-        self.node_a = ctx.fresh_node(ctx.self_id)
-        self.node_b = ctx.fresh_node(ctx.self_id)
+    def inputs(self, w) -> tuple:
+        if w is None:
+            w = bytes(max(1, self.ctx.params.capacity_bits // 8 - 5))
+        return w, bytes(b ^ 0xFF for b in w)
 
     def _side_a(self, dst: int) -> bool:
         return dst <= self.ctx.n // 2 or dst == ORACLE_ID
 
-    def _merge(self, sa, sb):
+    def _rewrite(self, sa, sb):
         out = [(dst, msg) for dst, msg in sa if self._side_a(dst)]
         out += [(dst, msg) for dst, msg in sb if not self._side_a(dst)]
         if self.drop_phase2:
             out = [(d, m) for d, m in out
                    if not (isinstance(m, Si) and m.phase == 2)]
         return out
-
-    def on_start(self, w):
-        if w is None:
-            w = bytes(max(1, self.ctx.params.capacity_bits // 8 - 5))
-        alt = bytes(b ^ 0xFF for b in w)
-        return self._merge(self.node_a.input(w), self.node_b.input(alt))
-
-    def on_deliver(self, frm, msg):
-        sa = [] if self.node_a.is_terminated() else self.node_a.handle(frm, msg)
-        sb = [] if self.node_b.is_terminated() else self.node_b.handle(frm, msg)
-        return self._merge(sa, sb)
 
 
 class EquivocateSymbols(_TwoFaced):

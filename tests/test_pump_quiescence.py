@@ -1,13 +1,16 @@
 """The woken-guard pump leaves every node quiescent.
 
-`AcoolNode._pump` evaluates, after a message, only the guards its handler
-can enable.  That is sound only if no other guard could fire: after each
-`handle` call on a live node, a full cascade over all eight guards must
-send nothing and change no flag.  The check runs over the acceptance-grid
-slice (every strategy and scheduler at n = 4, 7 and 10, equal inputs and
-two camps, both binary-agreement hints) and over the wirings the grid
-leaves out, Byzantine replicas included.  Scripted flows cover the wake
-bits no run of those needs.
+`ProtocolBase.handle` pumps only when a handler reports that it may have
+enabled a guard, and `AcoolNode._pump` then evaluates only the guards that
+handler can enable.  That is sound only if no other guard could fire:
+after each `handle` call on a live node, a full cascade over every guard
+must send nothing and change no flag.  The check runs over the
+acceptance-grid slice (every strategy and scheduler at n = 4, 7 and 10,
+equal inputs and two camps, both binary-agreement hints), over the
+wirings the grid leaves out, and over reliable agreement and broadcast
+(balanced and unbalanced dispersal, honest and Byzantine leader),
+Byzantine replicas included.  Scripted flows cover the wake bits no run
+of those needs.
 """
 
 from dataclasses import replace
@@ -18,12 +21,13 @@ from acool.aba import OracleAbba
 from acool.field_ecc import ecc_encode, params_for_message_bits
 from acool.messages import CorrectSymbol, NewSymbol, Ready, Si, Symbol
 from acool.protocol import AcoolNode
+from acool.rba_rbc import RbaNode, RbcNode
 from acool.simnet import (
     ADVERSARIES, SCHEDULERS, SimConfig, run, scenario_split_input,
 )
 
 
-def _state(node):
+def _acool_state(node):
     return (node.w2, node.y_major, node.abba_in, node.ready_sent, node.v_out,
             node.ph3, node.calibrated, node.terminated, node.bua2.w,
             node.abba.output)
@@ -58,24 +62,55 @@ def _variants():
                                        abba="coin")
 
 
-@pytest.fixture
-def checked(monkeypatch):
-    """Run a full cascade after every `AcoolNode.handle` on a live node."""
-    handle = AcoolNode.handle
-    calls = []
+def _rb_state(node):
+    return (node.w_input, node.ready_sent, node.v_out, node.ph3,
+            node.calibrated, node.terminated, node.quorum_collision)
+
+
+def _rb_runs():
+    """Reliable agreement and broadcast over every strategy and scheduler."""
+    for n, t in ((4, 1), (7, 2), (10, 3)):
+        for adversary in ADVERSARIES:
+            for scheduler in SCHEDULERS:
+                base = SimConfig(n=n, t=t, seed=n, msg_len_bits=64,
+                                 adversary=adversary, scheduler=scheduler)
+                yield replace(base, protocol="rba"), True
+                for balanced in (True, False):
+                    rbc = replace(base, protocol="rbc", balanced=balanced)
+                    yield rbc, True
+                    yield replace(rbc, leader=n), False   # Byzantine leader
+
+
+def _check_every_handle(monkeypatch, cls, state, calls):
+    """Run a full cascade after every ``cls.handle`` on a live node."""
+    handle = cls.handle
 
     def handle_then_full_pump(self, frm, msg):
         sends = handle(self, frm, msg)
         if not self.terminated:
-            before = _state(self)
+            before = state(self)
             extra = []
             self._pump(extra)
-            assert extra == [] and _state(self) == before, (
+            assert extra == [] and state(self) == before, (
                 f"node {self.node_id} not quiescent after {msg!r} from {frm}")
             calls.append(1)
         return sends
 
-    monkeypatch.setattr(AcoolNode, "handle", handle_then_full_pump)
+    monkeypatch.setattr(cls, "handle", handle_then_full_pump)
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    calls = []
+    _check_every_handle(monkeypatch, AcoolNode, _acool_state, calls)
+    return calls
+
+
+@pytest.fixture
+def checked_rb(monkeypatch):
+    calls = []
+    for cls in (RbaNode, RbcNode):
+        _check_every_handle(monkeypatch, cls, _rb_state, calls)
     return calls
 
 
@@ -89,6 +124,18 @@ def test_full_cascade_after_every_delivery_changes_nothing(configs, runs,
         assert report.reason == "ok" and all(report.checks.values())
         done += 1
     assert done == runs and len(checked) > 100 * runs
+
+
+def test_full_cascade_after_every_rba_and_rbc_delivery_changes_nothing(
+        checked_rb):
+    done = 0
+    for config, live in _rb_runs():
+        report = run(config)
+        assert all(report.checks.values()), config
+        # an honest leader or equal inputs force termination
+        assert report.reason == "ok" or not live, config
+        done += 1
+    assert done == 315 and len(checked_rb) > 100 * done
 
 
 def test_legacy_phase2_success_after_phase_three_wakes_final_decode(checked):

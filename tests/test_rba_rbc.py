@@ -10,6 +10,7 @@ from acool.simnet import SimConfig, run
 
 P72 = params_for_message_bits(7, 2, 64)
 W = b"w-value!"
+P72_ROWS = [s.elems for s in ecc_encode(P72, W)]
 
 
 def rows_for(w, params=P72):
@@ -68,6 +69,38 @@ def test_rba_ready_value_callback():
     for j in range(1, 6):
         node.handle(j, Si(0, 2, 1))
     assert node.ready_sent == 1
+
+
+@pytest.mark.parametrize("msg", [
+    Si(False, 2, 1), Si(0.0, 2, 1),
+    Symbol(False, (P72_ROWS[1], P72_ROWS[0])),
+], ids=["si-false", "si-float", "symbol-false"])
+def test_rba_instance_tag_must_be_exactly_int(msg):
+    """`False == 0` and `0.0 == 0`, but only the int 0 names the instance."""
+    node = RbaNode(1, P72)
+    node.input(W)
+    bua = node.bua
+    before = [set(s) for s in (bua.L0, bua.L1, bua.S1p1, bua.S0p1,
+                               bua.S1p2, bua.S0p2)]
+    sends = []
+    for j in range(1, 6):
+        sends += node.handle(j, msg)
+    after = [bua.L0, bua.L1, bua.S1p1, bua.S0p1, bua.S1p2, bua.S0p2]
+    assert sends == [] and after == before and bua.delivered == {}
+    assert node.ready_sent is None
+
+
+def test_rba_ready_then_opposite_quorum_sets_quorum_collision():
+    """READY amplification fixes bit 1; then n-t phase-2 zeros arrive."""
+    node = RbaNode(1, P72)
+    for j in (2, 3, 4):
+        node.handle(j, Ready(1))                # t + 1 readies amplify
+    assert node.ready_sent == 1 and not node.quorum_collision
+    for j in range(1, 5):
+        node.handle(j, Si(0, 2, 0))
+    assert not node.quorum_collision            # n - t - 1 zeros
+    node.handle(5, Si(0, 2, 0))
+    assert node.quorum_collision and node.introspect().quorum_collision
 
 
 def test_rba_fault_free_all_output_within_flat_rounds():
@@ -141,7 +174,7 @@ def test_rbc_follower_reconstructs_from_initials():
     sends = []
     for j in range(1, 5):                          # k + t = 3 suffice
         sends += node.handle(j, Initial(rows[j - 1]))
-    assert node.w == W
+    assert node.w_input == W
     assert any(isinstance(m, Symbol) for _, m in sends)  # agreement started
 
 
@@ -150,7 +183,7 @@ def test_rbc_empty_decode_rejected_by_guard():
     rows = [s.elems for s in ecc_encode(P72, b"")]
     for j in range(1, 6):
         node.handle(j, Initial(rows[j - 1]))
-    assert node.w is None and not node.initial_acc.done
+    assert node.w_input is None and not node.initial_acc.done
 
 
 def test_rbc_honest_leader_validity_end_to_end():
