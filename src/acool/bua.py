@@ -87,7 +87,6 @@ class Bua:
         self.symbol_seen: set = set()
         self.si_seen = (set(), set())            # per phase
         self.pending: list = []
-        self.vote_collision = False
 
     # -- input and message handlers ------------------------------------
 
@@ -200,9 +199,6 @@ class Bua:
                 and len(self.S1p1 & self.L1) >= n - t):
             self._set_s(2, 1, sends, events)
         if self.vote is None and len(self.S1p2) >= n - t:
-            if len(self.S0p2) >= t + 1:
-                self.vote_collision = True
-                log.debug("both vote thresholds crossed; firing vote=1 first")
             self.vote = 1
             events.append(Final(self.w, self.s2, 1))
         if self.vote is None and len(self.S0p2) >= t + 1:

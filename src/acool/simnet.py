@@ -692,8 +692,6 @@ def run(config: SimConfig) -> RunReport:
     checks = _run_checks(config, nodes, states, inputs, reason)
     flags = {
         "abba_input_races": sum(s.abba_race for s in states),
-        "vote_collisions": sum(
-            b.vote_collision for s in states for _, b in s.buas),
         "quorum_collisions": sum(s.quorum_collision for s in states),
     }
     return RunReport(config.to_dict(), reason, outputs, checks, metrics,

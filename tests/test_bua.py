@@ -194,6 +194,24 @@ def test_first_si_per_sender_wins():
     assert b.S0p1 == {2} and b.S1p1 == set()
 
 
+def test_sender_joins_at_most_one_set_per_phase():
+    """First SI per phase wins, so |S1p2| + |S0p2| <= n in every run.
+
+    Both vote thresholds together, (n - t) + (t + 1), exceed n, so the two
+    votes can never both be enabled.
+    """
+    rng = random.Random(5)
+    bits = (0, 1, 2, -1, True, False, 1.0, 0.0, None, "1")
+    for trial in range(200):
+        b = fresh()
+        if trial % 2:
+            b.input(b"m1")
+        for _ in range(40):
+            b.on_si(rng.choice((1, 2)), rng.randrange(1, 5), rng.choice(bits))
+            assert not b.S1p1 & b.S0p1 and not b.S1p2 & b.S0p2
+            assert len(b.S1p2) + len(b.S0p2) <= P41.n
+
+
 def test_duplicate_symbol_dropped():
     b = fresh()
     b.input(b"m1")

@@ -98,95 +98,95 @@ CASES = _cases()
 
 DIGESTS = {
     "acool-crash_silent-adversary":
-        "5a491e408d50619c2e30fe325d47f4d854fcd3af99a117fb947825e5f5935426",
+        "9084253c152fea6a0930433778432344bc2d0340d046ea072012322047098ff4",
     "acool-crash_silent-lifo":
-        "79ce37e5bf63bf39d011b5f07ce4b6d7c79a42f5876dc518d2a91ce64b6e754f",
+        "aab86236b77659587e71987d689f19da6106be37bd5393b205133ec045810bca",
     "acool-crash_silent-uniform":
-        "4a2c4cfae57d1ec3477d4a7ea699e162167edf7fd85b960e25d0e20923063679",
+        "0239ebbcca3fc42bcfd95232dd7e9596b2bef4459cdf5712e00d627f779bcd1a",
     "acool-equivocate_symbols-adversary":
-        "48774ccc0f99053cbb185749aed21986019c918866c2156edfd8be487172a440",
+        "b6f10b845a61274fe76fbe2f03b8eabfe57bf8fd683da3c7179b7bbeee84c5a3",
     "acool-equivocate_symbols-lifo":
-        "01fd4625a64a6133ae66afbcaf53e3901a59a7a700884343522c96be87a406f3",
+        "a720e0661498482ff05f4b04c3b9e6da1c123d01bac2cc6a66a4385e2969bad5",
     "acool-equivocate_symbols-uniform":
-        "b6637b279299d07d7d89bf481df9917ce78cea72bb7036f4c9e28d638a125d84",
+        "e350937450f12270dea99df61ec2f718b74881ed2a64a8e507d2d29df15af3e7",
     "acool-garbage_shares-adversary":
-        "81388c56bca3fe37c782f14998c42dab657e7202b22195ddc645d255ce2cc0f8",
+        "694286fa2c5d78d0a49e54b06a8daddc2086827e6c8f8738203ae4a6353af076",
     "acool-garbage_shares-lifo":
-        "7576889021185b5f1fd5dd52e1eb4171758b5e6ea25eed83127c8d42fe07eed8",
+        "3e5d2b6d90d0feaea5297b20a9d233e8d979b0175c9d58bae7c295e56f016873",
     "acool-garbage_shares-uniform":
-        "098ac2fd5db6ae54cf37746e2d58a3b355e9e2a98e6ea778f4617acbeea4fa0d",
+        "a08c76e8f7f40149ab48933dba157fe126db9e574acca150193fc133f0066f2e",
     "acool-k2-equivocate":
-        "b6a6f413d22e094f212aae2628f03835a27f16c3bca0dad2d88444efc17198d0",
+        "71dba029b5c7f9b5d5622eab2f14a8bf3d76f13a5ba53041bf5f8808a53f630b",
     "acool-k2-garbage":
-        "d6655d425d73ddc8100807313b215d7d2730e753c3a0d8e04861715300f411c3",
+        "7f9dce9076aab3eec8edc43e26a7c9f45825654766dea8f9b1ed165b3aee4426",
     "acool-k3-garbage":
-        "aec72ae2f020f25c04df3397701a72276c224f9a11af74e031404e4ccc759ca2",
+        "e2b1aa897c5d73112ccbdd1a94fb57f890a40fc9274c87bb1436055ef56926a6",
     "acool-k5-clean":
-        "9f6c0dccb030685bd2016b9277ddc15eb5df81667cc1f650005b5baee906af49",
+        "9ae2db94ae6b8038a581d5945621dc16bb85573ae8eb65f82796458c9f564fdc",
     "acool-k5-garbage":
-        "163169828d0905440ed5447ab264b99be201e047d8df206ee0d879eeb41bf406",
+        "0dc88c3be9246ce87efc3ea4424c77dd54fee40999498f88bd8e33d4b906feba",
     "acool-none-adversary":
-        "3d0d1d157f6dfc454a4a789841f08b8b205fbd84edf33ea74d67e574b050cb82",
+        "7e19cd31a501bcffb191e87982e1b3c29209aacaa4e99fa99fb4ea1e6bc72a15",
     "acool-none-lifo":
-        "77423c4b1b758a9a4c67ace281d5acc117815252a95e56b9770e195d7ace4b32",
+        "09555fe95691cb623826e5719aaa46ec45d541bbfe2737d328fe78a0a9fd2dad",
     "acool-none-uniform":
-        "bec2e8425143c4b16cc270fffee0565920f5cec01b8beb30f037efb69ff842b6",
+        "ff2754d72db5f6a5c062df4289f6da4a1f9e46f0cc9af804efd7ee7e0f08eb0a",
     "acool-partial-inputs":
-        "b26f84b434f2dd2f698ddfdc1ddc4a6a55ef6c1c87832920e67c90dad24abd4b",
+        "7344012a0201d8706075b2b11366af7ae2d1ba637330b5c3ddef44d360abfbb6",
     "acool-random_byzantine-adversary":
-        "60713b51e6036824e5222612a09d4fae4e78ed933b7ae7c4b4b0cafc886de060",
+        "4e4853ead754d125fd18b7f2d15b48343c09c3e7692fec05be6c4b78b6f54c0a",
     "acool-random_byzantine-lifo":
-        "5e76fe74ad5cb31674ad5c33cb1d57e89bdf1a0d0b7e97ebcbec5c5687016116",
+        "a8b678b8594e5da119e5dad79a69497f07ebc005a694a5b2ffc6c85c5e75acdc",
     "acool-random_byzantine-uniform":
-        "d040d9befd87cc1a872dbc826d4f6404c3c096101bafdb41da719310fbc7997d",
+        "00ee5e4b0a3d58d6b9903a9585a060bf95b31cf17ae416d4a2cd5122d4354c3e",
     "acool-ready_spammer-adversary":
-        "cc5c2f7e4c90c6500012791889e45d643edde1ec833f605c7227c0fd98df833a",
+        "8669df773a07b8da52b33846ad0a8b1d3cdf469c4afc01aba2db0376b94c25da",
     "acool-ready_spammer-lifo":
-        "bd98a8d521db4dc5f3128a82d6a885a1604de9217959e4fb2d584936423ccd07",
+        "2ff801f9c88b66348242b2f2c2235317ec43a4025d20ec6948e654f0eac10501",
     "acool-ready_spammer-uniform":
-        "69bd0fb88f91a0800b23a4b997cb55da439386f6aa37bc0fb709059f8cc11017",
+        "3037104961bacb432bd7d5c417bc043c317d0b985c5a546438cc9ec537bfe899",
     "acool-skip-brba-counted":
-        "ae10dff0266763032eba18ded533ed1ab22d98f557bd47a9da6d785bc036f6cf",
+        "5b5bcca919b8b9f52945e87378a66092fe0bdcde285f287a5043bed6d5074c35",
     "acool-split_input_builder-adversary":
-        "246ae154efc9380ef1a57738e76cd549807c18be35a34d1d4abc91ece3ecdc62",
+        "ca7bb319126f5d4e6202dacf4e1b3e8e6592d7eecb23b2f285706a59bfe848ed",
     "acool-split_input_builder-lifo":
-        "e8952e3cad368348295f2c3e43e45003d743b791cd1fca259786465eea814701",
+        "db356782116895bb96b02b56948e927f14d05450c8331fa4690d52557fa62b56",
     "acool-split_input_builder-uniform":
-        "6fea0af0765135c1dcccecb7a7bbfed11140a8e52bf787d1ceec096a986a491b",
+        "478b4beabdf45aff96c34003ece10fe7765509b29015b566decb2d0b510efa1c",
     "acool-two-camp":
-        "f6a572dd37a9368993f4b6e876792d2f8f495cd5ee797ace4a95daac7f95aa88",
+        "7be06512395f2e11bb2978372129fe7533fac050d22168b3df63d76388f423ba",
     "acool-withhold_from_subset-adversary":
-        "a101d5787d556ae77185fed908d8a88642599fdca41cb9c2864adc1330915391",
+        "e301851c4f72c092ffc3b60ea52b6b4e8b0d98aff3dddd3a5da996168b70095b",
     "acool-withhold_from_subset-lifo":
-        "4244efd51a7c5eda39f96b45e10a542638ca4b4a7d718e25b7c125221516ffe9",
+        "63d37b47c0cb09fb7911c3fa3b7dc6517647061e9a0db15c00ced0dfc548c69f",
     "acool-withhold_from_subset-uniform":
-        "6fe472d082fc3d82f1678c04db08183f51e1df6813cafaac618bf5c608893b49",
+        "d203f63ce552432719a864e71df456b8c98e64e466ae6a1c97544c9341072c79",
     "coin-equivocate":
-        "aa16c9fc442a100129e4db0656ecfa49d1bad10e0e3d75063a352f1435f7f34f",
+        "f132853914bf775db164014c76ed6b904b0902c5c7ed72c4c1be77c463875875",
     "coin-random":
-        "7bef75e4f4ce29ce6ee75338a576348df2e14b55ffd583d6addef4ce5996bf8e",
+        "d3704bb8d1b6a1c1837c5e78055a578e68c5f1ab7e3f6acd56f633b01d9f731f",
     "rba-equivocate":
-        "f9f338dd19b903ae68e589a3817b24b7d72937cb6dec3c52315cd15da0b632cf",
+        "2d4e548f5c39f4f3fc60231d9ea1f6117d2fc38f714561c90d2637b6577a4157",
     "rba-none":
-        "404f7221dcba4c713de7167e03098682bc6616e8607665ad38cec2c52dceb82b",
+        "3540de4ba01cee56ddc15f003754c5c31e50c7b34b35aa65e7c8273f3013d0af",
     "rbc-byzantine-leader":
-        "62d2937de366d7bcf865e493b380009865da3049096d266958e9e05a3a68144b",
+        "7a1c6e1b800834ccb1abcac045c8f3a88f38863727f1adc255b92ab130137da1",
     "rbc-honest-leader":
-        "9cc02c2135f242907b49f6e654a7577b75113597aa05e93cfa19652a0c76999e",
+        "08a5382e5c5a60c400c4b4ff7f4c4ce64052352a315fdbb22530ca21ba3f0fea",
     "rbc-unbalanced":
-        "ee3889c99812c51ab492e611968816ecf134cb85850b28901cd0e66765c3a864",
+        "a80addede8651ed3f26547c6d7e63db829801b29a7d339ded65328e07705a9a8",
     "small_t-coin":
-        "d39e33a980128a78347accc98dffc13a4a05c90bfe0aba5b1da25917515b30fa",
+        "b38c23c8c35a6470739541d20b4b25c42f8038440574786f0730f0f51ed35678",
     "small_t-garbage":
-        "364126f723796648bd939385c762609df5d34b32ea2ee0069b5360c719482ad1",
+        "37a040a00e319bc8c3d4c8cbd9e8b8ebc561d93b10cc7e7927373aa3083411b5",
     "split-input-coin":
-        "ed167725f07ec972463e06c85821fa1658dbc435081719cd601369c082cacbe8",
+        "310e0e25ef4008509d828d78e557315625fefe7c6c175f61bb628303ff309270",
     "split-input-legacy":
-        "b3b22e742f26d9be2f97ea7e75aad893c0073c74edaf7b87e20900fd385b6512",
+        "f2a8eaaf316ffa98bb1e9a7728d26a8847438f64157d0a7fbe329740496c1b0a",
     "split-input-legacy-stall":
-        "a09791d7dcaf3103190ecdfec42ed5d312bca3e2e909fd6b13d0456f7b33a65e",
+        "538a21bb2abbfcc90c142b1353149c9de2e0496c28ce1697f370203d52c64dc7",
     "split-input-live":
-        "db1b22a0a214cf016db989e60ea4649014d275f1b07904d785928a6704118b51",
+        "f2b2c4f709ff49fea669d8c8edd73da10874d1434de2059f23f3971a0d8b6d19",
 }
 
 
