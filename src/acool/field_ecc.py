@@ -33,6 +33,11 @@ lane per chunk (Kronecker substitution), and each evaluation is k
 multiply-adds of those ints.  A lane must hold k*(q-1)^2, the largest
 sum of k products of two field elements; `CodeParams.lane_code` picks the
 narrowest machine width that does.
+
+Honest nodes with the same input produce the same codeword, so
+`ecc_encode` encodes a message once per `CodeParams` (one run) and hands
+every caller the same row objects, which `ecc_decode` recognises by
+identity in place of decoding them.
 """
 
 from __future__ import annotations
@@ -149,6 +154,16 @@ class CodeParams:
     @cached_property
     def accepted_shares(self) -> dict:
         """id -> share object, for every exact tuple `valid_elems` accepted."""
+        return {}
+
+    @cached_property
+    def encodings(self) -> dict:
+        """`ecc_encode`'s memo: bytes message -> the tuple of its n rows."""
+        return {}
+
+    @cached_property
+    def encoded_rows(self) -> dict:
+        """id(row) -> (message, rows), for every row held in `encodings`."""
         return {}
 
     def valid_message(self, message) -> bool:
@@ -308,8 +323,20 @@ def encode_elements(params: CodeParams, data: Sequence[int]) -> list:
 
 
 def ecc_encode(params: CodeParams, message: bytes) -> list:
-    """Encode a byte message into n SymbolShares."""
-    rows = encode_elements(params, pack_message(params, message))
+    """Encode a byte message into n SymbolShares.
+
+    A ``bytes`` message is encoded once per `CodeParams`: each call returns
+    a fresh list over the same row objects, which the memo keeps alive (so
+    an id cannot pass to another object) and indexes by id for
+    `ecc_decode`.  Any other message type is encoded afresh on each call.
+    """
+    memoise = type(message) is bytes
+    rows = params.encodings.get(message) if memoise else None
+    if rows is None:
+        rows = tuple(encode_elements(params, pack_message(params, message)))
+        if memoise:
+            params.encodings[message] = rows
+            params.encoded_rows.update(dict.fromkeys(map(id, rows), (message, rows)))
     return [SymbolShare(i + 1, rows[i]) for i in range(params.n)]
 
 
@@ -575,7 +602,18 @@ def ecc_decode(params: CodeParams, shares: Mapping[int, Sequence[int]],
     ``(message, support)``, where ``support`` holds the indices whose
     share equals ``ecc_encode(params, message)`` at that index.
     ``gao_start`` is passed on to `decode_elements`.
+
+    Rows of one memoised encoding (see `ecc_encode`) are recognised first:
+    at least k shares, and ``shares[x] is rows[x - 1]`` with every x an int
+    in 1..n, give ``(message, set(shares))``, the full decoder's answer on
+    an error-free codeword.  Any other map, equal copies included, is
+    decoded in full.
     """
+    hit = params.encoded_rows.get(id(next(iter(shares.values()), None)))
+    if hit and len(shares) >= params.k and all(
+            type(x) is int and 0 < x <= params.n and hit[1][x - 1] is s
+            for x, s in shares.items()):
+        return hit[0], set(shares)
     for idx, elems in shares.items():
         if len(elems) != params.chunks:
             raise DecodeFailure(f"share {idx} has wrong chunk count")

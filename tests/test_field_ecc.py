@@ -149,11 +149,12 @@ def test_pack_unpack_roundtrip():
 def test_oec_returns_at_threshold():
     params = params_for_message_bits(7, 2, 64)
     msg = b"payload!"
-    shares = ecc_encode(params, msg)
+    # rows outside the encode memo, so the attempt reaches the full decoder
+    rows = encode_elements(params, pack_message(params, msg))
     acc = OecAccumulator(params)
     got = None
-    for i, s in enumerate(shares):
-        got = acc.submit(s.index, s.elems)
+    for i, elems in enumerate(rows):
+        got = acc.submit(i + 1, elems)
         if got is not None:
             assert i + 1 == params.oec_threshold
             break
@@ -182,7 +183,8 @@ def test_oec_with_garbage_recovers_within_t_retries():
     rng = random.Random(5)
     params = params_for_message_bits(7, 2, 64)
     msg = b"payload!"
-    good = ecc_encode(params, msg)
+    # rows outside the encode memo, so every attempt reaches the full decoder
+    good = encode_elements(params, pack_message(params, msg))
     for _ in range(100):
         order = list(range(1, 8))
         rng.shuffle(order)
@@ -191,7 +193,7 @@ def test_oec_with_garbage_recovers_within_t_retries():
         got = None
         for idx in order:
             elems = (tuple(rng.randrange(params.q) for _ in range(params.chunks))
-                     if idx in bad else good[idx - 1].elems)
+                     if idx in bad else good[idx - 1])
             got = acc.submit(idx, elems)
             if got is not None:
                 break
@@ -704,7 +706,9 @@ def test_noncanonical_frame_falls_back_to_reencode(padding, monkeypatch):
 
 def test_canonical_frame_decodes_without_reencode(monkeypatch):
     params = params_for_message_bits(19, 6, 256)
-    shares = {s.index: s.elems for s in ecc_encode(params, b"short")}
+    # rows outside the encode memo, so the full decoder runs
+    rows = encode_elements(params, pack_message(params, b"short"))
+    shares = {i + 1: row for i, row in enumerate(rows)}
     monkeypatch.setattr(field_ecc, "encode_elements", None)
     assert ecc_decode(params, shares) == (b"short", set(shares))
 
@@ -780,3 +784,126 @@ def test_valid_elems_cache_never_hits_other_objects():
     assert not params.valid_elems(flaky)      # checked again, not cached
     assert id(flaky) not in params.accepted_shares
     assert list(params.accepted_shares.values()) == [share]
+
+
+# ---------------------------------------------------------------------------
+# encode memo and recognition of memoised codewords
+# ---------------------------------------------------------------------------
+
+
+def counting(monkeypatch, name):
+    """Replace field_ecc.<name> by a wrapper that counts its calls."""
+    calls = []
+    fn = getattr(field_ecc, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(field_ecc, name, counted)
+    return calls
+
+
+def full_decode(params, shares, max_errors=None):
+    """`ecc_decode`'s answer computed on copies, which it cannot recognise."""
+    copies = {x: tuple(list(s)) for x, s in shares.items()}
+    data, support = decode_elements(params, copies, max_errors)
+    message, canonical = _unframe(params, data)
+    assert canonical
+    return message, support
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_recognised_decode_equals_full_decode(k, monkeypatch):
+    rng = random.Random(k)
+    t = 3 * k
+    n = 3 * t + 1
+    for bits in (8, 200, 1000):
+        params = params_for_message_bits(n, t, bits)
+        for _ in range(2):
+            msg = bytes(rng.randrange(256)
+                        for _ in range(rng.randrange(bits // 8 + 1)))
+            rows = [s.elems for s in ecc_encode(params, msg)]
+            for m in range(k, n + 1):
+                xs = rng.sample(range(1, n + 1), m)   # shuffled insertion
+                shares = {x: rows[x - 1] for x in xs}
+                max_errors = rng.choice((None, 0, max(0, m - params.oec_threshold)))
+                expect = full_decode(params, shares, max_errors)
+                decodes = counting(monkeypatch, "decode_elements")
+                got = ecc_decode(params, shares, max_errors)
+                monkeypatch.undo()
+                assert decodes == []
+                assert got == expect == (msg, set(xs))
+
+
+class _TupleSub(tuple):
+    pass
+
+
+def test_unrecognised_share_maps_take_the_full_decoder(monkeypatch):
+    params = params_for_message_bits(19, 6, 256)      # k = 2
+    n = params.n
+    rows = [s.elems for s in ecc_encode(params, b"first")]
+    other = [s.elems for s in ecc_encode(params, b"second")]
+    whole = {x: rows[x - 1] for x in range(1, n + 1)}
+    cases = {
+        "wrong index": {**whole, 1: rows[1], 2: rows[0]},
+        "two messages": {**whole, **{x: other[x - 1] for x in range(1, 8)}},
+        "equal but distinct": {**whole, 5: tuple(list(rows[4]))},
+        "tuple subclass": {**whole, 5: _TupleSub(rows[4])},
+        "index 0": {0: rows[n - 1], 1: rows[0], 2: rows[1]},
+        "index n + 1": {1: rows[0], 2: rows[1], n + 1: rows[0]},
+        "fewer than k": {3: rows[2]},
+    }
+    for name, shares in cases.items():
+        try:
+            expect = full_decode(params, shares)
+        except DecodeFailure:
+            expect = DecodeFailure
+        decodes = counting(monkeypatch, "decode_elements")
+        try:
+            got = ecc_decode(params, shares)
+        except DecodeFailure:
+            got = DecodeFailure
+        monkeypatch.undo()
+        assert decodes == [1], name
+        assert got == expect, name
+    # the mix is within the radius: the majority message, on its own rows
+    assert full_decode(params, cases["two messages"]) == (
+        b"first", set(range(8, n + 1)))
+
+
+def test_encode_memo_is_per_params_and_returns_fresh_lists(monkeypatch):
+    p1 = params_for_message_bits(7, 2, 64)
+    p2 = params_for_message_bits(7, 2, 64)
+    assert p1 == p2 and p1 is not p2
+    encodes = counting(monkeypatch, "encode_elements")
+    a = ecc_encode(p1, b"memo")
+    b = ecc_encode(p1, b"memo")
+    assert len(encodes) == 1
+    assert a is not b and a == b
+    assert all(x.elems is y.elems for x, y in zip(a, b))
+    a[0] = None
+    assert ecc_encode(p1, b"memo") == b
+    c = ecc_encode(p2, b"memo")
+    assert len(encodes) == 2 and c == b
+    assert all(x.elems is not y.elems for x, y in zip(b, c))
+    assert list(p1.encodings) == list(p2.encodings) == [b"memo"]
+    # one params' rows are not recognised by another's decoder
+    decodes = counting(monkeypatch, "decode_elements")
+    shares = {s.index: s.elems for s in b}
+    assert ecc_decode(p2, shares) == (b"memo", set(shares))
+    assert decodes == [1]
+
+
+def test_bytearray_message_encodes_without_the_memo(monkeypatch):
+    params = params_for_message_bits(7, 2, 64)
+    shares = ecc_encode(params, bytearray(b"mutable"))
+    assert shares == ecc_encode(params, b"mutable")
+    assert list(params.encodings) == [b"mutable"]
+    assert len(params.encoded_rows) == params.n
+    assert not any(id(s.elems) in params.encoded_rows for s in shares)
+    decodes = counting(monkeypatch, "decode_elements")
+    got = ecc_decode(params, {s.index: s.elems for s in shares})
+    assert got == (b"mutable", set(range(1, params.n + 1)))
+    assert type(got[0]) is bytes and decodes == [1]

@@ -5,6 +5,7 @@ from collections import deque
 
 import pytest
 
+from acool import field_ecc
 from acool.field_ecc import (
     CodeParams, ResilienceViolation, params_for_message_bits,
 )
@@ -251,3 +252,37 @@ def test_queue_picks_draw_the_randrange_stream(policy):
         step += 1
         assert queue.pop(step) == ref.pop(step)
     assert queue.rng.getstate() == ref.rng.getstate()
+
+
+def _count_codec_calls(monkeypatch):
+    """Wrap the module's encode and decode functions; returns the counts."""
+    calls = {"encode_elements": 0, "decode_elements": 0}
+
+    def wrap(name):
+        fn = getattr(field_ecc, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(field_ecc, name, counted)
+
+    for name in calls:
+        wrap(name)
+    return calls
+
+
+def test_clean_run_encodes_once_and_never_decodes(monkeypatch):
+    calls = _count_codec_calls(monkeypatch)
+    rep = run(SimConfig(n=49, t=16, seed=0, msg_len_bits=256))
+    assert rep.reason == "ok" and all(rep.checks.values())
+    # every node encodes the one input; every decode gets its rows back
+    assert calls == {"encode_elements": 1, "decode_elements": 0}
+
+
+def test_two_camp_clean_run_encodes_each_input_once(monkeypatch):
+    calls = _count_codec_calls(monkeypatch)
+    camps = {i: b"camp A.." if i <= 25 else b"camp B.." for i in range(1, 50)}
+    rep = run(SimConfig(n=49, t=16, seed=0, msg_len_bits=256, inputs=camps))
+    assert rep.reason == "ok" and all(rep.checks.values())
+    assert calls["encode_elements"] == 2
