@@ -8,7 +8,7 @@ share and a seeded adversarial network simulator.
 
 from .field_ecc import (
     CodeParams, DecodeFailure, MessageTooLong, OecAccumulator,
-    ResilienceViolation, SymbolShare, derive_params, ecc_decode, ecc_encode,
+    ResilienceViolation, derive_params, ecc_decode, ecc_encode,
     params_for_message_bits,
 )
 from .protocol import BOTTOM, AcoolNode
@@ -19,7 +19,7 @@ from .simnet import RunReport, SimConfig, run, scenario_split_input, sweep
 __all__ = [
     "AcoolNode", "BOTTOM", "CodeParams", "DecodeFailure", "MessageTooLong",
     "OecAccumulator", "ResilienceViolation", "RbaNode", "RbcNode",
-    "RunReport", "SimConfig", "SmallTNode", "SymbolShare", "derive_params",
-    "ecc_decode", "ecc_encode", "params_for_message_bits", "run",
-    "scenario_split_input", "sweep",
+    "RunReport", "SimConfig", "SmallTNode", "derive_params", "ecc_decode",
+    "ecc_encode", "params_for_message_bits", "run", "scenario_split_input",
+    "sweep",
 ]

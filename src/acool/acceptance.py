@@ -319,12 +319,11 @@ def crit7_rba_rbc(quick: bool, workers: int):
 def crit8_small_t(quick: bool, workers: int):
     seeds = 2 if quick else 5
     n, t = 31, 2
-    configs = []
-    for adv in ("none", "crash_silent", "garbage_shares",
-                "equivocate_symbols"):
-        for seed in range(seeds):
-            configs.append(SimConfig(n=n, t=t, seed=seed, msg_len_bits=256,
-                                     protocol="small_t", adversary=adv))
+    configs = [SimConfig(n=n, t=t, seed=seed, msg_len_bits=256,
+                         protocol="small_t", adversary=adv)
+               for adv, seed in itertools.product(
+                   ("none", "crash_silent", "garbage_shares",
+                    "equivocate_symbols"), range(seeds))]
     results = _run_many(configs, workers)
     bad = [r for r in results
            if not (r["checks"]["consistency"] and r["checks"]["totality"])]

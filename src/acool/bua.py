@@ -73,7 +73,7 @@ class Bua:
         self.cfg = cfg
         self.params = cfg.params
         self.w: Optional[bytes] = None
-        self.own_shares: Optional[list] = None   # own_shares[j-1] = elems for node j
+        self.own_shares: Optional[tuple] = None  # own_shares[j-1] = elems for node j
         self.L0: set = set()
         self.L1: set = set()
         self.S1p1: set = set()
@@ -90,12 +90,8 @@ class Bua:
 
     # -- input and message handlers ------------------------------------
 
-    def input(self, w: bytes, own_shares: Optional[list] = None):
-        """Set the initial value; encodes and fans out one pair per node.
-
-        ``own_shares`` is an encoding of ``w`` the caller already holds
-        (``own_shares[j-1]`` = elems for node j); it spares the encode.
-        """
+    def input(self, w: bytes):
+        """Set the initial value; encodes and fans out one pair per node."""
         sends: list = []
         events: list = []
         if self.w is not None:
@@ -105,9 +101,7 @@ class Bua:
             log.debug("empty input rejected")
             return sends, events
         self.w = w
-        if own_shares is None:
-            own_shares = [s.elems for s in ecc_encode(self.params, w)]
-        self.own_shares = own_shares
+        self.own_shares = ecc_encode(self.params, w)
         me = self.cfg.self_id
         inst = self.cfg.instance
         my_elems = self.own_shares[me - 1]

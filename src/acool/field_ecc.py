@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import mul
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -130,10 +130,11 @@ class CodeParams:
         """True when ``elems`` is one share: a tuple of ``chunks`` ints in [0, q).
 
         A run hands the same share object to this check many times: a
-        sender's own share goes to every node, and instance 2 reuses
-        instance 1's encoding.  Every accepted object whose type is exactly
-        ``tuple`` is therefore kept in `accepted_shares` under its id, and
-        a later call on that very object returns at once.  The entry keeps
+        sender's own share goes to every node, and every encode of a
+        message returns the same rows (see `ecc_encode`).  Every accepted
+        object whose type is exactly ``tuple`` is therefore kept in
+        `accepted_shares` under its id, and a later call on that very
+        object returns at once.  The entry keeps
         the object alive, so its id cannot pass to another object.  A
         tuple subclass is never kept, because it could iterate differently
         next time; an equal but distinct object is checked in full.
@@ -212,13 +213,6 @@ def derive_params(n: int, t: int, msg_len_bits: int) -> CodeParams:
 def params_for_message_bits(n: int, t: int, payload_bits: int) -> CodeParams:
     """Params sized so a ``payload_bits``-bit message fits after framing."""
     return derive_params(n, t, payload_bits + LENGTH_PREFIX_BITS)
-
-
-class SymbolShare(NamedTuple):
-    """One node's coded share: evaluation index plus one element per chunk."""
-
-    index: int
-    elems: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +316,11 @@ def encode_elements(params: CodeParams, data: Sequence[int]) -> list:
     return _evaluate(params, coeffs, range(1, params.n + 1), params.chunks)
 
 
-def ecc_encode(params: CodeParams, message: bytes) -> list:
-    """Encode a byte message into n SymbolShares.
+def ecc_encode(params: CodeParams, message: bytes) -> tuple:
+    """Encode a byte message into the tuple of its n rows (node j's is row j-1).
 
     A ``bytes`` message is encoded once per `CodeParams`: each call returns
-    a fresh list over the same row objects, which the memo keeps alive (so
+    the same tuple of the same row objects, which the memo keeps alive (so
     an id cannot pass to another object) and indexes by id for
     `ecc_decode`.  Any other message type is encoded afresh on each call.
     """
@@ -337,7 +331,7 @@ def ecc_encode(params: CodeParams, message: bytes) -> list:
         if memoise:
             params.encodings[message] = rows
             params.encoded_rows.update(dict.fromkeys(map(id, rows), (message, rows)))
-    return [SymbolShare(i + 1, rows[i]) for i in range(params.n)]
+    return rows
 
 
 def _lagrange(xs: Sequence[int], q: int) -> tuple:
@@ -653,7 +647,7 @@ class OecAccumulator:
     """
 
     __slots__ = ("params", "threshold", "accept", "shares", "decoded", "done",
-                 "attempts", "duplicates", "_g0", "_g1", "_folded")
+                 "attempts", "_g0", "_g1", "_folded")
 
     def __init__(self, params: CodeParams,
                  accept: Optional[Callable[[bytes], bool]] = None):
@@ -664,7 +658,6 @@ class OecAccumulator:
         self.decoded: Optional[bytes] = None
         self.done = False
         self.attempts = 0
-        self.duplicates = 0
         self._g0 = [1]             # prod (X - x) over the first _folded shares
         self._g1 = []              # their chunk-0 interpolant, trimmed
         self._folded = 0
@@ -689,7 +682,6 @@ class OecAccumulator:
     def submit(self, index: int, elems: Sequence[int]) -> Optional[bytes]:
         """Store one share; returns the message on the accepting attempt."""
         if index in self.shares:
-            self.duplicates += 1
             log.debug("duplicate share from %d ignored", index)
             return None
         self.shares[index] = tuple(elems)

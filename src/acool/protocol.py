@@ -17,8 +17,9 @@ a final honest-majority multicast decode:
   it, and decodes the agreed message from k+t matching symbols.
 
 `ProtocolBase` is the node skeleton shared with the reliable-agreement
-variants of `rba_rbc`: input, exact-type dispatch, SYMBOL/SI routing by
-an exact `int` tag, READY tallying, the decision and the final decode.
+variants of `rba_rbc` and the committee nodes of `small_t`: input,
+exact-type dispatch, SYMBOL/SI routing by an exact `int` tag, READY
+tallying, the decision and the final decode.
 
 Handlers are synchronous and deterministic: every inbound event is
 processed to quiescence before the next.  A node is quiescent between
@@ -428,9 +429,7 @@ class AcoolNode(ProtocolBase):
         if self.legacy or self.bua2.w is not None:
             return False
         if self.w2 is not None:
-            # the same input as instance 1 has the same encoding
-            reuse = self.bua1.own_shares if self.w2 == self.bua1.w else None
-            s, ev = self.bua2.input(self.w2, reuse)
+            s, ev = self.bua2.input(self.w2)
             sends += s
             self._absorb_final(self.bua2, ev)
             return True

@@ -103,9 +103,9 @@ class RbcNode(RbaNode):
             log.debug("node %d: input rejected", self.node_id)
             return sends
         if self.balanced:
-            shares = ecc_encode(self.params, w)
+            rows = ecc_encode(self.params, w)
             for j in range(1, self.params.n + 1):
-                sends.append((j, Leader(shares[j - 1].elems)))
+                sends.append((j, Leader(rows[j - 1])))
         else:
             self._broadcast(LeaderMessage(w), sends)
         return sends

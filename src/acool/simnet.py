@@ -37,7 +37,7 @@ from .messages import (
 )
 from .protocol import BOTTOM, AcoolNode
 from .rba_rbc import RbaNode, RbcNode
-from .small_t import SmallTNode, committee_size
+from .small_t import SmallTNode, SmallTOutsider, committee_size
 
 PROTOCOLS = ("acool", "rba", "rbc", "small_t")
 ADVERSARIES = (
@@ -544,9 +544,9 @@ def run(config: SimConfig) -> RunReport:
             return RbaNode(node_id, params)
         if config.protocol == "rbc":
             return RbcNode(node_id, params, config.leader, config.balanced)
-        abba = (abba_for(node_id, counted)
-                if node_id <= params.n else None)
-        return SmallTNode(node_id, config.n, params, abba)
+        if node_id > params.n:
+            return SmallTOutsider(node_id, params)
+        return SmallTNode(node_id, config.n, params, abba_for(node_id, counted))
 
     nodes = {i: build_node(i) for i in honest}
 

@@ -17,7 +17,7 @@ W = b"m1-value"
 
 
 def rows_for(w, params=P41):
-    return [s.elems for s in ecc_encode(params, w)]
+    return ecc_encode(params, w)
 
 
 def fresh(node_id=1, **kw):
@@ -117,6 +117,25 @@ def test_second_instance_fed_from_own_input_on_phase2_success():
         node.handle(j, Si(1, 1, 1))
     assert node.bua1.s2 == 1
     assert node.bua2.w == W                      # reused own input
+
+
+def test_second_input_equal_to_first_shares_its_encoding():
+    # phase-2 success path: the second input is the node's own input
+    node = fresh()
+    node.input(W)
+    rows = rows_for(W)
+    for j in (1, 2, 3, 4):
+        node.handle(j, Symbol(1, (rows[0], rows[j - 1])))
+    for j in (1, 2, 3, 4):
+        node.handle(j, Si(1, 1, 1))
+    assert node.bua2.own_shares is node.bua1.own_shares
+    # decode path: the second input is decoded from NEWSYMBOL shares
+    node = fresh()
+    node.input(bytes(bytearray(W)))
+    node.handle(2, NewSymbol(rows[1]))
+    node.handle(3, NewSymbol(rows[2]))
+    assert node.w2 == node.w_input and node.bua2.w == W
+    assert node.bua2.own_shares is node.bua1.own_shares
 
 
 def test_abba_gets_vote_from_second_instance():

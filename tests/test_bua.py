@@ -22,7 +22,7 @@ def pair_for(params, w, sender, recipient):
     """The symbol pair node ``sender`` with input ``w`` sends to ``recipient``."""
     from acool.field_ecc import ecc_encode
 
-    rows = [s.elems for s in ecc_encode(params, w)]
+    rows = ecc_encode(params, w)
     return (rows[recipient - 1], rows[sender - 1])
 
 

@@ -21,14 +21,14 @@ from acool.messages import (
 )
 from acool.protocol import AcoolNode
 from acool.rba_rbc import RbaNode, RbcNode
-from acool.small_t import SmallTNode, committee_size
+from acool.small_t import SmallTNode, SmallTOutsider, committee_size
 
 N, T = 4, 1
 SMALL_N = 7                                # committee 1..4, outsiders 5..7
 P = params_for_message_bits(N, T, 64)
 P_COMMITTEE = params_for_message_bits(committee_size(T), T, 64)
 W = bytes(range(8))
-SHARE = ecc_encode(P, W)[0].elems
+SHARE = ecc_encode(P, W)[0]
 
 BAD = (1.0, True, None, [1], -1, 2 ** 70, "1")
 INT_FIELDS = ("inst", "phase", "bit", "round")
@@ -68,7 +68,7 @@ KINDS = {
     "rbc-unbalanced": (N, lambda: RbcNode(2, P, leader=1, balanced=False)),
     "small_t-member": (SMALL_N, lambda: _with_input(
         SmallTNode(2, SMALL_N, P_COMMITTEE, OracleAbba(2)))),
-    "small_t-outsider": (SMALL_N, lambda: SmallTNode(6, SMALL_N, P_COMMITTEE)),
+    "small_t-outsider": (SMALL_N, lambda: SmallTOutsider(6, P_COMMITTEE)),
 }
 
 

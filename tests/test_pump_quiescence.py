@@ -142,7 +142,7 @@ def test_legacy_phase2_success_after_phase_three_wakes_final_decode(checked):
     """Legacy decodes on instance 1, so an instance-1 event can finish it."""
     params = params_for_message_bits(4, 1, 64)
     w = b"legacy-1"
-    rows = [s.elems for s in ecc_encode(params, w)]
+    rows = ecc_encode(params, w)
     node = AcoolNode(1, params, OracleAbba(1), legacy=True)
     node.input(w)
     for j in (2, 3, 4):
@@ -161,7 +161,7 @@ def test_legacy_phase2_success_after_phase_three_wakes_final_decode(checked):
 def test_correct_symbol_that_completes_the_final_decode_terminates(checked):
     params = params_for_message_bits(4, 1, 64)
     w = b"final-w!"
-    rows = [s.elems for s in ecc_encode(params, w)]
+    rows = ecc_encode(params, w)
     garbage = tuple((v + 1) % params.q for v in rows[2])
     node = AcoolNode(1, params, OracleAbba(1))
     node.input(b"other")
@@ -182,11 +182,11 @@ def test_phase2_success_before_shared_decode_starts_second_instance(checked):
     """Peers' NEWSYMBOLs of other values keep the shared decode failing."""
     params = params_for_message_bits(4, 1, 64)
     w = b"own-val!"
-    rows = [s.elems for s in ecc_encode(params, w)]
+    rows = ecc_encode(params, w)
     node = AcoolNode(1, params, OracleAbba(1))
     node.input(w)
-    node.handle(2, NewSymbol(ecc_encode(params, b"value-A!")[1].elems))
-    node.handle(3, NewSymbol(ecc_encode(params, b"value-B!")[2].elems))
+    node.handle(2, NewSymbol(ecc_encode(params, b"value-A!")[1]))
+    node.handle(3, NewSymbol(ecc_encode(params, b"value-B!")[2]))
     for j in (1, 2, 3, 4):
         node.handle(j, Symbol(1, (rows[0], rows[j - 1])))
     for j in (1, 2, 3, 4):

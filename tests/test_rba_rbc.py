@@ -10,11 +10,11 @@ from acool.simnet import SimConfig, run
 
 P72 = params_for_message_bits(7, 2, 64)
 W = b"w-value!"
-P72_ROWS = [s.elems for s in ecc_encode(P72, W)]
+P72_ROWS = ecc_encode(P72, W)
 
 
 def rows_for(w, params=P72):
-    return [s.elems for s in ecc_encode(params, w)]
+    return ecc_encode(params, w)
 
 
 # -- reliable agreement -------------------------------------------------------
@@ -139,7 +139,7 @@ def test_rbc_leader_balanced_sends_one_share_each():
     sends = node.input(W)
     assert len(sends) == 7 and all(isinstance(m, Leader) for _, m in sends)
     rows = rows_for(W)
-    assert [m.elems for _, m in sends] == rows
+    assert tuple(m.elems for _, m in sends) == rows
 
 
 def test_rbc_leader_unbalanced_broadcasts_message():
@@ -180,7 +180,7 @@ def test_rbc_follower_reconstructs_from_initials():
 
 def test_rbc_empty_decode_rejected_by_guard():
     node = RbcNode(2, P72, leader=1, balanced=True)
-    rows = [s.elems for s in ecc_encode(P72, b"")]
+    rows = ecc_encode(P72, b"")
     for j in range(1, 6):
         node.handle(j, Initial(rows[j - 1]))
     assert node.w_input is None and not node.initial_acc.done

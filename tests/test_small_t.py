@@ -2,33 +2,34 @@
 
 from acool.aba import OracleAbba
 from acool.field_ecc import ecc_encode, params_for_message_bits
-from acool.messages import Shmdm
+from acool.messages import Shmdm, Symbol
 from acool.protocol import BOTTOM
 from acool.simnet import SimConfig, run
-from acool.small_t import SmallTNode, committee_size
+from acool.small_t import SmallTNode, SmallTOutsider, committee_size
 
 P_C = params_for_message_bits(4, 1, 64)     # committee code for t=1
 W = b"decided!"
 
 
-def outsider(node_id=7, n=10):
-    return SmallTNode(node_id, n, P_C)
+def outsider(node_id=7):
+    return SmallTOutsider(node_id, P_C)
 
 
 def test_committee_is_lowest_ids():
     assert committee_size(1) == 4
-    assert SmallTNode(4, 10, P_C, OracleAbba(4)).in_committee
-    assert not outsider(5).in_committee
+    rep = run(SimConfig(n=10, t=1, seed=0, msg_len_bits=64, protocol="small_t"))
+    # only members take part in the agreement; outsiders never send
+    assert {i for i in rep.metrics.egress_by_tag if i > 0} == {1, 2, 3, 4}
 
 
 def test_outsider_input_ignored():
     node = outsider()
-    assert node.input(W) == [] and node.inner is None
+    assert node.input(W) == [] and node.w_input is None and not node.buas
 
 
 def test_outsider_decodes_from_committee_shares():
     node = outsider()
-    rows = [s.elems for s in ecc_encode(P_C, W)]
+    rows = ecc_encode(P_C, W)
     assert node.handle(1, Shmdm(rows[0])) == []
     assert not node.is_terminated()
     node.handle(2, Shmdm(rows[1]))              # k + t = 2 shares
@@ -37,10 +38,10 @@ def test_outsider_decodes_from_committee_shares():
 
 def test_outsider_drops_shares_from_outside_committee():
     node = outsider()
-    rows = [s.elems for s in ecc_encode(P_C, W)]
+    rows = ecc_encode(P_C, W)
     node.handle(5, Shmdm(rows[0]))
     node.handle(9, Shmdm(rows[1]))
-    assert not node.is_terminated() and not node.oec.shares
+    assert not node.is_terminated() and not node.oec_final.shares
 
 
 def test_outsider_bottom_markers_need_t_plus_one():
@@ -53,7 +54,7 @@ def test_outsider_bottom_markers_need_t_plus_one():
 
 def test_outsider_first_message_per_sender_counts():
     node = outsider()
-    rows = [s.elems for s in ecc_encode(P_C, W)]
+    rows = ecc_encode(P_C, W)
     node.handle(1, Shmdm(None))
     node.handle(1, Shmdm(rows[0]))              # same sender, now a share
     node.handle(2, Shmdm(rows[1]))
@@ -61,14 +62,24 @@ def test_outsider_first_message_per_sender_counts():
 
 
 def test_member_disperses_own_share_to_outsiders():
+    # each member sends exactly one share row to each outsider
+    for n, t in ((10, 1), (13, 2)):
+        rep = run(SimConfig(n=n, t=t, seed=3, msg_len_bits=64,
+                            protocol="small_t"))
+        assert rep.reason == "ok" and all(rep.checks.values())
+        row_bits = params_for_message_bits(committee_size(t), t, 64).symbol_bits
+        for i in range(1, committee_size(t) + 1):
+            shmdm = rep.metrics.egress_by_tag[i]["SHMDM"]
+            assert shmdm == (n - committee_size(t)) * row_bits, (n, i)
+
+
+def test_member_drops_shares_and_senders_outside_committee():
     member = SmallTNode(2, 10, P_C, OracleAbba(2))
-    member.inner._terminate(W)
-    sends = member.handle(1, Shmdm(None))       # any event flushes; dropped
-    assert sends == []                          # members ignore shares
-    sends = member._check_inner()
-    rows = [s.elems for s in ecc_encode(P_C, W)]
-    assert sends == [(j, Shmdm(rows[1])) for j in range(5, 11)]
-    assert member.poll_output() == W
+    member.input(W)
+    rows = ecc_encode(P_C, W)
+    assert member.handle(1, Shmdm(rows[0])) == []      # members ignore shares
+    assert member.handle(5, Symbol(1, (rows[1], rows[0]))) == []
+    assert 5 not in member.bua1.symbol_seen
 
 
 def test_end_to_end_all_nodes_output():
