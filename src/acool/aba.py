@@ -54,26 +54,12 @@ class OracleAbba:
         return []
 
 
-def oracle_abba_decide(inputs: dict, adversary_hint: int) -> int:
-    """Weakest decision rule consistent with validity and consistency.
-
-    Returns the hint when any honest participant proposed it, otherwise
-    the unanimous honest bit.
-    """
-    if not inputs:
-        raise ValueError("no honest input present")
-    values = set(inputs.values())
-    if adversary_hint in values:
-        return adversary_hint
-    (bit,) = values
-    return bit
-
-
 class OracleAdjudicator:
     """Harness-side decision rule: adversary picks among proposed bits.
 
-    Incremental form of `oracle_abba_decide`: decides the hint as soon as
-    any participant proposes it; decides the unanimous bit once all
+    The weakest decision rule consistent with validity and consistency,
+    applied as proposals arrive: decides the hint as soon as any
+    participant proposes it; decides the unanimous bit once all
     participants have proposed and none matched the hint.  Ignores inputs
     from outside the participant set.
     """

@@ -6,38 +6,11 @@ and split into ``chunks`` independent (n, k) codewords that share the
 evaluation points x = 1..n.  Share j concatenates the j-th evaluation of
 every chunk, so comparing two shares compares all chunks at once.
 
-Decoding is true error correction, not erasure-only: from m observed
-shares it recovers the unique codeword at distance <= e whenever
-2e + k <= m, with Gao's O(m^2) decoder (interpolation, then the extended
-Euclidean algorithm against prod (x - xi), stopped as soon as the
-degree of the error locator passes the correctable radius).  A chunk is
-corrected only when the cheap path fails: the indices found error-free
-on chunk 0 seed every chunk at once, and each chunk corrected in full
-re-seeds the chunks still failing with the indices its codeword matches.
-Besides the message, the decoder returns its support: the shares that
-equal the decoded codeword on every chunk.
-`OecAccumulator` wraps the decoder in the accumulate-retry loop used by
-the agreement protocols: collect shares one at a time, attempt a decode
-once k + t are present, and accept only when the support holds at least
-k + t of the stored shares.  The support counts matches against the
-codeword of the message's canonical frame; a decoded frame with nonzero
-padding bits or an element above 2^b, which no honest encoder produces,
-is re-encoded to count them.  Between attempts the accumulator carries
-chunk 0's start of Gao's decoder, the vanishing polynomial and the
-interpolant of the stored shares, and extends it by one O(m) Newton step
-per new share when an attempt needs it, in place of the O(m^2) rebuild.
-
-Encoding and the clean decode path run on all chunks at once: the chunk
-values of one polynomial degree are packed into one int, one fixed-width
-lane per chunk (Kronecker substitution), and each evaluation is k
-multiply-adds of those ints.  A lane must hold k*(q-1)^2, the largest
-sum of k products of two field elements; `CodeParams.lane_code` picks the
-narrowest machine width that does.
-
-Honest nodes with the same input produce the same codeword, so
-`ecc_encode` encodes a message once per `CodeParams` (one run) and hands
-every caller the same row objects, which `ecc_decode` recognises by
-identity in place of decoding them.
+`ecc_encode` encodes (once per message per run), `ecc_decode` corrects
+errors through `decode_elements` and `_decode_chunk`, and
+`OecAccumulator` is the accumulate-and-retry loop of the agreement
+protocols.  Encoding and the clean decode path pack one lane per chunk
+into one int (Kronecker substitution, see `CodeParams.lane_code`).
 """
 
 from __future__ import annotations
@@ -47,7 +20,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import islice, zip_longest
 from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -257,11 +230,6 @@ def _unframe(params: CodeParams, elems: Sequence[int]) -> tuple:
     return message, wide >> b == 0 and blob & ((1 << shift) - 1) == 0
 
 
-def unpack_message(params: CodeParams, elems: Sequence[int]) -> bytes:
-    """Inverse of `pack_message`; raises DecodeFailure on a bad frame."""
-    return _unframe(params, elems)[0]
-
-
 # ---------------------------------------------------------------------------
 # codeword layer
 # ---------------------------------------------------------------------------
@@ -335,14 +303,14 @@ def ecc_encode(params: CodeParams, message: bytes) -> tuple:
 
 
 def _lagrange(xs: Sequence[int], q: int) -> tuple:
-    """Vanishing polynomial and Lagrange numerators and weights of ``xs``.
+    """Lagrange numerators and weights of ``xs``.
 
-    Returns ``(g0, columns, weights)``: g0 = prod (x - xi) in ascending
-    coefficients; columns[d][i] is the degree-d coefficient of the
-    numerator g0 / (x - xs[i]), and weights[i] the inverse of its value at
-    xs[i].  The i-th Lagrange polynomial, 1 at xs[i] and 0 at every other
-    point, is weights[i] times the i-th numerator.  The synthetic
-    divisions run side by side, one coefficient of all of them at a time.
+    Returns ``(columns, weights)``: columns[d][i] is the degree-d
+    coefficient of the numerator prod (x - xj) / (x - xs[i]), and
+    weights[i] the inverse of its value at xs[i].  The i-th Lagrange
+    polynomial, 1 at xs[i] and 0 at every other point, is weights[i]
+    times the i-th numerator.  The synthetic divisions of prod (x - xj)
+    run side by side, one coefficient of all of them at a time.
     """
     m = len(xs)
     g0 = [1] + [0] * m
@@ -363,7 +331,7 @@ def _lagrange(xs: Sequence[int], q: int) -> tuple:
             if xj != xi:
                 den *= xi - xj
         weights.append(pow(den % q, -1, q))
-    return g0, columns, weights
+    return columns, weights
 
 
 def _interpolate(xs: Sequence[int], ys: Sequence[int], q: int,
@@ -372,7 +340,7 @@ def _interpolate(xs: Sequence[int], ys: Sequence[int], q: int,
 
     ``lagrange`` is `_lagrange` of ``xs`` when the caller already has it.
     """
-    _, columns, weights = lagrange or _lagrange(xs, q)
+    columns, weights = lagrange or _lagrange(xs, q)
     scaled = [y * w for y, w in zip(ys, weights)]
     return [sum(map(mul, scaled, col)) % q for col in columns]
 
@@ -409,80 +377,112 @@ def _poly_div(num: Sequence[int], den: Sequence[int], q: int):
     return quot, num[:dd] if dd else []
 
 
-def _sub_product(a: Sequence[int], b: Sequence[int], c: Sequence[int],
-                 q: int) -> list:
-    """a - b*c over GF(q), trimmed."""
-    out = list(a) + [0] * max(0, len(b) + len(c) - 1 - len(a))
-    for i, bi in enumerate(b):
-        if bi:
-            out[i:i + len(c)] = [v - bi * w for v, w in zip(out[i:i + len(c)], c)]
-    return _trim([v % q for v in out])
+def _key_basis(k: int) -> list:
+    """The key-equation basis of no shares, [key, N, W] for (1, 0) and (0, 1).
+
+    key is twice the weighted degree max(deg N, deg W + k - 1), plus 1
+    when the leading position is W (ties go to W); see `_decode_chunk`.
+    """
+    return [[0, [1], []], [2 * k - 1, [], [1]]]
+
+
+def _times_linear(p: list, x: int, q: int) -> list:
+    """p * (X - x) over GF(q)."""
+    if not p:
+        return p
+    return [(lo - x * hi) % q for lo, hi in zip([0] + p, p + [0])]
+
+
+def _fold(basis: list, x: int, y: int, q: int) -> None:
+    """Fold the share (x, y) into a key-equation basis, in place.
+
+    Each element's residual r = N(x) - y W(x) is computed; of the elements
+    with r != 0, the one with the smaller key is multiplied by (X - x),
+    and the other, if live, becomes r_min * b - r * b_min first.  Both
+    elements then vanish at (x, y), and their leading terms are b_min's
+    raised by one degree and the other's unchanged, so the keys stay
+    distinct.  A new x leaves some residual nonzero.
+    """
+    lo, hi = basis if basis[0][0] < basis[1][0] else basis[::-1]
+    r_lo = (_poly_eval(lo[1], x, q) - y * _poly_eval(lo[2], x, q)) % q
+    r_hi = (_poly_eval(hi[1], x, q) - y * _poly_eval(hi[2], x, q)) % q
+    if not r_lo:
+        lo = hi
+    elif r_hi:
+        for i in (1, 2):
+            hi[i] = [(r_lo * a - r_hi * b) % q
+                     for a, b in zip_longest(hi[i], lo[i], fillvalue=0)]
+    lo[0] += 2
+    lo[1] = _times_linear(lo[1], x, q)
+    lo[2] = _times_linear(lo[2], x, q)
 
 
 def _decode_chunk(xs: Sequence[int], ys: Sequence[int], k: int, q: int,
                   max_errors: Optional[int] = None,
-                  lagrange_of_xs: Optional[Callable[[], tuple]] = None,
-                  gao_start: Optional[Callable[[], tuple]] = None,
-                  head: Optional[tuple] = None) -> list:
+                  head: Optional[tuple] = None,
+                  basis: Optional[Callable[[], list]] = None) -> tuple:
     """Recover the degree-(k-1) polynomial behind m >= k noisy evaluations.
 
-    Corrects up to e = (m - k) // 2 errors, lowered to ``max_errors`` when
-    the caller can rule out larger error counts.  Raises DecodeFailure
-    when no codeword lies within that radius.  Because 2e + k <= m, at most
-    one codeword lies within it, so any exact bounded-distance decoder
-    gives the same answer.
+    Returns ``(p, agree)``: p's k ascending coefficients and the x whose
+    y equals p(x).  Corrects up to e = (m - k) // 2 errors, lowered to
+    ``max_errors`` when the caller can rule out larger error counts, and
+    raises DecodeFailure when no codeword lies within that radius.  A y
+    outside [0, q) never equals p(x), so it counts as an error.
 
-    Shares that all fit the polynomial through the first k are returned
-    at once.  Otherwise Gao's decoder (S. Gao, "A New Algorithm for
-    Decoding Reed-Solomon Codes", 2003) runs in O(m^2): g1 interpolates all
-    m points and g0 = prod (x - xi) vanishes on them; the extended
-    Euclidean algorithm on (g0, g1) stops at the first remainder r of
-    degree below (m + k) / 2, and r divided by its Bezout cofactor v of g1
-    is the codeword whenever one lies within (m - k) // 2.  The degree of
-    v only grows, and a codeword within the radius e ends the loop with v
-    its error locator, of degree <= e, so the loop stops with DecodeFailure
-    as soon as deg v > e.
-    ``lagrange_of_xs`` returns `_lagrange` of ``xs``; callers that correct
-    several chunks over the same indices pass one that builds it once.
-    ``gao_start`` returns (g0, g1) ready-made, g1 trimmed, for a caller
-    that keeps them across calls (see `OecAccumulator`); neither list is
-    modified.  ``head`` is `_lagrange` of ``xs[:k]`` when the caller
-    already has it.
+    The decoder solves the Welch-Berlekamp key equation N(xi) = yi W(xi)
+    one share at a time (Welch & Berlekamp, US Patent 4,633,470, 1986;
+    Groebner-basis form after Fitzpatrick, "On the key equation", IEEE
+    Trans. IT, 1995).  The solutions (N, W) form a module of rank 2,
+    ordered by weighted degree max(deg N, deg W + k - 1), with ties to
+    W.  A basis of two elements with distinct leading positions starts
+    from (1, 0) and (0, 1) (`_key_basis`) and takes each share by one
+    O(m) `_fold`; its weighted degrees sum to m + k - 1.  A codeword p
+    within e gives the solution (p L, L), L its error locator, of weighted
+    degree <= e + k - 1, and 2e + k <= m puts the other element above
+    that, so the minimal element is a multiple of (p L, L).  Hence the
+    decode: if the minimal element's weighted degree exceeds e + k - 1,
+    fail with no division; otherwise p = N / W must divide exactly, with
+    deg p < k and at most e errors.  The minimal element is unique up to
+    a scalar, so the answer is that of any exact bounded-distance
+    decoder, whatever the order of the shares.
+
+    A one-shot decode first fits the first k shares and returns at once
+    if every share agrees (``head`` is `_lagrange` of ``xs[:k]`` when the
+    caller already has it); otherwise it folds every share into a fresh
+    basis.  ``basis`` instead returns the basis already folded over
+    exactly these shares, for a caller that carries it across attempts
+    (see `OecAccumulator`); it answers every attempt directly.
     """
     m = len(xs)
     if m < k:
         raise DecodeFailure("fewer shares than data symbols")
-    # Zero-error fast path: fit the first k points and check the rest.
-    p = _interpolate(xs[:k], ys[:k], q, head)
-    if all(_poly_eval(p, x, q) == y for x, y in zip(xs, ys)):
-        return p
     e = (m - k) // 2
     if max_errors is not None:
-        e = min(e, max_errors)
-    if e <= 0:
-        raise DecodeFailure("inconsistent shares with no correction margin")
-    if gao_start:
-        r0, r1 = gao_start()
+        e = max(0, min(e, max_errors))
+    if basis is None:
+        # Zero-error fast path: fit the first k points and check the rest.
+        p = _interpolate(xs[:k], ys[:k], q, head)
+        if all(_poly_eval(p, x, q) == y for x, y in zip(xs, ys)):
+            return p, list(xs)
+        if not e:
+            raise DecodeFailure("inconsistent shares with no correction margin")
+        folded = _key_basis(k)
+        for x, y in zip(xs, ys):
+            _fold(folded, x, y, q)
     else:
-        lagrange = lagrange_of_xs() if lagrange_of_xs else _lagrange(xs, q)
-        r0 = lagrange[0]
-        r1 = _trim(_interpolate(xs, ys, q, lagrange))
-    v0, v1 = [], [1]
-    while 2 * (len(r1) - 1) >= m + k:
-        quot, rem = _poly_div(r0, r1, q)
-        r0, r1 = r1, _trim(rem)
-        v0, v1 = v1, _sub_product(v0, quot, v1, q)
-        if len(v1) - 1 > e:
-            raise DecodeFailure("error locator degree beyond the radius")
-    p, rem = _poly_div(r1, v1, q)
+        folded = basis()
+    key, num, den = min(folded)
+    if key >> 1 > e + k - 1:
+        raise DecodeFailure("no codeword within the correctable radius")
+    p, rem = _poly_div(num, den, q)
     _trim(p)
     if any(rem) or len(p) > k:
-        raise DecodeFailure("no codeword within (m - k) / 2 of the shares")
+        raise DecodeFailure("no codeword within the correctable radius")
     p += [0] * (k - len(p))
-    errors = sum(1 for x, y in zip(xs, ys) if _poly_eval(p, x, q) != y)
-    if errors > e:
+    agree = [x for x, y in zip(xs, ys) if _poly_eval(p, x, q) == y]
+    if m - len(agree) > e:
         raise DecodeFailure("nearest codeword outside correctable radius")
-    return p
+    return p, agree
 
 
 def _fit(params: CodeParams, shares: Mapping[int, Sequence[int]],
@@ -494,8 +494,8 @@ def _fit(params: CodeParams, shares: Mapping[int, Sequence[int]],
     chunks at once, and each candidate is checked at every seed index.
     Each candidate is written to ``coeffs`` (coeffs[d][c] is the degree-d
     coefficient of chunk c); the chunks whose candidate fails are returned
-    in order.  ``head`` is (indices, `_lagrange` of them) from an earlier
-    build; it is used when the indices are the first k seed indices.
+    in order.  ``head`` is (indices, `_lagrange` of them or None) from an
+    earlier build; it is used when the indices are the first k seed indices.
     """
     if not chunks:
         return []
@@ -503,9 +503,9 @@ def _fit(params: CodeParams, shares: Mapping[int, Sequence[int]],
     whole = lanes == params.chunks
     ys = [_pack(params, [shares[x][c] % q for c in chunks]) for x in seed[:k]]
     head_xs, lagrange = head
-    if seed[:k] != head_xs:
+    if lagrange is None or seed[:k] != head_xs:
         lagrange = _lagrange(seed[:k], q)
-    _, columns, weights = lagrange
+    columns, weights = lagrange
     fitted = []                  # fitted[d][j]: degree-d coefficient of chunks[j]
     for d, col in enumerate(columns):
         acc = 0
@@ -530,7 +530,7 @@ def _fit(params: CodeParams, shares: Mapping[int, Sequence[int]],
 
 def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
                     max_errors: Optional[int] = None,
-                    gao_start: Optional[Callable[[], tuple]] = None) -> tuple:
+                    chunk0_basis: Optional[Callable[[], list]] = None) -> tuple:
     """Per-chunk error correction over a share map {index: elems}.
 
     Returns ``(data, support)``: the k*chunks decoded elements and the
@@ -546,40 +546,29 @@ def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
     so it is the unique codeword there that full correction would return.
     A share element outside [0, q) never matches, so it counts as an
     error in its chunk.  The support is the clean indices that every
-    chunk's codeword matches.  ``gao_start`` is chunk 0's (see
-    `_decode_chunk`); the other chunks build theirs from one shared
-    Lagrange basis.  The basis of the first k indices, which chunk 0's
-    fast path builds, is built once and reused wherever the same k
-    indices come up again: in every later fast path, and in `_fit`
-    whenever the seed starts with them, as it does on every clean decode.
+    chunk's codeword matches.  ``chunk0_basis`` is chunk 0's carried
+    key-equation basis (see `_decode_chunk`).  Without it, the Lagrange
+    basis of the first k indices, which chunk 0's fast path builds, is
+    built once and reused wherever the same k indices come up again: in
+    every later fast path, and in `_fit` whenever the seed starts with
+    them, as it does on every clean decode.
     """
     xs = sorted(shares)
     if not xs or xs[0] < 1 or xs[-1] > params.n:
         raise DecodeFailure("share indices outside 1..n")
     k, q = params.k, params.q
-    head = (xs[:k], _lagrange(xs[:k], q))
-    whole = None                 # _lagrange of all of xs, built on demand
-
-    def lagrange_of_xs():
-        nonlocal whole
-        if whole is None:
-            whole = _lagrange(xs, q)
-        return whole
-
-    first = _decode_chunk(xs, [shares[x][0] for x in xs], k, q, max_errors,
-                          lagrange_of_xs, gao_start, head[1])
-    seed = [x for x in xs if _poly_eval(first, x, q) == shares[x][0]]
+    head = (xs[:k], None if chunk0_basis else _lagrange(xs[:k], q))
+    _, seed = _decode_chunk(xs, [shares[x][0] for x in xs], k, q, max_errors,
+                            head[1], chunk0_basis)
     support = set(seed)
     coeffs = [None] * k          # coeffs[d][c]: degree-d coefficient of chunk c
     failing = _fit(params, shares, seed, range(params.chunks), coeffs, head)
     while failing:
         c = failing[0]
-        ys = [shares[x][c] for x in xs]
-        p = _decode_chunk(xs, ys, k, q, max_errors, lagrange_of_xs, None,
-                          head[1])
+        p, seed = _decode_chunk(xs, [shares[x][c] for x in xs], k, q,
+                                max_errors, head[1])
         for d in range(k):
             coeffs[d][c] = p[d]
-        seed = [x for x, y in zip(xs, ys) if _poly_eval(p, x, q) == y]
         support.intersection_update(seed)
         failing = _fit(params, shares, seed, failing[1:], coeffs, head)
     data = [coeffs[d][c] for c in range(params.chunks) for d in range(k)]
@@ -588,14 +577,14 @@ def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
 
 def ecc_decode(params: CodeParams, shares: Mapping[int, Sequence[int]],
                max_errors: Optional[int] = None,
-               gao_start: Optional[Callable[[], tuple]] = None) -> tuple:
+               chunk0_basis: Optional[Callable[[], list]] = None) -> tuple:
     """Decode a byte message from m <= n shares with Byzantine errors.
 
     Recovers the unique message whose codeword differs from the given
     shares in <= e positions whenever 2e + k <= m.  Returns
     ``(message, support)``, where ``support`` holds the indices whose
     share equals ``ecc_encode(params, message)`` at that index.
-    ``gao_start`` is passed on to `decode_elements`.
+    ``chunk0_basis`` is passed on to `decode_elements`.
 
     Rows of one memoised encoding (see `ecc_encode`) are recognised first:
     at least k shares, and ``shares[x] is rows[x - 1]`` with every x an int
@@ -611,7 +600,7 @@ def ecc_decode(params: CodeParams, shares: Mapping[int, Sequence[int]],
     for idx, elems in shares.items():
         if len(elems) != params.chunks:
             raise DecodeFailure(f"share {idx} has wrong chunk count")
-    data, support = decode_elements(params, shares, max_errors, gao_start)
+    data, support = decode_elements(params, shares, max_errors, chunk0_basis)
     message, canonical = _unframe(params, data)
     if not canonical:
         # Nonzero padding bits or an element above 2^b, which no honest
@@ -637,17 +626,15 @@ class OecAccumulator:
     slots, so an accepted message is pinned down by >= k honest shares.
 
     Successive attempts see the same shares plus new ones, so chunk 0's
-    start of Gao's decoder, g0 = prod (X - x) and the interpolant g1 of
-    chunk 0, is carried from one attempt to the next.  It is brought up to
-    date only when an attempt reaches Gao's decoder, by one Newton step
-    per share stored since: c = (y - g1(x)) / g0(x), g1 += c * g0,
-    g0 *= (X - x), which is O(m) per share.  Both polynomials are unique,
-    whatever the order of the shares, so the decode is the one a fresh
-    build gives.
+    key-equation basis (see `_decode_chunk`) is carried from one attempt
+    to the next.  It is brought up to date only when an attempt reaches
+    the decoder, by one O(m) `_fold` per share stored since, and answers
+    the attempt directly: an attempt with no codeword in reach fails on
+    one degree comparison.
     """
 
     __slots__ = ("params", "threshold", "accept", "shares", "decoded", "done",
-                 "attempts", "_g0", "_g1", "_folded")
+                 "attempts", "_basis", "_folded")
 
     def __init__(self, params: CodeParams,
                  accept: Optional[Callable[[bytes], bool]] = None):
@@ -658,26 +645,19 @@ class OecAccumulator:
         self.decoded: Optional[bytes] = None
         self.done = False
         self.attempts = 0
-        self._g0 = [1]             # prod (X - x) over the first _folded shares
-        self._g1 = []              # their chunk-0 interpolant, trimmed
+        self._basis = _key_basis(params.k)  # over the first _folded shares
         self._folded = 0
 
     def __contains__(self, index: int) -> bool:
         return index in self.shares
 
-    def _gao_start(self) -> tuple:
-        """(g0, g1) of chunk 0 over every stored share, folding in new ones."""
+    def _chunk0_basis(self) -> list:
+        """Chunk 0's key-equation basis over every stored share."""
         q = self.params.q
-        g0, g1 = self._g0, self._g1
         for x, elems in islice(self.shares.items(), self._folded, None):
-            c = ((elems[0] - _poly_eval(g1, x, q))
-                 * pow(_poly_eval(g0, x, q), -1, q) % q)
-            if c:                  # deg g1 < deg g0 and g0 is monic
-                g1 = [(a + c * b) % q
-                      for a, b in zip(g1 + [0] * (len(g0) - len(g1)), g0)]
-            g0 = [(a - x * b) % q for a, b in zip([0] + g0, g0 + [0])]
-        self._g0, self._g1, self._folded = g0, g1, len(self.shares)
-        return g0, g1
+            _fold(self._basis, x, elems[0], q)
+        self._folded = len(self.shares)
+        return self._basis
 
     def submit(self, index: int, elems: Sequence[int]) -> Optional[bytes]:
         """Store one share; returns the message on the accepting attempt."""
@@ -693,7 +673,7 @@ class OecAccumulator:
             message, support = ecc_decode(
                 self.params, self.shares,
                 max_errors=len(self.shares) - self.threshold,
-                gao_start=self._gao_start)
+                chunk0_basis=self._chunk0_basis)
         except DecodeFailure:
             return None
         if len(support) < self.threshold:

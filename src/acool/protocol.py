@@ -25,7 +25,7 @@ Handlers are synchronous and deterministic: every inbound event is
 processed to quiescence before the next.  A node is quiescent between
 events: no standing guard can fire.  A message can therefore enable only
 the guards whose inputs its handler changed, so `handle` pumps only when
-a handler reports some, and `AcoolNode._pump` first evaluates only
+a handler reports some, and a node's `_pump` first evaluates only
 those, in the fixed guard order; once any guard fires, every guard runs,
 in the same order, until a full pass fires none.  The sends come out in
 the order a full re-evaluation after every event would give.  All
@@ -71,8 +71,8 @@ class NodeState(NamedTuple):
     quorum_collision: bool        # both READY quorums reached n-t
 
 
-# `AcoolNode._pump`'s guards, one bit each, in evaluation order; a
-# `ProtocolBase` handler returns those it may enable
+# `AcoolNode._pump`'s guards, one bit each, in evaluation order (`RbaNode`
+# runs its quorum rule on _ABBA_INPUT); a handler returns those it may enable
 (_NEW_SYMBOL, _ADOPT_W2, _SECOND_INPUT, _ABBA_INPUT, _ABBA_OUTPUT, _READY,
  _DECISION, _FINAL_DECODE) = (1 << i for i in range(8))
 _ALL_GUARDS = (1 << 8) - 1

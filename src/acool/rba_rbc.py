@@ -20,7 +20,10 @@ import logging
 from .bua import Bua, BuaConfig
 from .field_ecc import CodeParams, OecAccumulator, ecc_encode
 from .messages import Initial, Leader, LeaderMessage, Ready
-from .protocol import _ALL_GUARDS, NodeState, ProtocolBase
+from .protocol import (
+    _ABBA_INPUT, _ALL_GUARDS, _DECISION, _FINAL_DECODE, _READY, NodeState,
+    ProtocolBase,
+)
 
 log = logging.getLogger(__name__)
 
@@ -43,18 +46,32 @@ class RbaNode(ProtocolBase):
         return NodeState(self.oec_final.attempts, ((0, self.bua),), False,
                          self.quorum_collision)
 
-    # instance 0 backs the final decode
-    _absorb = ProtocolBase._absorb_final
+    def _absorb(self, bua, events) -> int:
+        """Instance 0 backs the final decode, and its phase-2 sets feed the
+        quorum rule, which stands where `AcoolNode` takes its binary
+        agreement input."""
+        return self._absorb_final(bua, events) | _ABBA_INPUT
 
     def _pump(self, sends, wake: int = _ALL_GUARDS):
-        """Run every guard until quiescent, whatever ``wake`` holds."""
-        changed = True
-        while changed and not self.terminated:
+        """Evaluate the guards in fixed order until quiescent.
+
+        As in `AcoolNode._pump`, only the guards in ``wake`` are evaluated
+        until one fires; from then on every guard runs until a full pass
+        fires none.
+        """
+        while not self.terminated:
             changed = False
-            changed |= self._quorum_ready_guard(sends)
-            changed |= self._ready_guards(sends)
-            changed |= self._decision_guard()
-            changed |= self._final_decode_guard(self.bua, sends)
+            if wake & _ABBA_INPUT:
+                changed = self._quorum_ready_guard(sends)
+            if changed or wake & _READY:
+                changed |= self._ready_guards(sends)
+            if changed or wake & _DECISION:
+                changed |= self._decision_guard()
+            if changed or wake & _FINAL_DECODE:
+                changed |= self._final_decode_guard(self.bua, sends)
+            if not changed:
+                return
+            wake = _ALL_GUARDS
 
     def _quorum_ready_guard(self, sends) -> bool:
         """First phase-2 indicator set reaching n-t fires READY for its bit.

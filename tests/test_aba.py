@@ -7,9 +7,20 @@ import pytest
 
 from acool.aba import (
     CoinAbba, CoinOracle, OracleAbba, OracleAdjudicator, ORACLE_ID,
-    oracle_abba_decide,
 )
 from acool.messages import AbbaIn, AbbaOut, Aux, Est
+
+
+def oracle_abba_decide(inputs: dict, adversary_hint: int) -> int:
+    """Reference batch form of the adjudicator's rule: the hint when any
+    honest participant proposed it, otherwise the unanimous honest bit."""
+    if not inputs:
+        raise ValueError("no honest input present")
+    values = set(inputs.values())
+    if adversary_hint in values:
+        return adversary_hint
+    (bit,) = values
+    return bit
 
 
 def test_decision_rule_batch_form():

@@ -5,8 +5,8 @@ arithmetic over GF(7), brute-force minimum-distance search over all
 q^k candidate polynomials, and the straightforward per-chunk codec kept
 below as reference functions (Horner encode, one interpolation per
 chunk, Berlekamp-Welch correction by Gaussian elimination, OEC
-acceptance by re-encoding), which the lane-packed codec and Gao's
-decoder must match exactly.
+acceptance by re-encoding), which the lane-packed codec and the
+key-equation decoder must match exactly.
 """
 
 import random
@@ -17,9 +17,9 @@ import pytest
 from acool import field_ecc
 from acool.field_ecc import (
     CodeParams, DecodeFailure, MessageTooLong, OecAccumulator,
-    ResilienceViolation, _decode_chunk, _unframe, decode_elements,
-    derive_params, ecc_decode, ecc_encode, encode_elements, pack_message,
-    params_for_message_bits, unpack_message,
+    ResilienceViolation, _decode_chunk, _fold, _key_basis, _unframe,
+    decode_elements, derive_params, ecc_decode, ecc_encode, encode_elements,
+    pack_message, params_for_message_bits,
 )
 
 GF7 = CodeParams(n=6, t=1, k=2, q=7, chunks=1)
@@ -46,6 +46,31 @@ def brute_force_decode(params, shares):
                 return None  # not unique
             best = coeffs
     return best
+
+
+def unpack_message(params, elems):
+    """The message of a decoded frame; raises DecodeFailure on a bad frame."""
+    return _unframe(params, elems)[0]
+
+
+def one_shot(xs, ys, k, q, max_errors, rng=None):
+    """`_decode_chunk`'s polynomial from scratch, or DecodeFailure."""
+    try:
+        return _decode_chunk(xs, ys, k, q, max_errors)[0]
+    except DecodeFailure:
+        return DecodeFailure
+
+
+def carried(xs, ys, k, q, max_errors, rng):
+    """`_decode_chunk`'s polynomial from a basis folded in shuffled order,
+    as an accumulator carries it, or DecodeFailure."""
+    basis = _key_basis(k)
+    for i in rng.sample(range(len(xs)), len(xs)):
+        _fold(basis, xs[i], ys[i], q)
+    try:
+        return _decode_chunk(xs, ys, k, q, max_errors, None, lambda: basis)[0]
+    except DecodeFailure:
+        return DecodeFailure
 
 
 def test_derive_params_min_system():
@@ -88,7 +113,7 @@ def test_gf7_two_errors_recovered():
     shares[5] = ((shares[5][0] + 1) % 7,)
     xs = sorted(shares)
     got = _decode_chunk(xs, [shares[x][0] for x in xs], 2, 7)
-    assert got == [3, 5]
+    assert got == ([3, 5], [1, 3, 4, 6])
     assert brute_force_decode(GF7, shares) == [3, 5]
 
 
@@ -102,11 +127,10 @@ def test_gf7_oracle_agreement_sampled():
             shares[pos] = ((shares[pos][0] + rng.randrange(1, 7)) % 7,)
         expect = brute_force_decode(GF7, shares)
         xs = sorted(shares)
-        try:
-            got = _decode_chunk(xs, [shares[x][0] for x in xs], 2, 7)
-        except DecodeFailure:
-            got = None
-        assert got == expect
+        ys = [shares[x][0] for x in xs]
+        for decode in (one_shot, carried):
+            got = decode(xs, ys, 2, 7, None, rng)
+            assert got == (expect or DecodeFailure)
 
 
 def test_roundtrip_with_corruption():
@@ -534,35 +558,54 @@ def test_codec_matches_reference(params, monkeypatch):
 
 
 @pytest.mark.parametrize("n,k", [(31, 3), (13, 1), (49, 5)])
-def test_decode_chunk_matches_berlekamp_welch(n, k):
-    """Gao's decoder against the reference at the workloads' geometries."""
+def test_decode_chunk_matches_berlekamp_welch(n, k, monkeypatch):
+    """The key-equation decoder, one-shot and carried, against the reference
+    at the workloads' geometries.
+
+    "exactly e" and "e + 1" put that many errors around the radius e, the
+    lowered one included (max_errors = 0 at m = k + t among them).  Where
+    2(e + 1) + k <= m, the codeword at distance e + 1 is the only one that
+    near, so both decoders must fail on the degree comparison, with no
+    division.
+    """
     q = 257
     t = (n - 1) // 3
     rng = random.Random(n * 100 + k)
+    divisions = counting(monkeypatch, "_poly_div")
     outcomes = set()             # "failed", "clean" or "corrected"
+    on_degree = 0                # failures that must not divide
     for m in range(k, n + 1):
         xs = sorted(rng.sample(range(1, n + 1), m))
         e = (m - k) // 2
-        for kind in ("garbage", "second codeword"):
+        for kind in ("garbage", "second codeword", "exactly e", "e + 1"):
             coeffs = [rng.randrange(q) for _ in range(k)]
             ys = [ref_eval(coeffs, x, q) for x in xs]
+            max_errors = rng.choice((None, m - (k + t), rng.randint(0, e)))
             if kind == "garbage":
                 for i in rng.sample(range(m), min(m, rng.randint(0, e + 2))):
                     ys[i] = rng.randrange(q)
-            else:
+            elif kind == "second codeword":
                 other = [rng.randrange(q) for _ in range(k)]
                 for i in rng.sample(range(m), rng.randint(0, m)):
                     ys[i] = ref_eval(other, xs[i], q)
-            max_errors = rng.choice((None, m - (k + t), rng.randint(0, e)))
+            else:
+                if m == k + t:
+                    max_errors = 0
+                radius = e if max_errors is None else max(0, min(e, max_errors))
+                wrong = min(m, radius + (kind == "e + 1"))
+                for i in rng.sample(range(m), wrong):
+                    ys[i] = (ys[i] + rng.randrange(1, q)) % q
             try:
                 want = ref_decode_chunk(xs, ys, k, q, max_errors)
             except DecodeFailure:
                 want = DecodeFailure
-            try:
-                got = _decode_chunk(xs, ys, k, q, max_errors)
-            except DecodeFailure:
-                got = DecodeFailure
-            assert got == want, (m, kind, max_errors)
+            for decode in (one_shot, carried):
+                del divisions[:]
+                assert decode(xs, ys, k, q, max_errors, rng) == want, (
+                    m, kind, max_errors, decode.__name__)
+                if kind == "e + 1" and 2 * (radius + 1) + k <= m:
+                    assert want is DecodeFailure and divisions == []
+                    on_degree += 1
             if want is DecodeFailure:
                 outcomes.add("failed")
             elif all(ref_eval(want, x, q) == y for x, y in zip(xs, ys)):
@@ -570,6 +613,7 @@ def test_decode_chunk_matches_berlekamp_welch(n, k):
             else:
                 outcomes.add("corrected")
     assert outcomes == {"failed", "clean", "corrected"}
+    assert on_degree > 0
 
 
 def test_largest_lane_sum():
@@ -601,7 +645,9 @@ def test_lane_width_is_the_narrowest_holding_k_q_squared():
 
 def oec_arrivals(rng, params, kind):
     """One share per node in random order, the t Byzantine ones corrupted by
-    ``kind``, with re-submissions of earlier indices mixed in."""
+    ``kind``, with re-submissions of earlier indices mixed in.  Kind 4,
+    "garbage first", sends the t garbage shares before any honest one, so
+    an accumulator makes all t + 1 attempts."""
     n, t, k, q, chunks = params.n, params.t, params.k, params.q, params.chunks
     msg = bytes(rng.randrange(256) for _ in range(
         rng.randrange(1, params.capacity_bits // 8 - 4)))
@@ -611,11 +657,14 @@ def oec_arrivals(rng, params, kind):
     second = encode_elements(params, framed[:k] + [
         rng.randrange(q) for _ in range(k * (chunks - 1))])
     bad = set(rng.sample(range(1, n + 1), t))
+    order = rng.sample(range(1, n + 1), n)
+    if kind == 4:
+        order.sort(key=lambda idx: idx not in bad)
     arrivals = []
-    for idx in rng.sample(range(1, n + 1), n):
+    for idx in order:
         elems = list(good[idx - 1])
         if idx in bad:
-            if kind == 0:
+            if kind in (0, 4):
                 elems = [rng.randrange(q) for _ in range(chunks)]
             elif kind == 1:
                 c = rng.randrange(chunks)
@@ -641,37 +690,72 @@ def test_oec_matches_reference(n, t, bits):
     params = params_for_message_bits(n, t, bits)
     rng = random.Random(n)
     accepted = 0
-    for trial in range(16):
-        arrivals = oec_arrivals(rng, params, trial % 4)
+    for trial in range(20):
+        arrivals = oec_arrivals(rng, params, trial % 5)
         got = run_oec(params, arrivals)
         assert got == ref_oec(params, arrivals)
         accepted += got[1] is not None and got[1] < len(arrivals) - 1
+        if trial % 5 == 4:        # garbage first: every attempt is made
+            assert got[2] == t + 1
     assert accepted > 0           # some submits came after acceptance
 
 
+def lead(element, k):
+    """(weighted degree, leading position) of a basis element [key, N, W],
+    from its polynomials; ties go to W."""
+    _, num, den = element
+    deg_n = len(field_ecc._trim(list(num))) - 1
+    deg_w = len(field_ecc._trim(list(den))) - 1
+    if deg_w < 0:
+        return deg_n, "N"
+    return max(deg_n, deg_w + k - 1), "W" if deg_w + k - 1 >= deg_n else "N"
+
+
+def monic(element, k, q):
+    """The pair (N, W) of ``element``, trimmed and scaled so that its
+    leading coefficient is 1."""
+    num = field_ecc._trim(list(element[1]))
+    den = field_ecc._trim(list(element[2]))
+    top = (den if lead(element, k)[1] == "W" else num)[-1]
+    inv = pow(top, -1, q)
+    return [c * inv % q for c in num], [c * inv % q for c in den]
+
+
 @pytest.mark.parametrize("n,t,bits", [(31, 10, 1024), (49, 16, 256)])
-def test_oec_carried_gao_start_equals_fresh_build(n, t, bits, monkeypatch):
-    """After every lazy fold, the accumulator's chunk-0 g0 and g1 are the
-    vanishing polynomial and the interpolant built from scratch."""
+def test_oec_carried_key_basis_invariants(n, t, bits, monkeypatch):
+    """After every lazy fold, the accumulator's chunk-0 basis solves the key
+    equation at every stored share, its two leading positions differ, its
+    key is its weighted degree and position, and its minimal element is,
+    up to a scalar, that of a fresh fold of the same shares in shuffled
+    order."""
     params = params_for_message_bits(n, t, bits)
-    q = params.q
-    gao_start = OecAccumulator._gao_start
+    k, q = params.k, params.q
+    chunk0_basis = OecAccumulator._chunk0_basis
+    rng = random.Random(n + 1)
     steps = set()                 # shares folded in by one call
 
     def checked(acc):
         before = acc._folded
-        g0, g1 = gao_start(acc)
-        xs = sorted(acc.shares)
-        ys = [acc.shares[x][0] for x in xs]
-        assert g0 == field_ecc._lagrange(xs, q)[0]
-        assert g1 == field_ecc._trim(field_ecc._interpolate(xs, ys, q))
-        steps.add(len(xs) - before)
-        return g0, g1
+        basis = chunk0_basis(acc)
+        shares = list(acc.shares.items())
+        for element in basis:
+            _, num, den = element
+            for x, elems in shares:
+                assert (field_ecc._poly_eval(num, x, q)
+                        - elems[0] * field_ecc._poly_eval(den, x, q)) % q == 0
+            wdeg, pos = lead(element, k)
+            assert element[0] == 2 * wdeg + (pos == "W")
+        assert lead(basis[0], k)[1] != lead(basis[1], k)[1]
+        fresh = _key_basis(k)
+        for x, elems in rng.sample(shares, len(shares)):
+            _fold(fresh, x, elems[0], q)
+        assert monic(min(basis), k, q) == monic(min(fresh), k, q)
+        steps.add(len(shares) - before)
+        return basis
 
-    monkeypatch.setattr(OecAccumulator, "_gao_start", checked)
-    rng = random.Random(n + 1)
-    for trial in range(8):
-        run_oec(params, oec_arrivals(rng, params, trial % 4))
+    monkeypatch.setattr(OecAccumulator, "_chunk0_basis", checked)
+    for trial in range(10):
+        run_oec(params, oec_arrivals(rng, params, trial % 5))
     assert 1 in steps and max(steps) > 1   # one share, and several at once
 
 

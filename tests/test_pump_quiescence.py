@@ -1,8 +1,8 @@
 """The woken-guard pump leaves every node quiescent.
 
 `ProtocolBase.handle` pumps only when a handler reports that it may have
-enabled a guard, and `AcoolNode._pump` then evaluates only the guards that
-handler can enable.  That is sound only if no other guard could fire:
+enabled a guard, and `AcoolNode._pump` and `RbaNode._pump` then evaluate
+only the guards that handler can enable.  That is sound only if no other guard could fire:
 after each `handle` call on a live node, a full cascade over every guard
 must send nothing and change no flag.  The check runs over the
 acceptance-grid slice (every strategy and scheduler at n = 4, 7 and 10,
