@@ -38,7 +38,7 @@ from __future__ import annotations
 import logging
 from typing import NamedTuple, Optional
 
-from .bua import Bua, BuaConfig, SiRecorded, SymbolDelivered
+from .bua import Bua
 from .field_ecc import CodeParams, OecAccumulator
 from .messages import (
     AbbaOut, Aux, CorrectSymbol, Decide, Est, NewSymbol, Ready, Si, Symbol,
@@ -82,10 +82,11 @@ class ProtocolBase:
     """One node's lifecycle over its unique-agreement instances.
 
     A subclass fills ``buas`` (SYMBOL/SI tag -> instance; input starts the
-    first) and supplies ``_absorb(bua, events)``, its extra `_HANDLERS`
-    and ``_pump(sends, wake)``.  A handler appends its sends and returns
-    the guards it may have enabled as a bit set, 0 for none; `handle`
-    pumps only on a nonzero wake.
+    first) and supplies its extra `_HANDLERS` and ``_pump(sends, wake)``;
+    it may override ``_absorb(bua, frm, msg)``, which folds a delivery an
+    instance recorded into the node's own state.  A handler appends its
+    sends and returns the guards it may have enabled as a bit set, 0 for
+    none; `handle` pumps only on a nonzero wake.
     """
 
     def __init__(self, node_id: int, params: CodeParams):
@@ -116,10 +117,7 @@ class ProtocolBase:
             log.debug("node %d: empty input ignored", self.node_id)
             return sends
         self.w_input = w
-        bua = next(iter(self.buas.values()))
-        s, ev = bua.input(w)
-        sends += s
-        self._absorb(bua, ev)
+        next(iter(self.buas.values())).input(w, sends)
         self._pump(sends)
         return sends
 
@@ -159,13 +157,15 @@ class ProtocolBase:
         if bua is None:
             return 0
         if type(msg) is Symbol:
-            s, ev = bua.on_symbol(frm, msg.pair)
+            recorded = bua.on_symbol(frm, msg.pair, sends)
         else:
-            s, ev = bua.on_si(msg.phase, frm, msg.bit)
-        if not ev:               # no set or flag a guard reads has changed
-            return 0
-        sends += s
-        return self._absorb(bua, ev)
+            recorded = bua.on_si(msg.phase, frm, msg.bit, sends)
+        return self._absorb(bua, frm, msg) if recorded else 0
+
+    def _absorb(self, bua: Bua, frm: int, msg) -> int:
+        """The instance backs the final decode, and its phase-2 sets feed
+        the binary-agreement input (`RbaNode`: the quorum rule)."""
+        return self._absorb_final(bua, frm, msg) | _ABBA_INPUT
 
     def _on_ready(self, frm: int, msg, sends) -> int:
         bit = msg.bit
@@ -224,17 +224,18 @@ class ProtocolBase:
 
     # -- final multicast ---------------------------------------------------
 
-    def _absorb_final(self, bua: Bua, events) -> int:
-        """Fold the final-decode instance's events into calibration and decode."""
-        for ev in events:
-            if type(ev) is SymbolDelivered:
+    def _absorb_final(self, bua: Bua, frm: int, msg) -> int:
+        """Fold a delivery the final-decode instance recorded into
+        calibration and decode."""
+        if type(msg) is Symbol:
+            if frm in bua.delivered:
                 self.calib_dirty = True
-                if ev.sender in bua.S1p2:
-                    self._harvest_final(bua, ev.sender)
-            elif type(ev) is SiRecorded and ev.phase == 2:
-                self.calib_dirty = True
-                if ev.bit == 1:
-                    self._harvest_final(bua, ev.sender)
+                if frm in bua.S1p2:
+                    self._harvest_final(bua, frm)
+        elif msg.phase == 2:
+            self.calib_dirty = True
+            if msg.bit == 1:
+                self._harvest_final(bua, frm)
         return _FINAL_DECODE
 
     def _harvest_final(self, bua: Bua, j: int):
@@ -296,8 +297,8 @@ class AcoolNode(ProtocolBase):
     def __init__(self, node_id: int, params: CodeParams, abba,
                  skip_brba: bool = False, legacy: bool = False):
         super().__init__(node_id, params)
-        self.bua1 = Bua(BuaConfig(1, params, node_id))
-        self.bua2 = Bua(BuaConfig(2, params, node_id))
+        self.bua1 = Bua(1, params, node_id)
+        self.bua2 = Bua(2, params, node_id)
         self.buas = {1: self.bua1} if legacy else {1: self.bua1, 2: self.bua2}
         self.abba = abba
         self.abba_in: Optional[int] = None
@@ -345,26 +346,25 @@ class AcoolNode(ProtocolBase):
         Est: _on_abba, Aux: _on_abba, Decide: _on_abba, AbbaOut: _on_abba,
     }
 
-    # -- event absorption ---------------------------------------------------
+    # -- delivery absorption ------------------------------------------------
 
-    def _absorb(self, bua: Bua, events) -> int:
+    def _absorb(self, bua: Bua, frm: int, msg) -> int:
         if bua is not self.bua1:
-            return self._absorb_final(bua, events) | _ABBA_INPUT
-        # fold instance-1 events into the majority table and share decoder
-        for ev in events:
-            if type(ev) is SymbolDelivered:
-                j, pair = ev.sender, ev.pair
-                self.y_table.setdefault(pair[0], set()).add(j)
+            return self._absorb_final(bua, frm, msg) | _ABBA_INPUT
+        # fold an instance-1 delivery into the majority table and share decoder
+        if type(msg) is Symbol:
+            pair = bua.delivered.get(frm)
+            if pair is not None:
+                self.y_table.setdefault(pair[0], set()).add(frm)
                 self.y_dirty = True
-                if j in self.bua1.S1p1 and j not in self.oec_new:
-                    self.oec_new.submit(j, pair[1])
-            elif type(ev) is SiRecorded:
-                if ev.phase == 1 and ev.bit == 1:
-                    pair = self.bua1.delivered.get(ev.sender)
-                    if pair is not None and ev.sender not in self.oec_new:
-                        self.oec_new.submit(ev.sender, pair[1])
-                elif ev.phase == 2 and ev.bit == 0:
-                    self.y_dirty = True
+                if frm in bua.S1p1 and frm not in self.oec_new:
+                    self.oec_new.submit(frm, pair[1])
+        elif msg.phase == 1:
+            pair = bua.delivered.get(frm) if msg.bit == 1 else None
+            if pair is not None and frm not in self.oec_new:
+                self.oec_new.submit(frm, pair[1])
+        elif msg.bit != 1:
+            self.y_dirty = True
         return self.wake1
 
     # -- guard cascade -------------------------------------------------------
@@ -429,9 +429,7 @@ class AcoolNode(ProtocolBase):
         if self.legacy or self.bua2.w is not None:
             return False
         if self.w2 is not None:
-            s, ev = self.bua2.input(self.w2)
-            sends += s
-            self._absorb_final(self.bua2, ev)
+            self.bua2.input(self.w2, sends)
             return True
         if self.bua1.s2 == 1 and self.w_input is not None:
             self.w2 = self.w_input

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 
-from .bua import Bua, BuaConfig
+from .bua import Bua
 from .field_ecc import CodeParams, OecAccumulator, ecc_encode
 from .messages import Initial, Leader, LeaderMessage, Ready
 from .protocol import (
@@ -33,7 +33,7 @@ class RbaNode(ProtocolBase):
 
     def __init__(self, node_id: int, params: CodeParams):
         super().__init__(node_id, params)
-        self.bua = Bua(BuaConfig(0, params, node_id))
+        self.bua = Bua(0, params, node_id)
         self.buas = {0: self.bua}
         self.quorum_collision = False
 
@@ -45,12 +45,6 @@ class RbaNode(ProtocolBase):
     def introspect(self) -> NodeState:
         return NodeState(self.oec_final.attempts, ((0, self.bua),), False,
                          self.quorum_collision)
-
-    def _absorb(self, bua, events) -> int:
-        """Instance 0 backs the final decode, and its phase-2 sets feed the
-        quorum rule, which stands where `AcoolNode` takes its binary
-        agreement input."""
-        return self._absorb_final(bua, events) | _ABBA_INPUT
 
     def _pump(self, sends, wake: int = _ALL_GUARDS):
         """Evaluate the guards in fixed order until quiescent.

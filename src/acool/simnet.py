@@ -168,9 +168,6 @@ class _Queue:
         self.pref_pos: dict = {}
         self.next_id = 0
 
-    def __len__(self):
-        return len(self.events)
-
     def push(self, step: int, frm: int, dst: int, msg, rnd: int, tag: str,
              bits: int):
         eid = self.next_id

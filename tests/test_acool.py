@@ -49,6 +49,21 @@ def test_empty_input_ignored():
     assert node.w_input is None
 
 
+def test_malformed_symbols_that_fix_indicators_keep_their_sends():
+    """Two malformed pairs push L0 past t: no pair is delivered, yet the
+    phase indicators they fix must still go out, and the zero they fix
+    feeds the binary agreement."""
+    params = params_for_message_bits(4, 1, 64)
+    node = AcoolNode(2, params, OracleAbba(2))
+    node.input(b"m1")
+    assert node.handle(3, Symbol(1, ("garbage",))) == []
+    sends = node.handle(4, Symbol(1, [1, 2]))
+    assert sends == ([(j, Si(1, 1, 0)) for j in range(1, 5)]
+                     + [(j, Si(1, 2, 0)) for j in range(1, 5)]
+                     + [(ORACLE_ID, AbbaIn(0))])
+    assert node.bua1.delivered == {} and node.bua1.L0 == {3, 4}
+
+
 def test_new_symbols_decode_shared_input_and_start_second_instance():
     node = fresh()
     node.input(W)

@@ -7,7 +7,7 @@ final state, which is what makes deferred guard evaluation safe.
 
 import random
 
-from acool.bua import Bua, BuaConfig, Final, IndicatorSet, SymbolDelivered
+from acool.bua import Bua
 from acool.field_ecc import params_for_message_bits
 from acool.messages import Si, Symbol
 
@@ -15,7 +15,7 @@ P41 = params_for_message_bits(4, 1, 64)
 
 
 def fresh(node_id=1, params=P41, inst=1):
-    return Bua(BuaConfig(inst, params, node_id))
+    return Bua(inst, params, node_id)
 
 
 def pair_for(params, w, sender, recipient):
@@ -28,7 +28,8 @@ def pair_for(params, w, sender, recipient):
 
 def test_input_fans_out_one_symbol_per_node():
     b = fresh()
-    sends, _ = b.input(b"m1")
+    sends = []
+    assert b.input(b"m1", sends) is None
     assert len(sends) == 4
     assert {dst for dst, _ in sends} == {1, 2, 3, 4}
     for dst, msg in sends:
@@ -38,43 +39,47 @@ def test_input_fans_out_one_symbol_per_node():
 
 def test_empty_input_rejected():
     b = fresh()
-    sends, events = b.input(b"")
-    assert sends == [] and events == [] and b.w is None
+    sends = []
+    b.input(b"", sends)
+    assert sends == [] and b.w is None
 
 
 def test_duplicate_input_ignored():
     b = fresh()
-    b.input(b"m1")
-    sends, _ = b.input(b"zz")
+    b.input(b"m1", [])
+    sends = []
+    b.input(b"zz", sends)
     assert sends == [] and b.w == b"m1"
 
 
 def test_matching_symbols_set_phase1_one():
     b = fresh()
-    b.input(b"m1")
+    b.input(b"m1", [])
     fired_at = None
     for j in (1, 2, 3):
-        _, events = b.on_symbol(j, pair_for(P41, b"m1", j, 1))
-        if any(isinstance(e, IndicatorSet) and e.phase == 1 for e in events):
+        sends = []
+        assert b.on_symbol(j, pair_for(P41, b"m1", j, 1), sends)
+        if any(m == Si(1, 1, 1) for _, m in sends):
             fired_at = j
     assert b.s1 == 1 and fired_at == 3  # n - t = 3rd matching symbol
+    assert sends == [(j, Si(1, 1, 1)) for j in (1, 2, 3, 4)]
 
 
 def test_mismatching_symbols_set_phase1_zero():
     b = fresh()
-    b.input(b"m1")
+    b.input(b"m1", [])
     for j in (2, 3):
-        b.on_symbol(j, pair_for(P41, b"other", j, 1))
+        b.on_symbol(j, pair_for(P41, b"other", j, 1), [])
     assert b.s1 == 0  # t + 1 = 2 mismatches
 
 
 def test_malformed_pair_counts_as_mismatch():
     b = fresh()
-    b.input(b"m1")
-    _, events = b.on_symbol(2, ("garbage",))
-    b.on_symbol(3, [1, 2, 3])
+    b.input(b"m1", [])
+    assert b.on_symbol(2, ("garbage",), [])
+    assert b.on_symbol(3, [1, 2, 3], [])
     assert b.L0 == {2, 3}
-    assert not any(isinstance(e, SymbolDelivered) for e in events)
+    assert b.delivered == {}
 
 
 def test_float_pair_equal_to_expected_counts_as_mismatch():
@@ -83,20 +88,20 @@ def test_float_pair_equal_to_expected_counts_as_mismatch():
     floats = tuple(tuple(float(e) for e in half) for half in expected)
     assert floats == expected
     direct = fresh()
-    direct.input(b"m1")
-    direct.on_symbol(2, floats)
+    direct.input(b"m1", [])
+    direct.on_symbol(2, floats, [])
     queued = fresh()
-    queued.on_symbol(2, floats)
-    queued.input(b"m1")
+    queued.on_symbol(2, floats, [])
+    queued.input(b"m1", [])
     for b in (direct, queued):
         assert b.L0 == {2} and b.L1 == set() and 2 not in b.delivered
 
 
 def test_symbol_before_input_is_queued():
     b = fresh()
-    b.on_symbol(2, pair_for(P41, b"m1", 2, 1))
+    b.on_symbol(2, pair_for(P41, b"m1", 2, 1), [])
     assert b.L0 == set() and b.L1 == set()
-    b.input(b"m1")
+    b.input(b"m1", [])
     assert b.L1 == {2}
 
 
@@ -116,17 +121,17 @@ def test_queued_and_inorder_runs_agree():
         step = 0
         for i, item in enumerate(order):
             if i == input_at:
-                b.input(b"m1")
+                b.input(b"m1", [])
             kind, frm, payload = item
             if kind == "sym":
-                b.on_symbol(frm, payload)
+                b.on_symbol(frm, payload, [])
             elif kind == "si1":
-                b.on_si(1, frm, payload)
+                b.on_si(1, frm, payload, [])
             else:
-                b.on_si(2, frm, payload)
+                b.on_si(2, frm, payload, [])
             step += 1
         if input_at >= len(order):
-            b.input(b"m1")
+            b.input(b"m1", [])
         return (b.s1, b.s2, b.vote, sorted(b.L0), sorted(b.L1),
                 sorted(b.S1p1), sorted(b.S1p2))
 
@@ -139,59 +144,72 @@ def test_queued_and_inorder_runs_agree():
 
 def test_phase2_one_needs_indicator_overlap():
     b = fresh()
-    b.input(b"m1")
+    b.input(b"m1", [])
     for j in (1, 2, 3):
-        b.on_symbol(j, pair_for(P41, b"m1", j, 1))
+        b.on_symbol(j, pair_for(P41, b"m1", j, 1), [])
     assert b.s2 is None
     for j in (1, 2, 3):
-        b.on_si(1, j, 1)
+        b.on_si(1, j, 1, [])
     assert b.s2 == 1  # |S1p1 & L1| >= n - t
 
 
 def test_phase2_zero_from_mixed_zero_evidence():
     b = fresh()
-    b.input(b"m1")
-    b.on_symbol(2, pair_for(P41, b"other", 2, 1))   # L0 = {2}
-    b.on_si(1, 3, 0)                                 # S0p1 = {3}
+    b.input(b"m1", [])
+    b.on_symbol(2, pair_for(P41, b"other", 2, 1), [])   # L0 = {2}
+    b.on_si(1, 3, 0, [])                                 # S0p1 = {3}
     assert b.s2 == 0  # |S0p1 | L0| >= t + 1
 
 
 def test_vote_one_at_quorum():
     b = fresh()
-    b.input(b"m1")
-    events = []
-    for j in (1, 2, 3):
-        _, ev = b.on_si(2, j, 1)
-        events += ev
-    finals = [e for e in events if isinstance(e, Final)]
-    assert b.vote == 1 and len(finals) == 1
-    assert finals[0].w == b"m1" and finals[0].vote == 1
+    b.input(b"m1", [])
+    for j in (1, 2):
+        b.on_si(2, j, 1, [])
+        assert b.vote is None
+    b.on_si(2, 3, 1, [])
+    assert b.vote == 1 and b.w == b"m1"
+    b.on_si(2, 4, 0, [])
+    assert b.vote == 1
 
 
 def test_vote_zero_at_t_plus_one():
     b = fresh()
-    b.input(b"m1")
-    _, ev1 = b.on_si(2, 2, 0)
-    _, ev2 = b.on_si(2, 3, 0)
-    finals = [e for e in ev1 + ev2 if isinstance(e, Final)]
-    assert b.vote == 0 and len(finals) == 1
+    b.input(b"m1", [])
+    b.on_si(2, 2, 0, [])
+    assert b.vote is None
+    b.on_si(2, 3, 0, [])
+    assert b.vote == 0
+    b.on_si(2, 4, 0, [])
+    assert b.vote == 0
 
 
 def test_vote_fires_without_own_indicator():
     # n - t peers can push the vote before the local phase-2 flag is set
     b = fresh()
-    b.input(b"m1")
+    b.input(b"m1", [])
     for j in (2, 3, 4):
-        b.on_si(2, j, 1)
+        b.on_si(2, j, 1, [])
     assert b.vote == 1 and b.s2 is None
 
 
 def test_first_si_per_sender_wins():
     b = fresh()
-    b.input(b"m1")
-    b.on_si(1, 2, 0)
-    b.on_si(1, 2, 1)
-    assert b.S0p1 == {2} and b.S1p1 == set()
+    b.input(b"m1", [])
+    assert b.on_si(1, 2, 0, [])
+    assert not b.on_si(1, 2, 1, [])
+    assert b.on_si(2, 2, 1, [])              # phases are tracked apart
+    assert b.S0p1 == {2} and b.S1p1 == set() and b.S1p2 == {2}
+
+
+def test_si_outside_phases_one_and_two_not_recorded():
+    b = fresh()
+    b.input(b"m1", [])
+    for phase in (0, 3, True, 1.0, "1", None):
+        sends = []
+        assert not b.on_si(phase, 2, 1, sends)
+        assert sends == []
+    assert b.si_seen == (set(), set())
 
 
 def test_sender_joins_at_most_one_set_per_phase():
@@ -205,18 +223,19 @@ def test_sender_joins_at_most_one_set_per_phase():
     for trial in range(200):
         b = fresh()
         if trial % 2:
-            b.input(b"m1")
+            b.input(b"m1", [])
         for _ in range(40):
-            b.on_si(rng.choice((1, 2)), rng.randrange(1, 5), rng.choice(bits))
+            b.on_si(rng.choice((1, 2)), rng.randrange(1, 5), rng.choice(bits),
+                    [])
             assert not b.S1p1 & b.S0p1 and not b.S1p2 & b.S0p2
             assert len(b.S1p2) + len(b.S0p2) <= P41.n
 
 
 def test_duplicate_symbol_dropped():
     b = fresh()
-    b.input(b"m1")
-    b.on_symbol(2, pair_for(P41, b"m1", 2, 1))
-    b.on_symbol(2, pair_for(P41, b"other", 2, 1))
+    b.input(b"m1", [])
+    assert b.on_symbol(2, pair_for(P41, b"m1", 2, 1), [])
+    assert not b.on_symbol(2, pair_for(P41, b"other", 2, 1), [])
     assert b.L1 == {2} and 2 not in b.L0
 
 
@@ -232,16 +251,18 @@ def test_unique_agreement_two_camps():
     nodes = {i: fresh(i, params) for i in inputs}
     chans = []
     for i, b in nodes.items():
-        sends, _ = b.input(inputs[i])
+        sends = []
+        b.input(inputs[i], sends)
         chans += [(i, dst, m) for dst, m in sends]
     rng = random.Random(2)
     rng.shuffle(chans)
     while chans:
         frm, dst, m = chans.pop()
+        sends = []
         if isinstance(m, Symbol):
-            sends, _ = nodes[dst].on_symbol(frm, m.pair)
+            nodes[dst].on_symbol(frm, m.pair, sends)
         else:
-            sends, _ = nodes[dst].on_si(m.phase, frm, m.bit)
+            nodes[dst].on_si(m.phase, frm, m.bit, sends)
         chans += [(dst, d2, m2) for d2, m2 in sends]
         rng.shuffle(chans)
     winners = {inputs[i] for i, b in nodes.items() if b.s2 == 1}

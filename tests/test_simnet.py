@@ -247,7 +247,7 @@ def test_queue_picks_draw_the_randrange_stream(policy):
             step += 1
             assert queue.pop(step) == ref.pop(step)
             assert queue.rng.getstate() == ref.rng.getstate()
-        assert len(queue) == len(ref)
+        assert len(queue.events) == len(ref)
     while ref:
         step += 1
         assert queue.pop(step) == ref.pop(step)
