@@ -134,12 +134,6 @@ class ProtocolBase:
             self._pump(sends, wake)
         return sends
 
-    def poll_output(self):
-        return self.output
-
-    def is_terminated(self) -> bool:
-        return self.terminated
-
     def _terminate(self, value):
         if not self.terminated:
             self.output = value

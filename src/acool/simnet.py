@@ -146,6 +146,12 @@ class SimConfig:
 class _Queue:
     """Pending deliveries with O(1) policy picks and an aging guarantee.
 
+    Each pending delivery is one record, ``[event, slot in ids]``, plus
+    its slot in ``pref_ids`` under the adversary policy; a swap-remove
+    updates the slot of the record it moves.  ``age`` and the LIFO
+    ``stack`` skip delivered records lazily: delivery clears a record,
+    which marks it and drops its payload while it waits in ``age``.
+
     A random pick draws its index the way ``rng.randrange(len)`` does,
     with the same `getrandbits` rejection loop inlined, so the draws and
     the generator's state are those of `randrange`.
@@ -159,30 +165,24 @@ class _Queue:
         self.adversary = policy == "adversary"
         self.victims = victims
         self.window = window
-        self.events: dict = {}
         self.age: deque = deque()
         self.stack: list = []                # lifo policy only
-        self.ids: list = []
-        self.pos: dict = {}
+        self.ids: list = []                  # every pending record
         self.pref_ids: list = []             # non-victim targets, adversary policy
-        self.pref_pos: dict = {}
-        self.next_id = 0
 
     def push(self, step: int, frm: int, dst: int, msg, rnd: int, tag: str,
              bits: int):
-        eid = self.next_id
-        self.next_id = eid + 1
-        self.events[eid] = (step, frm, dst, msg, rnd, tag, bits)
-        self.age.append(eid)
-        self.pos[eid] = len(self.ids)
-        self.ids.append(eid)
+        ids = self.ids
+        rec = [(step, frm, dst, msg, rnd, tag, bits), len(ids)]
+        ids.append(rec)
+        self.age.append(rec)
         if self.lifo:
-            self.stack.append(eid)
+            self.stack.append(rec)
         elif self.adversary and dst not in self.victims:
-            self.pref_pos[eid] = len(self.pref_ids)
-            self.pref_ids.append(eid)
+            rec.append(len(self.pref_ids))
+            self.pref_ids.append(rec)
 
-    def _pick(self, ids: list) -> int:
+    def _pick(self, ids: list) -> list:
         """ids[rng.randrange(len(ids))], drawing exactly as `randrange`."""
         n = len(ids)
         k = n.bit_length()
@@ -191,35 +191,35 @@ class _Queue:
             r = self.getrandbits(k)
         return ids[r]
 
-    def _remove(self, eid: int):
-        ids, pos = self.ids, self.pos
-        idx = pos.pop(eid)
+    def _remove(self, rec: list) -> tuple:
+        ids = self.ids
         last = ids.pop()
-        if last != eid:
-            ids[idx] = last
-            pos[last] = idx
-        if self.adversary and eid in self.pref_pos:
-            ids, pos = self.pref_ids, self.pref_pos
-            idx = pos.pop(eid)
+        if last is not rec:
+            ids[rec[1]] = last
+            last[1] = rec[1]
+        if len(rec) == 3:                    # also in pref_ids
+            ids = self.pref_ids
             last = ids.pop()
-            if last != eid:
-                ids[idx] = last
-                pos[last] = idx
-        return self.events.pop(eid)
+            if last is not rec:
+                ids[rec[2]] = last
+                last[2] = rec[2]
+        event = rec[0]
+        rec.clear()
+        return event
 
-    def pop(self, step: int):
-        events, age = self.events, self.age
+    def pop(self, step: int) -> tuple:
+        age = self.age
         # aging: anything past the fairness window is delivered first
-        while age and age[0] not in events:
+        while age and not age[0]:
             age.popleft()
         if age:
             oldest = age[0]
-            if step - events[oldest][0] > self.window:
+            if step - oldest[0][0] > self.window:
                 age.popleft()
                 return self._remove(oldest)
         if self.lifo and self.rng.random() < 0.9:
             stack = self.stack
-            while stack and stack[-1] not in events:
+            while stack and not stack[-1]:
                 stack.pop()
             if stack:
                 return self._remove(stack.pop())
@@ -298,7 +298,7 @@ class _Replica(Strategy):
         # have terminated, the strategy sends nothing either
         live, sends = False, []
         for node in self.nodes:
-            live = live or not node.is_terminated()
+            live = live or not node.terminated
             sends.append(node.handle(frm, msg))
         return self._rewrite(*sends) if live else []
 
@@ -588,9 +588,15 @@ def run(config: SimConfig) -> RunReport:
         egress = None                # this sender's row, made on its first count
         total, ideal_total = metrics.total_bits, metrics.ideal_total_bits
         last = object()              # never a sent message, not even None
+        copies = 0                   # counted copies of ``last`` so far
         for dst, msg in sends:
             if msg is not last:
-                # a broadcast lists one object n times: account it once
+                # a broadcast lists one object n times: account each run once
+                if copies:
+                    by_tag[tag] = by_tag.get(tag, 0) + copies * bits
+                    egress[tag] = egress.get(tag, 0) + copies * bits
+                    total += copies * bits
+                    copies = 0
                 last = msg
                 tag = tag_of(msg)
                 bits = payload_bits(msg, sym_bits)
@@ -603,10 +609,13 @@ def run(config: SimConfig) -> RunReport:
                         egress = metrics.egress_by_tag.setdefault(frm, {})
             push(step, frm, dst, msg, rnd, tag, bits)
             if counted:
-                by_tag[tag] = by_tag.get(tag, 0) + bits
-                total += bits
+                copies += 1
+                # per copy: a float product can differ from repeated sums
                 ideal_total += ideal
-                egress[tag] = egress.get(tag, 0) + bits
+        if copies:
+            by_tag[tag] = by_tag.get(tag, 0) + copies * bits
+            egress[tag] = egress.get(tag, 0) + copies * bits
+            total += copies * bits
         metrics.total_bits, metrics.ideal_total_bits = total, ideal_total
 
     # feed inputs in id order; committee outsiders never input
@@ -621,15 +630,14 @@ def run(config: SimConfig) -> RunReport:
         elif i in strategies:
             enqueue(i, strategies[i].on_start(w))
 
-    terminated = {i for i in nodes if nodes[i].is_terminated()}
-    live = len(nodes)
+    live = sum(not node.terminated for node in nodes.values())
     delivered = suppressed = 0
     reason = "cap"
     while step < config.event_cap:
-        if len(terminated) == live:
+        if not live:
             reason = "ok"
             break
-        if not queue.events:
+        if not queue.ids:
             reason = "deadlock"
             break
         enq_step, frm, dst, msg, rnd, tag, bits = queue.pop(step)
@@ -645,9 +653,7 @@ def run(config: SimConfig) -> RunReport:
             continue
         node = nodes.get(dst)
         if node is not None:
-            # a node's state changes only in its own handlers, so the set
-            # holds every terminated node
-            if dst in terminated:
+            if node.terminated:
                 suppressed += 1
                 continue
             if rnd > depth[dst]:
@@ -657,8 +663,8 @@ def run(config: SimConfig) -> RunReport:
             event_log.append((step, frm, dst, tag, bits, rnd))
             if sends:
                 enqueue(dst, sends)
-            if node.is_terminated():
-                terminated.add(dst)
+            if node.terminated:
+                live -= 1
                 term_depth[dst] = depth[dst]
         elif dst in strategies:
             if rnd > depth[dst]:
@@ -669,7 +675,7 @@ def run(config: SimConfig) -> RunReport:
             if sends:
                 enqueue(dst, sends)
     metrics.events_delivered, metrics.events_suppressed = delivered, suppressed
-    if len(terminated) == len(nodes):
+    if not live:
         reason = "ok"
 
     states = [node.introspect() for node in nodes.values()]
@@ -679,9 +685,9 @@ def run(config: SimConfig) -> RunReport:
 
     outputs = {}
     for i in sorted(nodes):
-        out = nodes[i].poll_output()
+        out = nodes[i].output
         outputs[i] = {
-            "terminated": nodes[i].is_terminated(),
+            "terminated": nodes[i].terminated,
             "output": out.hex() if isinstance(out, bytes) else None,
             "bottom": out is BOTTOM,
         }
@@ -699,8 +705,8 @@ def _run_checks(config, nodes, states, inputs, reason) -> dict:
     """Post-hoc safety and agreement assertions over honest final states."""
     outs = []
     for i, node in nodes.items():
-        if node.is_terminated():
-            out = node.poll_output()
+        if node.terminated:
+            out = node.output
             outs.append("\x00bottom" if out is BOTTOM else out)
     consistency = len(set(outs)) <= 1
 

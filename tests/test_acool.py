@@ -201,7 +201,7 @@ def test_ready_decision_zero_terminates_bottom():
     node.input(W)
     for j in (2, 3, 4):
         node.handle(j, Ready(0))
-    assert node.is_terminated() and node.poll_output() is BOTTOM
+    assert node.terminated and node.output is BOTTOM
 
 
 def test_ready_decision_requires_exactly_2t_plus_1():
@@ -219,7 +219,7 @@ def test_ready_decision_one_enters_phase_three():
     node.input(W)
     for j in (2, 3, 4):
         node.handle(j, Ready(1))
-    assert node.ph3 and not node.is_terminated()
+    assert node.ph3 and not node.terminated
 
 
 def test_first_ready_per_sender_counts():
@@ -245,7 +245,7 @@ def test_phase_three_fast_path_outputs_second_instance_message():
         node.handle(j, Si(2, 2, 1))               # vote triple delivered
     for j in (2, 3, 4):
         node.handle(j, Ready(1))
-    assert node.is_terminated() and node.poll_output() == W
+    assert node.terminated and node.output == W
 
 
 def test_phase_three_calibration_path():
@@ -266,7 +266,7 @@ def test_phase_three_calibration_path():
     # own CORRECTSYMBOL loops back, then one more peer share decodes
     node.handle(1, CorrectSymbol(rows[0]))
     node.handle(4, CorrectSymbol(rows[3]))
-    assert node.is_terminated() and node.poll_output() == W
+    assert node.terminated and node.output == W
 
 
 def test_correct_symbol_before_phase_three_is_stored():

@@ -154,7 +154,7 @@ def test_legacy_phase2_success_after_phase_three_wakes_final_decode(checked):
         node.handle(j, Symbol(1, (rows[0], rows[j - 1])))
     for j in (1, 2, 3):
         node.handle(j, Si(1, 1, 1))               # own phase-2 success
-    assert node.terminated and node.poll_output() == w
+    assert node.terminated and node.output == w
     assert len(checked) == 12
 
 
@@ -175,7 +175,7 @@ def test_correct_symbol_that_completes_the_final_decode_terminates(checked):
         node.handle(j, Ready(1))
     assert node.calibrated and node.oec_final.decoded is None
     node.handle(1, CorrectSymbol(rows[0]))        # own symbol loops back
-    assert node.terminated and node.poll_output() == w
+    assert node.terminated and node.output == w
 
 
 def test_phase2_success_before_shared_decode_starts_second_instance(checked):

@@ -46,7 +46,7 @@ def test_rba_decision_zero_outputs_bottom():
     node.input(W)
     for j in range(2, 7):
         node.handle(j, Ready(0))
-    assert node.is_terminated() and node.poll_output() is BOTTOM
+    assert node.terminated and node.output is BOTTOM
 
 
 def test_rba_ready_thresholds_exact():

@@ -1,14 +1,17 @@
 """Simulator harness tests: determinism, fairness, accounting, config."""
 
+import math
 import random
+import weakref
 from collections import deque
 
 import pytest
 
-from acool import field_ecc
+from acool import field_ecc, simnet
 from acool.field_ecc import (
     CodeParams, ResilienceViolation, params_for_message_bits,
 )
+from acool.messages import AbbaIn, AbbaOut, payload_bits, tag_of
 from acool.simnet import (
     ADVERSARIES, SCHEDULERS, SimConfig, Strategy, _AdvCtx, _Queue, run,
     scenario_split_input, sweep,
@@ -247,11 +250,113 @@ def test_queue_picks_draw_the_randrange_stream(policy):
             step += 1
             assert queue.pop(step) == ref.pop(step)
             assert queue.rng.getstate() == ref.rng.getstate()
-        assert len(queue.events) == len(ref)
+        assert len(queue.ids) == len(ref)
     while ref:
         step += 1
         assert queue.pop(step) == ref.pop(step)
     assert queue.rng.getstate() == ref.rng.getstate()
+
+
+class _Payload:
+    """A weakref-able stand-in for a message."""
+
+
+class _IndexOne:
+    """Stub generator: a pick among two or more draws index 1 and LIFO
+    always fires, so the record in slot 0, the oldest, stays to the last."""
+
+    @staticmethod
+    def getrandbits(k):
+        return 1 if k > 1 else 0
+
+    @staticmethod
+    def random():
+        return 0.0
+
+
+@pytest.mark.parametrize("policy", SCHEDULERS)
+def test_queue_drops_delivered_payloads(policy):
+    """A delivered message is not kept alive while its record waits in the
+    aging queue behind an older pending one."""
+    queue = _Queue(_IndexOne(), policy, frozenset(), 10 ** 9)
+    oldest = _Payload()
+    queue.push(0, 1, 1, oldest, 1, "T", 1)
+    refs = []
+    for step in range(200):
+        msg = _Payload()
+        refs.append(weakref.ref(msg))
+        queue.push(step, 1, 2, msg, 1, "T", 1)
+    del msg
+    for step in range(200):
+        queue.pop(step)
+    assert len(queue.ids) == 1
+    assert [ref for ref in refs if ref() is not None] == []
+    assert queue.pop(200)[3] is oldest
+
+
+class _IllTypedBroadcaster(Strategy):
+    """Broadcasts one ill-typed object to every node, then a second one."""
+
+    def on_start(self, w):
+        first, second = object(), _Payload()
+        n = self.ctx.n
+        return ([(dst, first) for dst in range(1, n + 1)]
+                + [(dst, second) for dst in range(1, n + 1)])
+
+
+def _recount(cfg, pushes):
+    """Bit accounting redone per pushed copy, in push order."""
+    params = simnet._make_params(cfg)
+    k_ideal = cfg.t / 3 if cfg.t >= 1 else 1.0
+    ideal_cb = max(cfg.msg_len_bits / k_ideal, math.log2(params.q))
+    byz = set(cfg.byzantine_ids())
+    by_tag, egress, total, ideal_total = {}, {}, 0, 0.0
+    for frm, msg, tag, bits in pushes:
+        assert (tag, bits) == (tag_of(msg), payload_bits(msg, params.symbol_bits))
+        if frm in byz and not cfg.count_byzantine_bits:
+            continue
+        if isinstance(msg, (AbbaIn, AbbaOut)) and not cfg.count_abba_bits:
+            continue
+        by_tag[tag] = by_tag.get(tag, 0) + bits
+        row = egress.setdefault(frm, {})
+        row[tag] = row.get(tag, 0) + bits
+        total += bits
+        ideal_total += payload_bits(msg, ideal_cb)
+    return by_tag, egress, total, ideal_total
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"count_abba_bits": True},
+    {"count_byzantine_bits": True, "adversary": "ready_spammer"},
+    {"count_byzantine_bits": True, "adversary": "random_byzantine"},
+    {"count_byzantine_bits": True, "adversary": "crash_silent"},
+], ids=["default", "abba", "ready_spammer", "random_byzantine", "ill_typed"])
+def test_accounting_equals_a_per_copy_recount(overrides, monkeypatch):
+    """Runs of one message object are accounted exactly as copy by copy."""
+    monkeypatch.setitem(simnet._STRATEGIES, "crash_silent",
+                        _IllTypedBroadcaster)
+    pushes = []
+    push = _Queue.push
+
+    def recorded(self, step, frm, dst, msg, rnd, tag, bits):
+        pushes.append((frm, msg, tag, bits))
+        push(self, step, frm, dst, msg, rnd, tag, bits)
+
+    monkeypatch.setattr(_Queue, "push", recorded)
+    cfg = SimConfig(n=7, t=2, seed=4, msg_len_bits=64, **overrides)
+    metrics = run(cfg).metrics
+    by_tag, egress, total, ideal_total = _recount(cfg, pushes)
+    assert metrics.bits_by_tag == by_tag
+    assert metrics.egress_by_tag == egress
+    assert metrics.total_bits == total
+    assert metrics.ideal_total_bits == ideal_total
+    if cfg.count_byzantine_bits:
+        assert 7 in egress
+    if cfg.adversary == "crash_silent":
+        assert egress[7] == {"OBJECT": 0, "_PAYLOAD": 0}
+    if cfg.count_abba_bits:
+        assert "ABBAIN" in by_tag
 
 
 def _count_codec_calls(monkeypatch):

@@ -31,9 +31,9 @@ def test_outsider_decodes_from_committee_shares():
     node = outsider()
     rows = ecc_encode(P_C, W)
     assert node.handle(1, Shmdm(rows[0])) == []
-    assert not node.is_terminated()
+    assert not node.terminated
     node.handle(2, Shmdm(rows[1]))              # k + t = 2 shares
-    assert node.is_terminated() and node.poll_output() == W
+    assert node.terminated and node.output == W
 
 
 def test_outsider_drops_shares_from_outside_committee():
@@ -41,15 +41,15 @@ def test_outsider_drops_shares_from_outside_committee():
     rows = ecc_encode(P_C, W)
     node.handle(5, Shmdm(rows[0]))
     node.handle(9, Shmdm(rows[1]))
-    assert not node.is_terminated() and not node.oec_final.shares
+    assert not node.terminated and not node.oec_final.shares
 
 
 def test_outsider_bottom_markers_need_t_plus_one():
     node = outsider()
     node.handle(1, Shmdm(None))
-    assert not node.is_terminated()
+    assert not node.terminated
     node.handle(2, Shmdm(None))
-    assert node.is_terminated() and node.poll_output() is BOTTOM
+    assert node.terminated and node.output is BOTTOM
 
 
 def test_outsider_first_message_per_sender_counts():
@@ -58,7 +58,7 @@ def test_outsider_first_message_per_sender_counts():
     node.handle(1, Shmdm(None))
     node.handle(1, Shmdm(rows[0]))              # same sender, now a share
     node.handle(2, Shmdm(rows[1]))
-    assert not node.is_terminated()
+    assert not node.terminated
 
 
 def test_member_disperses_own_share_to_outsiders():
