@@ -30,7 +30,10 @@ class Bua:
     pairs addressed to every node including self, to the caller's list.
     All indicator flags are write-once and guard evaluation order is
     fixed, so replaying the same deliveries always produces the same
-    outcome.
+    outcome.  The instance is quiescent between calls: no guard can
+    fire.  A message handler therefore checks only the guards whose
+    inputs its message changed, and returns 0 if it recorded nothing, 2
+    if it fixed ``s1``, ``s2`` or ``vote``, and 1 otherwise.
     """
 
     def __init__(self, instance: int, params: CodeParams, self_id: int):
@@ -74,8 +77,8 @@ class Bua:
             self._classify(frm, pair, ok)
         self._guards(sends)
 
-    def on_symbol(self, frm: int, pair, sends: list) -> bool:
-        """First SYMBOL from ``frm``; returns whether it was recorded.
+    def on_symbol(self, frm: int, pair, sends: list) -> int:
+        """First SYMBOL from ``frm``; returns 0, 1 or 2 as the class says.
 
         The pair is delivered upward immediately: the enclosing protocol
         consumes received symbol halves and set memberships only, so a
@@ -84,7 +87,7 @@ class Bua:
         link-set classification waits for the local encode.
         """
         if frm in self.symbol_seen:
-            return False
+            return 0
         self.symbol_seen.add(frm)
         valid = self.params.valid_elems
         ok = (isinstance(pair, tuple) and len(pair) == 2
@@ -93,26 +96,49 @@ class Bua:
             self.delivered[frm] = pair
         if self.own_shares is None:
             self.pending.append((frm, pair, ok))
-        else:
-            self._classify(frm, pair, ok)
-            self._guards(sends)
-        return True
+            return 1
+        flags = self.s1, self.s2, self.vote
+        self._classify(frm, pair, ok)
+        self._guards(sends)
+        return 1 + (flags != (self.s1, self.s2, self.vote))
 
-    def on_si(self, phase: int, frm: int, bit: int, sends: list) -> bool:
+    def on_si(self, phase: int, frm: int, bit: int, sends: list) -> int:
         """First SI of phase 1 or 2 from ``frm`` joins the indicator sets;
-        returns whether it was recorded."""
+        returns 0, 1 or 2 as the class says.
+
+        Only the one guard that reads the grown set is checked: phase-1
+        one feeds phase-2 one, phase-1 zero phase-2 zero, and the phase-2
+        sets their votes.  None of those flags is read by another guard.
+        """
         if type(phase) is not int or phase not in (1, 2):
-            return False
+            return 0
         seen = self.si_seen[phase - 1]
         if frm in seen:
-            return False
+            return 0
         seen.add(frm)
-        if phase == 1:
-            (self.S1p1 if bit == 1 else self.S0p1).add(frm)
+        n, t = self.params.n, self.params.t
+        if phase == 2:
+            if bit == 1:
+                self.S1p2.add(frm)
+                if self.vote is None and len(self.S1p2) >= n - t:
+                    self.vote = 1
+                    return 2
+            else:
+                self.S0p2.add(frm)
+                if self.vote is None and len(self.S0p2) >= t + 1:
+                    self.vote = 0
+                    return 2
+        elif bit == 1:
+            self.S1p1.add(frm)
+            if self.s2 is None and self._phase2_one():
+                self._set_s(2, 1, sends)
+                return 2
         else:
-            (self.S1p2 if bit == 1 else self.S0p2).add(frm)
-        self._guards(sends)
-        return True
+            self.S0p1.add(frm)
+            if self.s2 is None and self._phase2_zero():
+                self._set_s(2, 0, sends)
+                return 2
+        return 1
 
     # -- internals -------------------------------------------------------
 
@@ -131,27 +157,35 @@ class Bua:
         Order: phase-1 one, phase-1 zero, phase-2 zero, phase-2 one,
         vote one, vote zero.  Every flag is write-once and the sets only
         grow, so delivery order cannot change which guards eventually fire.
-        A union or intersection is built only when the set sizes alone
-        cannot settle its threshold.
+        A link-set change can fix ``s1`` and then ``s2`` in one pass, so
+        `input` and `on_symbol` run them all.
         """
         n, t = self.params.n, self.params.t
         if self.s1 is None and len(self.L1) >= n - t:
             self._set_s(1, 1, sends)
         if self.s1 is None and len(self.L0) >= t + 1:
             self._set_s(1, 0, sends)
-        s0p1, l0 = self.S0p1, self.L0
-        if self.s2 is None and (
-                self.s1 == 0 or len(s0p1) > t or len(l0) > t
-                or (len(s0p1) + len(l0) > t and len(s0p1 | l0) > t)):
+        if self.s2 is None and self._phase2_zero():
             self._set_s(2, 0, sends)
-        if (self.s2 is None and self.s1 == 1
-                and len(self.S1p1) >= n - t and len(self.L1) >= n - t
-                and len(self.S1p1 & self.L1) >= n - t):
+        if self.s2 is None and self._phase2_one():
             self._set_s(2, 1, sends)
         if self.vote is None and len(self.S1p2) >= n - t:
             self.vote = 1
         if self.vote is None and len(self.S0p2) >= t + 1:
             self.vote = 0
+
+    def _phase2_zero(self) -> bool:
+        """The phase-2 zero threshold; a union is built only when the set
+        sizes alone cannot settle it."""
+        t = self.params.t
+        s0p1, l0 = self.S0p1, self.L0
+        return (self.s1 == 0 or len(s0p1) > t or len(l0) > t
+                or (len(s0p1) + len(l0) > t and len(s0p1 | l0) > t))
+
+    def _phase2_one(self) -> bool:
+        m = self.params.n - self.params.t
+        return (self.s1 == 1 and len(self.S1p1) >= m and len(self.L1) >= m
+                and len(self.S1p1 & self.L1) >= m)
 
     def _set_s(self, phase: int, bit: int, sends: list):
         if phase == 1:

@@ -22,15 +22,18 @@ exact-type dispatch, SYMBOL/SI routing by an exact `int` tag, READY
 tallying, the decision and the final decode.
 
 Handlers are synchronous and deterministic: every inbound event is
-processed to quiescence before the next.  A node is quiescent between
-events: no standing guard can fire.  A message can therefore enable only
-the guards whose inputs its handler changed, so `handle` pumps only when
-a handler reports some, and a node's `_pump` first evaluates only
-those, in the fixed guard order; once any guard fires, every guard runs,
-in the same order, until a full pass fires none.  The sends come out in
-the order a full re-evaluation after every event would give.  All
-cross-node effects travel as returned (destination, message) pairs;
-nothing here touches a network.
+processed to quiescence before the next.  A node and each of its
+unique-agreement instances are quiescent between events: no standing
+guard can fire.  A message can therefore enable only the guards whose
+inputs its handler changed, and a handler reports just the guards its
+delivery can newly fire: a threshold guard when its set reaches the
+threshold, an instance-dependent guard when the instance fixed a flag.
+`handle` pumps only when a handler reports some, and a node's `_pump`
+first evaluates only those, in the fixed guard order; once any guard
+fires, every guard runs, in the same order, until a full pass fires
+none.  The sends come out in the order a full re-evaluation after every
+event would give.  All cross-node effects travel as returned
+(destination, message) pairs; nothing here touches a network.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ class NodeState(NamedTuple):
     quorum_collision: bool        # both READY quorums reached n-t
 
 
-# `AcoolNode._pump`'s guards, one bit each, in evaluation order (`RbaNode`
-# runs its quorum rule on _ABBA_INPUT); a handler returns those it may enable
+# `AcoolNode._pump`'s guards, one bit each, in evaluation order; a handler
+# returns those it can newly fire (`RbaNode`'s quorum rule is _ABBA_INPUT)
 (_NEW_SYMBOL, _ADOPT_W2, _SECOND_INPUT, _ABBA_INPUT, _ABBA_OUTPUT, _READY,
  _DECISION, _FINAL_DECODE) = (1 << i for i in range(8))
 _ALL_GUARDS = (1 << 8) - 1
@@ -82,11 +85,12 @@ class ProtocolBase:
     """One node's lifecycle over its unique-agreement instances.
 
     A subclass fills ``buas`` (SYMBOL/SI tag -> instance; input starts the
-    first) and supplies its extra `_HANDLERS` and ``_pump(sends, wake)``;
-    it may override ``_absorb(bua, frm, msg)``, which folds a delivery an
-    instance recorded into the node's own state.  A handler appends its
-    sends and returns the guards it may have enabled as a bit set, 0 for
-    none; `handle` pumps only on a nonzero wake.
+    first) and supplies its extra `_HANDLERS`, ``_pump(sends, wake)`` and,
+    if it has instances, ``_absorb(bua, frm, msg, fixed)``, which folds a
+    delivery an instance recorded into the node's own state; ``fixed``
+    says whether the instance fixed one of its flags.  A handler appends
+    its sends and returns the guards it can newly fire as a bit set, 0
+    for none; `handle` pumps only on a nonzero wake.
     """
 
     def __init__(self, node_id: int, params: CodeParams):
@@ -154,28 +158,27 @@ class ProtocolBase:
             recorded = bua.on_symbol(frm, msg.pair, sends)
         else:
             recorded = bua.on_si(msg.phase, frm, msg.bit, sends)
-        return self._absorb(bua, frm, msg) if recorded else 0
-
-    def _absorb(self, bua: Bua, frm: int, msg) -> int:
-        """The instance backs the final decode, and its phase-2 sets feed
-        the binary-agreement input (`RbaNode`: the quorum rule)."""
-        return self._absorb_final(bua, frm, msg) | _ABBA_INPUT
+        return self._absorb(bua, frm, msg, recorded == 2) if recorded else 0
 
     def _on_ready(self, frm: int, msg, sends) -> int:
+        """READY sets grow one sender at a time, so the READY guards can
+        newly fire only when one reaches t+1 or 2t+1."""
         bit = msg.bit
         if frm in self.ready_seen or bit not in (0, 1):
             return 0
         self.ready_seen.add(frm)
-        self.ready_from[bit].add(frm)
-        return _READY
+        grown = self.ready_from[bit]
+        grown.add(frm)
+        t = self.params.t
+        return _READY if len(grown) in (t + 1, 2 * t + 1) else 0
 
     def _on_correct_symbol(self, frm: int, msg, sends) -> int:
         elems = msg.elems
         if frm in self.correct_seen or not self.params.valid_elems(elems):
             return 0
         self.correct_seen.add(frm)
-        if not self.oec_final.done:
-            self.oec_final.submit(frm, elems)
+        if self.oec_final.done or self.oec_final.submit(frm, elems) is None:
+            return 0
         return _FINAL_DECODE
 
     _HANDLERS = {
@@ -220,7 +223,7 @@ class ProtocolBase:
 
     def _absorb_final(self, bua: Bua, frm: int, msg) -> int:
         """Fold a delivery the final-decode instance recorded into
-        calibration and decode."""
+        calibration and decode; the guard can fire only in phase three."""
         if type(msg) is Symbol:
             if frm in bua.delivered:
                 self.calib_dirty = True
@@ -230,7 +233,7 @@ class ProtocolBase:
             self.calib_dirty = True
             if msg.bit == 1:
                 self._harvest_final(bua, frm)
-        return _FINAL_DECODE
+        return _FINAL_DECODE if self.ph3 else 0
 
     def _harvest_final(self, bua: Bua, j: int):
         """Store a phase-2-successful peer's own symbol for the final decode."""
@@ -305,9 +308,9 @@ class AcoolNode(ProtocolBase):
         self.skip_brba = skip_brba
         self.legacy = legacy
         self.abba_race = False
-        # guards an instance-1 event can enable; the legacy final decode
+        # guards an instance-1 flag can newly fire; the legacy final decode
         # runs on instance 1
-        self.wake1 = (_NEW_SYMBOL | _ADOPT_W2 | _SECOND_INPUT | _ABBA_INPUT
+        self.wake1 = (_SECOND_INPUT | _ABBA_INPUT
                       | (_FINAL_DECODE if legacy else 0))
 
     # bound in the class body: the perfbench tracer wraps the entry points
@@ -327,12 +330,13 @@ class AcoolNode(ProtocolBase):
         self.newsym_seen.add(frm)
         if not self.params.valid_elems(msg.elems) or frm in self.oec_new:
             return 0
-        self.oec_new.submit(frm, msg.elems)
-        return _ADOPT_W2
+        got = self.oec_new.submit(frm, msg.elems)
+        return _ADOPT_W2 if got is not None else 0
 
     def _on_abba(self, frm: int, msg, sends) -> int:
+        undecided = self.abba.output is None
         sends += self.abba.handle(frm, msg)
-        return _ABBA_OUTPUT
+        return _ABBA_OUTPUT if undecided and self.abba.output is not None else 0
 
     _HANDLERS = {
         **ProtocolBase._HANDLERS,
@@ -342,33 +346,49 @@ class AcoolNode(ProtocolBase):
 
     # -- delivery absorption ------------------------------------------------
 
-    def _absorb(self, bua: Bua, frm: int, msg) -> int:
+    def _absorb(self, bua: Bua, frm: int, msg, fixed: bool) -> int:
         if bua is not self.bua1:
-            return self._absorb_final(bua, frm, msg) | _ABBA_INPUT
-        # fold an instance-1 delivery into the majority table and share decoder
+            wake = self._absorb_final(bua, frm, msg)
+            return wake | _ABBA_INPUT if fixed else wake
+        # fold an instance-1 delivery into the majority table and share
+        # decoder; while starved, the majority guard can newly fire for the
+        # grown group alone, or for any group once the phase-2 zero set grows
+        wake = self.wake1 if fixed else 0
+        elems = None
+        starved = not self.legacy and self.y_major is None and bua.s1 != 1
         if type(msg) is Symbol:
             pair = bua.delivered.get(frm)
             if pair is not None:
-                self.y_table.setdefault(pair[0], set()).add(frm)
+                grp = self.y_table.setdefault(pair[0], set())
+                grp.add(frm)
                 self.y_dirty = True
-                if frm in bua.S1p1 and frm not in self.oec_new:
-                    self.oec_new.submit(frm, pair[1])
+                n, t = self.params.n, self.params.t
+                if (starved and len(grp) >= n - 2 * t
+                        and len(grp) + len(bua.S0p2) >= n - t):
+                    wake |= _NEW_SYMBOL
+                if frm in bua.S1p1:
+                    elems = pair[1]
         elif msg.phase == 1:
             pair = bua.delivered.get(frm) if msg.bit == 1 else None
-            if pair is not None and frm not in self.oec_new:
-                self.oec_new.submit(frm, pair[1])
+            if pair is not None:
+                elems = pair[1]
         elif msg.bit != 1:
             self.y_dirty = True
-        return self.wake1
+            if starved:
+                wake |= _NEW_SYMBOL
+        if (elems is not None and frm not in self.oec_new
+                and self.oec_new.submit(frm, elems) is not None):
+            wake |= _ADOPT_W2
+        return wake
 
     # -- guard cascade -------------------------------------------------------
 
     def _pump(self, sends, wake: int = _ALL_GUARDS):
         """Evaluate the standing guards in fixed order until quiescent.
 
-        ``wake`` holds the guards the last event may have enabled; the
-        node was quiescent before it, so no other guard can fire, and
-        only these are evaluated.  Once one fires, every guard after it
+        ``wake`` holds the guards the last event can newly fire; the node
+        was quiescent before it, so no other guard can fire, and only
+        these are evaluated.  Once one fires, every guard after it
         in that pass and every guard in each later pass is evaluated,
         until a full pass fires none, so the sends and their order are
         those of re-evaluating every guard after every event.

@@ -19,7 +19,7 @@ import logging
 
 from .bua import Bua
 from .field_ecc import CodeParams, OecAccumulator, ecc_encode
-from .messages import Initial, Leader, LeaderMessage, Ready
+from .messages import Initial, Leader, LeaderMessage, Ready, Si
 from .protocol import (
     _ABBA_INPUT, _ALL_GUARDS, _DECISION, _FINAL_DECODE, _READY, NodeState,
     ProtocolBase,
@@ -46,12 +46,22 @@ class RbaNode(ProtocolBase):
         return NodeState(self.oec_final.attempts, ((0, self.bua),), False,
                          self.quorum_collision)
 
+    def _absorb(self, bua: Bua, frm: int, msg, fixed: bool) -> int:
+        """The instance backs the final decode; the quorum rule can newly
+        fire only when a phase-2 set reaches exactly n-t."""
+        wake = self._absorb_final(bua, frm, msg)
+        if type(msg) is Si and msg.phase == 2:
+            grown = bua.S1p2 if msg.bit == 1 else bua.S0p2
+            if len(grown) == self.params.n - self.params.t:
+                wake |= _ABBA_INPUT
+        return wake
+
     def _pump(self, sends, wake: int = _ALL_GUARDS):
         """Evaluate the guards in fixed order until quiescent.
 
-        As in `AcoolNode._pump`, only the guards in ``wake`` are evaluated
-        until one fires; from then on every guard runs until a full pass
-        fires none.
+        As in `AcoolNode._pump`, only the guards in ``wake``, those the
+        last event can newly fire, are evaluated until one fires; from
+        then on every guard runs until a full pass fires none.
         """
         while not self.terminated:
             changed = False

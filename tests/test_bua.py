@@ -267,3 +267,61 @@ def test_unique_agreement_two_camps():
         rng.shuffle(chans)
     winners = {inputs[i] for i, b in nodes.items() if b.s2 == 1}
     assert len(winners) <= 1
+
+
+
+P196 = params_for_message_bits(19, 6, 64)   # k = 2
+
+
+def _random_call(rng, b, own, other, lean):
+    """One random handler call on ``b``: SYMBOL pairs of the own or the
+    other value, malformed pairs, and SI messages with ill-typed or
+    out-of-range phases and bits; ``lean`` is the usual SI bit."""
+    frm = rng.randrange(1, b.params.n + 1)
+    if rng.random() < 0.4:
+        roll = rng.random()
+        if roll < 0.8:
+            w = own if rng.random() < 0.9 else other
+            pair = pair_for(b.params, w, frm, b.self_id)
+        elif roll < 0.9:
+            pair = pair_for(b.params, own, frm, b.self_id)[:1]
+        else:
+            pair = rng.choice((None, "ab", (1, 2), ((1.0,), (2,))))
+        return lambda sends: b.on_symbol(frm, pair, sends)
+    phase = (rng.choice((1, 2)) if rng.random() < 0.9
+             else rng.choice((0, 3, True, 1.0, None)))
+    bit = lean if rng.random() < 0.8 else rng.choice((0, 1, 2, True, 0.0, None))
+    return lambda sends: b.on_si(phase, frm, bit, sends)
+
+
+def test_handlers_leave_the_instance_quiescent_and_report_fixes():
+    """After every handler call a full guard pass fires nothing, and the
+    return value is falsy exactly when nothing was recorded and 2 exactly
+    when ``s1``, ``s2`` or ``vote`` changed."""
+    rng = random.Random(14)
+    reached = set()
+    for params in (P41, P196):
+        for trial in range(200):
+            b = fresh(rng.randrange(1, params.n + 1), params)
+            own, other = (b"m1", b"m2") if trial % 2 else (b"m2", b"m1")
+            steps = 8 * params.n
+            input_at = rng.choice((0, rng.randrange(steps), None))
+            lean = rng.choice((0, 1))
+            for step in range(steps):
+                if step == input_at:
+                    b.input(own, [])
+                call = _random_call(rng, b, own, other, lean)
+                seen = (len(b.symbol_seen), *map(len, b.si_seen))
+                flags = (b.s1, b.s2, b.vote)
+                got = call([])
+                recorded = seen != (len(b.symbol_seen), *map(len, b.si_seen))
+                assert bool(got) == recorded
+                assert (got == 2) == (flags != (b.s1, b.s2, b.vote))
+                flags, extra = (b.s1, b.s2, b.vote), []
+                b._guards(extra)
+                assert extra == [] and (b.s1, b.s2, b.vote) == flags
+            reached |= {(params.n, "s1", b.s1), (params.n, "s2", b.s2),
+                        (params.n, "vote", b.vote)}
+    assert reached == {(n, flag, bit) for n in (4, 19)
+                       for flag in ("s1", "s2", "vote")
+                       for bit in (None, 0, 1)}

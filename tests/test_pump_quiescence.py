@@ -1,16 +1,18 @@
 """The woken-guard pump leaves every node quiescent.
 
-`ProtocolBase.handle` pumps only when a handler reports that it may have
-enabled a guard, and `AcoolNode._pump` and `RbaNode._pump` then evaluate
-only the guards that handler can enable.  That is sound only if no other guard could fire:
-after each `handle` call on a live node, a full cascade over every guard
-must send nothing and change no flag.  The check runs over the
-acceptance-grid slice (every strategy and scheduler at n = 4, 7 and 10,
-equal inputs and two camps, both binary-agreement hints), over the
-wirings the grid leaves out, and over reliable agreement and broadcast
-(balanced and unbalanced dispersal, honest and Byzantine leader),
-Byzantine replicas included.  Scripted flows cover the wake bits no run
-of those needs.
+`ProtocolBase.handle` pumps only when a handler reports a guard its
+delivery can newly fire, and `AcoolNode._pump` and `RbaNode._pump` then
+evaluate only the guards that handler reported.  That is sound only if
+no other guard could fire: after each `handle` call on a live node, a
+full cascade over every guard must send nothing and change no flag.
+The check runs over the acceptance-grid slice (every strategy and
+scheduler at n = 4, 7 and 10, equal inputs and two camps, both
+binary-agreement hints), over cells whose code dimension k is 2 and 3,
+over the wirings the grid leaves out, and over reliable agreement and
+broadcast (balanced and unbalanced dispersal, honest and Byzantine
+leader), Byzantine replicas included.  Scripted flows cover the wake
+bits no run of those needs, and the wake pin checks that the node pumps
+on few of its deliveries without losing a pump that changes state.
 """
 
 from dataclasses import replace
@@ -20,7 +22,7 @@ import pytest
 from acool.aba import OracleAbba
 from acool.field_ecc import ecc_encode, params_for_message_bits
 from acool.messages import CorrectSymbol, NewSymbol, Ready, Si, Symbol
-from acool.protocol import AcoolNode
+from acool.protocol import _ALL_GUARDS, AcoolNode
 from acool.rba_rbc import RbaNode, RbcNode
 from acool.simnet import (
     ADVERSARIES, SCHEDULERS, SimConfig, run, scenario_split_input,
@@ -47,6 +49,24 @@ def _grid():
                     yield replace(equal, inputs={
                         i: camp_a if i <= n // 2 else camp_b
                         for i in range(1, n + 1)})
+
+
+def _wide():
+    """Cells where a codeword is not the message repeated: (19, 6) has
+    k = 2 and (28, 9) k = 3, under every strategy and scheduler with two
+    camps; and one clean run at n = 49, t = 16, the geometry of the
+    scaling benchmark."""
+    for n, t in ((19, 6), (28, 9)):
+        for adversary in ADVERSARIES:
+            for scheduler in SCHEDULERS:
+                config = SimConfig(n=n, t=t, seed=n, msg_len_bits=64,
+                                   adversary=adversary, scheduler=scheduler)
+                camp_a = config.default_message(1)
+                camp_b = config.default_message(2)
+                yield replace(config, inputs={
+                    i: camp_a if i <= n // 2 else camp_b
+                    for i in range(1, n + 1)})
+    yield SimConfig(n=49, t=16, seed=0, msg_len_bits=256)
 
 
 def _variants():
@@ -114,8 +134,9 @@ def checked_rb(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("configs,runs", [(_grid, 252), (_variants, 90)],
-                         ids=["accept-grid", "variants"])
+@pytest.mark.parametrize("configs,runs",
+                         [(_grid, 252), (_wide, 43), (_variants, 90)],
+                         ids=["accept-grid", "k-ge-2", "variants"])
 def test_full_cascade_after_every_delivery_changes_nothing(configs, runs,
                                                            checked):
     done = 0
@@ -193,3 +214,46 @@ def test_phase2_success_before_shared_decode_starts_second_instance(checked):
         node.handle(j, Si(1, 1, 1))
     assert node.bua1.s2 == 1 and node.oec_new.decoded is None
     assert node.w2 == w and node.bua2.w == w
+
+
+def test_wake_pin_clean_n49_pumps_rarely_and_keeps_every_state_change(
+        monkeypatch):
+    """A clean n = 49 run pumps on at most a fifth of its deliveries, and
+    pumps that change state exactly as often as pumping every guard after
+    every delivery does."""
+    config = SimConfig(n=49, t=16, seed=0, msg_len_bits=256)
+    pump, handle = AcoolNode._pump, AcoolNode.handle
+
+    def count(totals):
+        def counted_pump(self, sends, wake=_ALL_GUARDS):
+            before, sent = _acool_state(self), len(sends)
+            pump(self, sends, wake)
+            totals["pumps"] += 1
+            if _acool_state(self) != before or len(sends) != sent:
+                totals["changed"] += 1
+        return counted_pump
+
+    def counted_handle(self, frm, msg):
+        precise["handles"] += 1
+        return handle(self, frm, msg)
+
+    precise = {"pumps": 0, "changed": 0, "handles": 0}
+    monkeypatch.setattr(AcoolNode, "_pump", count(precise))
+    monkeypatch.setattr(AcoolNode, "handle", counted_handle)
+    report = run(config)
+    handles = precise["handles"]
+
+    def wake_all(on):
+        def handler(self, frm, msg, sends):
+            on(self, frm, msg, sends)
+            return _ALL_GUARDS
+        return handler
+
+    every = {"pumps": 0, "changed": 0}
+    monkeypatch.setattr(AcoolNode, "_pump", count(every))
+    monkeypatch.setattr(AcoolNode, "_HANDLERS", {
+        kind: wake_all(on) for kind, on in AcoolNode._HANDLERS.items()})
+    assert run(config) == report
+    assert report.reason == "ok" and all(report.checks.values())
+    assert every["pumps"] >= handles > 5 * precise["pumps"]
+    assert precise["changed"] == every["changed"] > 0
