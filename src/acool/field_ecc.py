@@ -11,6 +11,8 @@ errors through `decode_elements` and `_decode_chunk`, and
 `OecAccumulator` is the accumulate-and-retry loop of the agreement
 protocols.  Encoding and the clean decode path pack one lane per chunk
 into one int (Kronecker substitution, see `CodeParams.lane_code`).
+Lagrange interpolation only fits chunks on an index set known to be
+clean (`_fit`); the key-equation fold does every correction.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, zip_longest
-from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
 
 log = logging.getLogger(__name__)
@@ -334,17 +335,6 @@ def _lagrange(xs: Sequence[int], q: int) -> tuple:
     return columns, weights
 
 
-def _interpolate(xs: Sequence[int], ys: Sequence[int], q: int,
-                 lagrange: Optional[tuple] = None) -> list:
-    """Lagrange interpolation; returns ascending coefficients, len(xs) of them.
-
-    ``lagrange`` is `_lagrange` of ``xs`` when the caller already has it.
-    """
-    columns, weights = lagrange or _lagrange(xs, q)
-    scaled = [y * w for y, w in zip(ys, weights)]
-    return [sum(map(mul, scaled, col)) % q for col in columns]
-
-
 def _poly_eval(coeffs: Sequence[int], x: int, q: int) -> int:
     acc = 0
     for c in reversed(coeffs):
@@ -419,7 +409,6 @@ def _fold(basis: list, x: int, y: int, q: int) -> None:
 
 def _decode_chunk(xs: Sequence[int], ys: Sequence[int], k: int, q: int,
                   max_errors: Optional[int] = None,
-                  head: Optional[tuple] = None,
                   basis: Optional[Callable[[], list]] = None) -> tuple:
     """Recover the degree-(k-1) polynomial behind m >= k noisy evaluations.
 
@@ -446,12 +435,10 @@ def _decode_chunk(xs: Sequence[int], ys: Sequence[int], k: int, q: int,
     a scalar, so the answer is that of any exact bounded-distance
     decoder, whatever the order of the shares.
 
-    A one-shot decode first fits the first k shares and returns at once
-    if every share agrees (``head`` is `_lagrange` of ``xs[:k]`` when the
-    caller already has it); otherwise it folds every share into a fresh
-    basis.  ``basis`` instead returns the basis already folded over
-    exactly these shares, for a caller that carries it across attempts
-    (see `OecAccumulator`); it answers every attempt directly.
+    One-shot or carried, every correction is this fold: a one-shot
+    decode folds every share into a fresh basis, while ``basis`` returns
+    the basis already folded over exactly these shares, for a caller
+    that carries it across attempts (see `OecAccumulator`).
     """
     m = len(xs)
     if m < k:
@@ -460,12 +447,6 @@ def _decode_chunk(xs: Sequence[int], ys: Sequence[int], k: int, q: int,
     if max_errors is not None:
         e = max(0, min(e, max_errors))
     if basis is None:
-        # Zero-error fast path: fit the first k points and check the rest.
-        p = _interpolate(xs[:k], ys[:k], q, head)
-        if all(_poly_eval(p, x, q) == y for x, y in zip(xs, ys)):
-            return p, list(xs)
-        if not e:
-            raise DecodeFailure("inconsistent shares with no correction margin")
         folded = _key_basis(k)
         for x, y in zip(xs, ys):
             _fold(folded, x, y, q)
@@ -486,26 +467,21 @@ def _decode_chunk(xs: Sequence[int], ys: Sequence[int], k: int, q: int,
 
 
 def _fit(params: CodeParams, shares: Mapping[int, Sequence[int]],
-         seed: Sequence[int], chunks: Sequence[int], coeffs: list,
-         head: tuple) -> list:
-    """Try ``seed`` as the error-free indices of every chunk in ``chunks``.
+         seed: Sequence[int], chunks: Sequence[int], coeffs: list) -> list:
+    """Try ``seed``, known clean for some chunk, on every chunk in ``chunks``.
 
     One Lagrange interpolation on the first k seed indices fits all those
     chunks at once, and each candidate is checked at every seed index.
     Each candidate is written to ``coeffs`` (coeffs[d][c] is the degree-d
     coefficient of chunk c); the chunks whose candidate fails are returned
-    in order.  ``head`` is (indices, `_lagrange` of them or None) from an
-    earlier build; it is used when the indices are the first k seed indices.
+    in order.
     """
     if not chunks:
         return []
     k, q, lanes = params.k, params.q, len(chunks)
     whole = lanes == params.chunks
     ys = [_pack(params, [shares[x][c] % q for c in chunks]) for x in seed[:k]]
-    head_xs, lagrange = head
-    if lagrange is None or seed[:k] != head_xs:
-        lagrange = _lagrange(seed[:k], q)
-    columns, weights = lagrange
+    columns, weights = _lagrange(seed[:k], q)
     fitted = []                  # fitted[d][j]: degree-d coefficient of chunks[j]
     for d, col in enumerate(columns):
         acc = 0
@@ -546,31 +522,27 @@ def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
     so it is the unique codeword there that full correction would return.
     A share element outside [0, q) never matches, so it counts as an
     error in its chunk.  The support is the clean indices that every
-    chunk's codeword matches.  ``chunk0_basis`` is chunk 0's carried
-    key-equation basis (see `_decode_chunk`).  Without it, the Lagrange
-    basis of the first k indices, which chunk 0's fast path builds, is
-    built once and reused wherever the same k indices come up again: in
-    every later fast path, and in `_fit` whenever the seed starts with
-    them, as it does on every clean decode.
+    chunk's codeword matches.  Every full correction folds the key
+    equation (see `_decode_chunk`), chunk 0's into ``chunk0_basis`` when
+    the caller carries one.
     """
     xs = sorted(shares)
     if not xs or xs[0] < 1 or xs[-1] > params.n:
         raise DecodeFailure("share indices outside 1..n")
     k, q = params.k, params.q
-    head = (xs[:k], None if chunk0_basis else _lagrange(xs[:k], q))
     _, seed = _decode_chunk(xs, [shares[x][0] for x in xs], k, q, max_errors,
-                            head[1], chunk0_basis)
+                            chunk0_basis)
     support = set(seed)
     coeffs = [None] * k          # coeffs[d][c]: degree-d coefficient of chunk c
-    failing = _fit(params, shares, seed, range(params.chunks), coeffs, head)
+    failing = _fit(params, shares, seed, range(params.chunks), coeffs)
     while failing:
         c = failing[0]
         p, seed = _decode_chunk(xs, [shares[x][c] for x in xs], k, q,
-                                max_errors, head[1])
+                                max_errors)
         for d in range(k):
             coeffs[d][c] = p[d]
         support.intersection_update(seed)
-        failing = _fit(params, shares, seed, failing[1:], coeffs, head)
+        failing = _fit(params, shares, seed, failing[1:], coeffs)
     data = [coeffs[d][c] for c in range(params.chunks) for d in range(k)]
     return data, support
 

@@ -106,7 +106,6 @@ class ProtocolBase:
         self.calibrated = False
         self.calib_dirty = False
         self.oec_final = OecAccumulator(params)
-        self.correct_seen: set = set()
         self.output = None                        # None | bytes | BOTTOM
         self.terminated = False
 
@@ -173,11 +172,9 @@ class ProtocolBase:
         return _READY if len(grown) in (t + 1, 2 * t + 1) else 0
 
     def _on_correct_symbol(self, frm: int, msg, sends) -> int:
-        elems = msg.elems
-        if frm in self.correct_seen or not self.params.valid_elems(elems):
-            return 0
-        self.correct_seen.add(frm)
-        if self.oec_final.done or self.oec_final.submit(frm, elems) is None:
+        acc = self.oec_final
+        if (acc.done or frm in acc or not self.params.valid_elems(msg.elems)
+                or acc.submit(frm, msg.elems) is None):
             return 0
         return _FINAL_DECODE
 

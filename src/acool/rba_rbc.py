@@ -109,7 +109,6 @@ class RbcNode(RbaNode):
         self.balanced = balanced
         self.initial_acc = OecAccumulator(params, accept=lambda m: len(m) > 0)
         self.leader_seen = False
-        self.initial_seen: set = set()
 
     handle = ProtocolBase.handle
 
@@ -141,13 +140,12 @@ class RbcNode(RbaNode):
         return 0
 
     def _on_initial(self, frm: int, msg, sends) -> int:
-        if (self.balanced and frm not in self.initial_seen
+        acc = self.initial_acc
+        if (self.balanced and not acc.done and frm not in acc
                 and self.params.valid_elems(msg.elems)):
-            self.initial_seen.add(frm)
-            if not self.initial_acc.done:
-                got = self.initial_acc.submit(frm, msg.elems)
-                if got is not None:
-                    sends += ProtocolBase.input(self, got)
+            got = acc.submit(frm, msg.elems)
+            if got is not None:
+                sends += ProtocolBase.input(self, got)
         return 0
 
     def _on_leader_message(self, frm: int, msg, sends) -> int:

@@ -278,11 +278,28 @@ def test_correct_symbol_before_phase_three_is_stored():
 
 
 def test_correct_symbol_duplicates_dropped():
+    """A sender's first valid share is kept.  An invalid share does not use
+    up its sender; a repeat, or a share already harvested from instance 2,
+    is dropped without a wake."""
     node = fresh()
     node.input(W)
     rows = rows_for(W)
+    other = rows_for(b"zz")
     node.handle(2, CorrectSymbol(rows[1]))
-    node.handle(2, CorrectSymbol(rows_for(b"zz")[1]))
+    node.handle(2, CorrectSymbol(other[1]))
+    assert node.oec_final.shares[2] == rows[1]
+    node.handle(3, CorrectSymbol((P41.q,) + rows[2][1:]))   # out of range
+    node.handle(3, CorrectSymbol(rows[2]))
+    assert node.oec_final.shares[3] == rows[2]
+
+    node = fresh()
+    node.input(W)
+    node.handle(2, NewSymbol(rows[1]))
+    node.handle(3, NewSymbol(rows[2]))
+    node.handle(2, Symbol(2, (rows[0], rows[1])))
+    node.handle(2, Si(2, 2, 1))                  # harvested from instance 2
+    assert node.oec_final.shares[2] == rows[1]
+    assert node._on_correct_symbol(2, CorrectSymbol(other[1]), []) == 0
     assert node.oec_final.shares[2] == rows[1]
 
 

@@ -54,23 +54,30 @@ def unpack_message(params, elems):
 
 
 def one_shot(xs, ys, k, q, max_errors, rng=None):
-    """`_decode_chunk`'s polynomial from scratch, or DecodeFailure."""
+    """`_decode_chunk`'s ``(p, agree)`` from scratch, or DecodeFailure."""
     try:
-        return _decode_chunk(xs, ys, k, q, max_errors)[0]
+        return _decode_chunk(xs, ys, k, q, max_errors)
     except DecodeFailure:
         return DecodeFailure
 
 
 def carried(xs, ys, k, q, max_errors, rng):
-    """`_decode_chunk`'s polynomial from a basis folded in shuffled order,
-    as an accumulator carries it, or DecodeFailure."""
+    """`_decode_chunk`'s ``(p, agree)`` from a basis folded in shuffled
+    order, as an accumulator carries it, or DecodeFailure."""
     basis = _key_basis(k)
     for i in rng.sample(range(len(xs)), len(xs)):
         _fold(basis, xs[i], ys[i], q)
     try:
-        return _decode_chunk(xs, ys, k, q, max_errors, None, lambda: basis)[0]
+        return _decode_chunk(xs, ys, k, q, max_errors, basis=lambda: basis)
     except DecodeFailure:
         return DecodeFailure
+
+
+def with_agreement(p, xs, ys, q):
+    """``(p, the x whose y equals p(x))``; DecodeFailure passes through."""
+    if p is DecodeFailure:
+        return p
+    return p, [x for x, y in zip(xs, ys) if ref_eval(p, x, q) == y]
 
 
 def test_derive_params_min_system():
@@ -130,7 +137,7 @@ def test_gf7_oracle_agreement_sampled():
         ys = [shares[x][0] for x in xs]
         for decode in (one_shot, carried):
             got = decode(xs, ys, 2, 7, None, rng)
-            assert got == (expect or DecodeFailure)
+            assert got == with_agreement(expect or DecodeFailure, xs, ys, 7)
 
 
 def test_roundtrip_with_corruption():
@@ -601,8 +608,8 @@ def test_decode_chunk_matches_berlekamp_welch(n, k, monkeypatch):
                 want = DecodeFailure
             for decode in (one_shot, carried):
                 del divisions[:]
-                assert decode(xs, ys, k, q, max_errors, rng) == want, (
-                    m, kind, max_errors, decode.__name__)
+                assert decode(xs, ys, k, q, max_errors, rng) == with_agreement(
+                    want, xs, ys, q), (m, kind, max_errors, decode.__name__)
                 if kind == "e + 1" and 2 * (radius + 1) + k <= m:
                     assert want is DecodeFailure and divisions == []
                     on_degree += 1

@@ -169,6 +169,8 @@ def test_rbc_follower_echoes_leader_share():
 
 
 def test_rbc_follower_reconstructs_from_initials():
+    """Each sender's first valid INITIAL counts; a repeat is ignored before
+    and after the decode, and starts no decode attempt."""
     node = RbcNode(2, P72, leader=1, balanced=True)
     rows = rows_for(W)
     sends = []
@@ -176,6 +178,16 @@ def test_rbc_follower_reconstructs_from_initials():
         sends += node.handle(j, Initial(rows[j - 1]))
     assert node.w_input == W
     assert any(isinstance(m, Symbol) for _, m in sends)  # agreement started
+    attempts = node.initial_acc.attempts
+    assert node.handle(3, Initial(rows[2])) == []
+    assert node.initial_acc.attempts == attempts
+
+    node = RbcNode(2, P72, leader=1, balanced=True)
+    other = rows_for(b"zz")
+    for j, share in ((1, rows[0]), (2, rows[1]), (3, other[2]), (3, rows[2])):
+        node.handle(j, Initial(share))
+    acc = node.initial_acc                         # one wrong share of three
+    assert (acc.attempts, acc.done, acc.shares[3]) == (1, False, other[2])
 
 
 def test_rbc_empty_decode_rejected_by_guard():
