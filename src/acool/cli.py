@@ -24,6 +24,9 @@ from .simnet import (
     ADVERSARIES, PROTOCOLS, SCHEDULERS, SCENARIOS, SimConfig, run, sweep,
 )
 
+# `--protocol auto` runs the committee once n >= SMALL_T_RATIO * (3t+1)
+SMALL_T_RATIO = 2.0
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -43,11 +46,8 @@ def _env_flag(name: str) -> bool:
 def _add_common(p: _Parser):
     p.add_argument("--protocol", choices=PROTOCOLS + ("auto",),
                    default=_env("protocol", "acool"),
-                   help="auto picks small_t once n reaches the committee "
-                        "ratio threshold")
-    p.add_argument("--small-t-ratio", type=float,
-                   default=_env("small_t_ratio", 2.0),
-                   help="auto selects small_t when n >= ratio * (3t+1)")
+                   help=f"auto picks small_t once n >= {SMALL_T_RATIO:g} * "
+                        "(3t+1)")
     p.add_argument("--n", type=int, default=_env("n", 4))
     p.add_argument("--t", type=int, default=_env("t", None),
                    help="fault bound; default floor((n-1)/3)")
@@ -84,7 +84,7 @@ def _config_from(args, seed=None) -> SimConfig:
     t = args.t if args.t is not None else (args.n - 1) // 3
     protocol = args.protocol
     if protocol == "auto":
-        protocol = ("small_t" if args.n >= args.small_t_ratio * (3 * t + 1)
+        protocol = ("small_t" if args.n >= SMALL_T_RATIO * (3 * t + 1)
                     else "acool")
     return SimConfig(
         n=args.n, t=t, seed=args.seed if seed is None else seed,

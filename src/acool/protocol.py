@@ -39,7 +39,7 @@ event would give.  All cross-node effects travel as returned
 from __future__ import annotations
 
 import logging
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .bua import Bua
 from .field_ecc import CodeParams, OecAccumulator
@@ -65,15 +65,6 @@ class _Bottom:
 BOTTOM = _Bottom()
 
 
-class NodeState(NamedTuple):
-    """What the simulator reads from a node once its run is over."""
-
-    decode_attempts: int          # over every share accumulator of the node
-    buas: tuple                   # (SYMBOL/SI tag, Bua) of each instance
-    abba_race: bool               # both binary-agreement input rules fired
-    quorum_collision: bool        # both READY quorums reached n-t
-
-
 # `AcoolNode._pump`'s guards, one bit each, in evaluation order; a handler
 # returns those it can newly fire (`RbaNode`'s quorum rule is _ABBA_INPUT)
 (_NEW_SYMBOL, _ADOPT_W2, _SECOND_INPUT, _ABBA_INPUT, _ABBA_OUTPUT, _READY,
@@ -90,8 +81,12 @@ class ProtocolBase:
     delivery an instance recorded into the node's own state; ``fixed``
     says whether the instance fixed one of its flags.  A handler appends
     its sends and returns the guards it can newly fire as a bit set, 0
-    for none; `handle` pumps only on a nonzero wake.
+    for none; `handle` pumps only on a nonzero wake.  After a run the
+    simulator reads ``buas``, ``accumulators`` and the two flags below.
     """
+
+    abba_race = False             # both binary-agreement input rules fired
+    quorum_collision = False      # both READY quorums reached n-t
 
     def __init__(self, node_id: int, params: CodeParams):
         self.node_id = node_id
@@ -99,13 +94,13 @@ class ProtocolBase:
         self.buas: dict = {}                      # SYMBOL/SI tag -> Bua
         self.w_input: Optional[bytes] = None
         self.ready_sent: Optional[int] = None     # bit sent, None if not yet
-        self.ready_seen: set = set()
         self.ready_from = {0: set(), 1: set()}
         self.v_out: Optional[int] = None
         self.ph3 = False
         self.calibrated = False
         self.calib_dirty = False
         self.oec_final = OecAccumulator(params)
+        self.accumulators = (self.oec_final,)    # every share accumulator
         self.output = None                        # None | bytes | BOTTOM
         self.terminated = False
 
@@ -163,10 +158,10 @@ class ProtocolBase:
         """READY sets grow one sender at a time, so the READY guards can
         newly fire only when one reaches t+1 or 2t+1."""
         bit = msg.bit
-        if frm in self.ready_seen or bit not in (0, 1):
+        ready_from = self.ready_from
+        if frm in ready_from[0] or frm in ready_from[1] or bit not in (0, 1):
             return 0
-        self.ready_seen.add(frm)
-        grown = self.ready_from[bit]
+        grown = ready_from[bit]
         grown.add(frm)
         t = self.params.t
         return _READY if len(grown) in (t + 1, 2 * t + 1) else 0
@@ -298,13 +293,13 @@ class AcoolNode(ProtocolBase):
         self.abba_in: Optional[int] = None
         self.w2: Optional[bytes] = None            # derived second input
         self.oec_new = OecAccumulator(params)
+        self.accumulators = (self.oec_new, self.oec_final)
         self.y_table: dict = {}                    # symbol value -> senders
         self.y_major = None
         self.y_dirty = False
         self.newsym_seen: set = set()
         self.skip_brba = skip_brba
         self.legacy = legacy
-        self.abba_race = False
         # guards an instance-1 flag can newly fire; the legacy final decode
         # runs on instance 1
         self.wake1 = (_SECOND_INPUT | _ABBA_INPUT
@@ -314,10 +309,6 @@ class AcoolNode(ProtocolBase):
     # each class holds itself
     input = ProtocolBase.input
     handle = ProtocolBase.handle
-
-    def introspect(self) -> NodeState:
-        return NodeState(self.oec_new.attempts + self.oec_final.attempts,
-                         tuple(self.buas.items()), self.abba_race, False)
 
     # -- message handlers ----------------------------------------------------
 

@@ -21,8 +21,7 @@ from .bua import Bua
 from .field_ecc import CodeParams, OecAccumulator, ecc_encode
 from .messages import Initial, Leader, LeaderMessage, Ready, Si
 from .protocol import (
-    _ABBA_INPUT, _ALL_GUARDS, _DECISION, _FINAL_DECODE, _READY, NodeState,
-    ProtocolBase,
+    _ABBA_INPUT, _ALL_GUARDS, _DECISION, _FINAL_DECODE, _READY, ProtocolBase,
 )
 
 log = logging.getLogger(__name__)
@@ -35,16 +34,11 @@ class RbaNode(ProtocolBase):
         super().__init__(node_id, params)
         self.bua = Bua(0, params, node_id)
         self.buas = {0: self.bua}
-        self.quorum_collision = False
 
     # bound in the class body: the perfbench tracer wraps the entry points
     # each class holds itself
     input = ProtocolBase.input
     handle = ProtocolBase.handle
-
-    def introspect(self) -> NodeState:
-        return NodeState(self.oec_final.attempts, ((0, self.bua),), False,
-                         self.quorum_collision)
 
     def _absorb(self, bua: Bua, frm: int, msg, fixed: bool) -> int:
         """The instance backs the final decode; the quorum rule can newly
@@ -108,14 +102,10 @@ class RbcNode(RbaNode):
         self.leader = leader
         self.balanced = balanced
         self.initial_acc = OecAccumulator(params, accept=lambda m: len(m) > 0)
+        self.accumulators = (self.initial_acc, self.oec_final)
         self.leader_seen = False
 
     handle = ProtocolBase.handle
-
-    def introspect(self) -> NodeState:
-        state = super().introspect()
-        return state._replace(decode_attempts=self.initial_acc.attempts
-                              + state.decode_attempts)
 
     def input(self, w: bytes):
         sends: list = []

@@ -16,7 +16,8 @@ Metrics account payload bits per message tag for honest senders only
 (Byzantine and binary-agreement side-channel bits are opt-in), per-node
 egress, decode attempts, and the causal-round depth (longest message
 chain) reached at honest termination.  A message's tag and bits are
-computed once, when it is sent; nodes are read through `introspect()`.
+computed once, when it is sent, into its sender's egress row, the only
+bit tally; after a run, node attributes are read directly.
 """
 
 from __future__ import annotations
@@ -98,6 +99,8 @@ class SimConfig:
             raise ValueError("Byzantine id outside 1..n")
         if self.protocol == "rbc" and not 1 <= self.leader <= self.n:
             raise ValueError("leader outside 1..n")
+        if self.fairness_window is not None and self.fairness_window < 0:
+            raise ValueError("negative fairness window")
 
     def byzantine_ids(self) -> tuple:
         if self.byzantine is not None:
@@ -110,7 +113,8 @@ class SimConfig:
         return tuple(range(self.n - self.t + 1, self.n + 1))
 
     def window(self) -> int:
-        return self.fairness_window or 8 * self.n * self.n
+        w = self.fairness_window
+        return 8 * self.n * self.n if w is None else w
 
     def default_message(self, salt: int = 0) -> bytes:
         nbytes = max(1, self.msg_len_bits // 8)
@@ -148,9 +152,10 @@ class _Queue:
 
     Each pending delivery is one record, ``[event, slot in ids]``, plus
     its slot in ``pref_ids`` under the adversary policy; a swap-remove
-    updates the slot of the record it moves.  ``age`` and the LIFO
-    ``stack`` skip delivered records lazily: delivery clears a record,
-    which marks it and drops its payload while it waits in ``age``.
+    updates the slot of the record it moves.  ``age`` holds every record
+    in push order and skips delivered ones lazily at both ends: delivery
+    clears a record, which marks it and drops its payload while it waits
+    there.  Aging reads its left end, a LIFO pick its right end.
 
     A random pick draws its index the way ``rng.randrange(len)`` does,
     with the same `getrandbits` rejection loop inlined, so the draws and
@@ -166,7 +171,6 @@ class _Queue:
         self.victims = victims
         self.window = window
         self.age: deque = deque()
-        self.stack: list = []                # lifo policy only
         self.ids: list = []                  # every pending record
         self.pref_ids: list = []             # non-victim targets, adversary policy
 
@@ -176,9 +180,7 @@ class _Queue:
         rec = [(step, frm, dst, msg, rnd, tag, bits), len(ids)]
         ids.append(rec)
         self.age.append(rec)
-        if self.lifo:
-            self.stack.append(rec)
-        elif self.adversary and dst not in self.victims:
+        if self.adversary and dst not in self.victims:
             rec.append(len(self.pref_ids))
             self.pref_ids.append(rec)
 
@@ -218,11 +220,9 @@ class _Queue:
                 age.popleft()
                 return self._remove(oldest)
         if self.lifo and self.rng.random() < 0.9:
-            stack = self.stack
-            while stack and not stack[-1]:
-                stack.pop()
-            if stack:
-                return self._remove(stack.pop())
+            while not age[-1]:
+                age.pop()
+            return self._remove(age.pop())
         if self.adversary and self.pref_ids:
             return self._remove(self._pick(self.pref_ids))
         return self._remove(self._pick(self.ids))
@@ -524,18 +524,15 @@ def run(config: SimConfig) -> RunReport:
     byz = frozenset(config.byzantine_ids())
     honest = [i for i in range(1, config.n + 1) if i not in byz]
     coin = CoinOracle(_subseed(config.seed, "coin"))
-    abba_count = [0]
 
-    def abba_for(node_id, counted=True):
-        if counted:
-            abba_count[0] += 1
+    def abba_for(node_id):
         if config.abba == "coin":
             return CoinAbba(node_id, params.n, config.t, coin)
         return OracleAbba(node_id)
 
-    def build_node(node_id, counted=True):
+    def build_node(node_id):
         if config.protocol == "acool":
-            return AcoolNode(node_id, params, abba_for(node_id, counted),
+            return AcoolNode(node_id, params, abba_for(node_id),
                              skip_brba=config.skip_brba, legacy=config.legacy_cool)
         if config.protocol == "rba":
             return RbaNode(node_id, params)
@@ -543,7 +540,7 @@ def run(config: SimConfig) -> RunReport:
             return RbcNode(node_id, params, config.leader, config.balanced)
         if node_id > params.n:
             return SmallTOutsider(node_id, params)
-        return SmallTNode(node_id, config.n, params, abba_for(node_id, counted))
+        return SmallTNode(node_id, config.n, params, abba_for(node_id))
 
     nodes = {i: build_node(i) for i in honest}
 
@@ -554,7 +551,7 @@ def run(config: SimConfig) -> RunReport:
         ctx = _AdvCtx(
             b, config.n, config.t, params,
             random.Random(_subseed(config.seed, f"adv{b}")),
-            targets, lambda nid: build_node(nid, counted=False))
+            targets, build_node)
         strategies[b] = _STRATEGIES[config.adversary](ctx)
 
     participants = None
@@ -568,7 +565,6 @@ def run(config: SimConfig) -> RunReport:
                    config.scheduler, frozenset(targets), config.window())
     metrics = Metrics()
     depth = {i: 0 for i in range(0, config.n + 1)}
-    term_depth: dict = {}
     event_log: list = []
     step = 0
 
@@ -584,18 +580,15 @@ def run(config: SimConfig) -> RunReport:
         counted_frm = (frm in nodes or frm == ORACLE_ID
                        or (frm in byz and config.count_byzantine_bits))
         push = queue.push
-        by_tag = metrics.bits_by_tag
         egress = None                # this sender's row, made on its first count
-        total, ideal_total = metrics.total_bits, metrics.ideal_total_bits
+        ideal_total = metrics.ideal_total_bits
         last = object()              # never a sent message, not even None
         copies = 0                   # counted copies of ``last`` so far
         for dst, msg in sends:
             if msg is not last:
                 # a broadcast lists one object n times: account each run once
                 if copies:
-                    by_tag[tag] = by_tag.get(tag, 0) + copies * bits
                     egress[tag] = egress.get(tag, 0) + copies * bits
-                    total += copies * bits
                     copies = 0
                 last = msg
                 tag = tag_of(msg)
@@ -613,10 +606,8 @@ def run(config: SimConfig) -> RunReport:
                 # per copy: a float product can differ from repeated sums
                 ideal_total += ideal
         if copies:
-            by_tag[tag] = by_tag.get(tag, 0) + copies * bits
             egress[tag] = egress.get(tag, 0) + copies * bits
-            total += copies * bits
-        metrics.total_bits, metrics.ideal_total_bits = total, ideal_total
+        metrics.ideal_total_bits = ideal_total
 
     # feed inputs in id order; committee outsiders never input
     inputs = config.effective_inputs()
@@ -665,7 +656,6 @@ def run(config: SimConfig) -> RunReport:
                 enqueue(dst, sends)
             if node.terminated:
                 live -= 1
-                term_depth[dst] = depth[dst]
         elif dst in strategies:
             if rnd > depth[dst]:
                 depth[dst] = rnd
@@ -678,10 +668,18 @@ def run(config: SimConfig) -> RunReport:
     if not live:
         reason = "ok"
 
-    states = [node.introspect() for node in nodes.values()]
-    metrics.max_causal_round = max(term_depth.values(), default=0)
-    metrics.abba_instances = abba_count[0]
-    metrics.decode_attempts = sum(s.decode_attempts for s in states)
+    for row in metrics.egress_by_tag.values():
+        for tag, bits in row.items():
+            metrics.bits_by_tag[tag] = metrics.bits_by_tag.get(tag, 0) + bits
+    metrics.total_bits = sum(metrics.bits_by_tag.values())
+    # suppressed deliveries never touch depth: it froze at termination
+    metrics.max_causal_round = max(
+        (depth[i] for i, node in nodes.items() if node.terminated), default=0)
+    members = nodes.values()
+    metrics.abba_instances = sum(isinstance(node, AcoolNode)
+                                 for node in members)
+    metrics.decode_attempts = sum(acc.attempts for node in members
+                                  for acc in node.accumulators)
 
     outputs = {}
     for i in sorted(nodes):
@@ -692,16 +690,16 @@ def run(config: SimConfig) -> RunReport:
             "bottom": out is BOTTOM,
         }
 
-    checks = _run_checks(config, nodes, states, inputs, reason)
+    checks = _run_checks(config, nodes, inputs, reason)
     flags = {
-        "abba_input_races": sum(s.abba_race for s in states),
-        "quorum_collisions": sum(s.quorum_collision for s in states),
+        "abba_input_races": sum(node.abba_race for node in members),
+        "quorum_collisions": sum(node.quorum_collision for node in members),
     }
     return RunReport(config.to_dict(), reason, outputs, checks, metrics,
                      event_log, flags)
 
 
-def _run_checks(config, nodes, states, inputs, reason) -> dict:
+def _run_checks(config, nodes, inputs, reason) -> dict:
     """Post-hoc safety and agreement assertions over honest final states."""
     outs = []
     for i, node in nodes.items():
@@ -729,8 +727,8 @@ def _run_checks(config, nodes, states, inputs, reason) -> dict:
     # unique agreement per instance: at most one input value among phase-2
     # successes, at most two among phase-1 successes
     per_inst: dict = {}
-    for state in states:
-        for tag, bua in state.buas:
+    for node in nodes.values():
+        for tag, bua in node.buas.items():
             s1set, s2set = per_inst.setdefault(tag, (set(), set()))
             if bua.w is not None:
                 if bua.s1 == 1:

@@ -18,7 +18,7 @@ import logging
 
 from .field_ecc import CodeParams, encode_elements, pack_message
 from .messages import Shmdm
-from .protocol import _ALL_GUARDS, BOTTOM, AcoolNode, NodeState, ProtocolBase
+from .protocol import _ALL_GUARDS, BOTTOM, AcoolNode, ProtocolBase
 
 log = logging.getLogger(__name__)
 
@@ -83,9 +83,6 @@ class SmallTOutsider(ProtocolBase):
     def input(self, w: bytes):
         log.warning("node %d outside committee: input ignored", self.node_id)
         return []
-
-    def introspect(self) -> NodeState:
-        return NodeState(self.oec_final.attempts, (), False, False)
 
     def _on_shmdm(self, frm: int, msg, sends) -> int:
         if frm > self.params.n or frm in self.shmdm_seen:

@@ -372,7 +372,16 @@ def test_mixed_inputs_consistent_over_seeds():
         assert rep.checks["consistency"] and rep.checks["unique_agreement"]
 
 
-def test_single_abba_instance_per_node():
-    cfg = SimConfig(n=7, t=2, seed=2, msg_len_bits=64)
+@pytest.mark.parametrize("overrides,instances", [
+    ({}, 7),
+    # two replicas per Byzantine id, none of them counted
+    ({"adversary": "equivocate_symbols"}, 5),
+    # committee of 7 with two Byzantine members; outsiders run no agreement
+    ({"n": 13, "protocol": "small_t", "adversary": "garbage_shares"}, 5),
+    ({"protocol": "rba", "adversary": "equivocate_symbols"}, 0),
+], ids=["clean", "equivocate", "small_t", "rba"])
+def test_single_abba_instance_per_node(overrides, instances):
+    cfg = SimConfig(**{"n": 7, "t": 2, "seed": 2, "msg_len_bits": 64,
+                       **overrides})
     rep = run(cfg)
-    assert rep.metrics.abba_instances == 7
+    assert rep.metrics.abba_instances == instances

@@ -73,8 +73,8 @@ def test_env_override(monkeypatch, capsys):
 # each numeric override and the subcommand whose parser reads it
 NUMERIC_OVERRIDES = (
     ("N", "run"), ("SEED", "run"), ("LEN", "run"), ("LEADER", "run"),
-    ("EVENT_CAP", "run"), ("ABBA_HINT", "run"), ("SMALL_T_RATIO", "run"),
-    ("T", "run"), ("SEEDS", "sweep"), ("WORKERS", "accept"),
+    ("EVENT_CAP", "run"), ("ABBA_HINT", "run"), ("T", "run"),
+    ("SEEDS", "sweep"), ("WORKERS", "accept"),
 )
 
 

@@ -100,7 +100,7 @@ def test_rba_ready_then_opposite_quorum_sets_quorum_collision():
         node.handle(j, Si(0, 2, 0))
     assert not node.quorum_collision            # n - t - 1 zeros
     node.handle(5, Si(0, 2, 0))
-    assert node.quorum_collision and node.introspect().quorum_collision
+    assert node.quorum_collision
 
 
 def test_rba_fault_free_all_output_within_flat_rounds():

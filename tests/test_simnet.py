@@ -82,6 +82,20 @@ def test_fairness_delivers_to_starved_targets():
     assert rep.reason == "ok" and rep.checks["consistency"]
 
 
+def test_fairness_window_zero_is_kept():
+    """An explicit window of 0 delivers any waiting event first."""
+    zero = run(SimConfig(n=7, t=2, seed=1, fairness_window=0))
+    default = run(SimConfig(n=7, t=2, seed=1))
+    assert zero.ok and default.ok
+    assert zero.config["fairness_window"] == 0
+    assert default.config["fairness_window"] == 8 * 7 * 7
+    assert zero.log_ndjson() != default.log_ndjson()
+    assert (zero.metrics.max_causal_round,
+            default.metrics.max_causal_round) == (8, 18)
+    with pytest.raises(ValueError):
+        run(SimConfig(n=4, t=1, fairness_window=-1))
+
+
 def test_every_adversary_keeps_agreement():
     for adv in ADVERSARIES:
         rep = run(SimConfig(n=7, t=2, seed=6, msg_len_bits=64, adversary=adv))
