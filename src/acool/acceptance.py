@@ -371,13 +371,10 @@ CRITERIA: List[Tuple[str, Callable]] = [
 ]
 
 
-def run_acceptance(quick: bool = False, workers: int = 1,
-                   only: Optional[str] = None) -> list:
+def run_acceptance(quick: bool = False, workers: int = 1) -> list:
     """Run all criteria; returns [(name, passed, detail)]."""
     results = []
     for name, fn in CRITERIA:
-        if only and only not in name:
-            continue
         passed, detail = fn(quick, workers)
         results.append((name, passed, detail))
     return results

@@ -5,11 +5,8 @@ as JSON; ``sweep`` runs a parameter grid and prints summary CSV;
 ``scenario-list`` shows canned scenario builders; ``accept`` executes
 the acceptance suite and prints one pass/fail line per criterion.
 
-Every flag has an environment-variable override with prefix ``ACOOL_``
-(for example ``ACOOL_SEED=7``); argparse converts it like the flag, so a
-bad value is an argument error of the subcommands that take it.  Exit codes: 0 success, 1 bad
-arguments, 2 property violation, 3 liveness failure (event cap or
-deadlock).
+Exit codes: 0 success, 1 bad arguments, 2 property violation, 3 liveness
+failure (event cap or deadlock).
 """
 
 from __future__ import annotations
@@ -35,59 +32,40 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _env(name: str, default):
-    return os.environ.get(f"ACOOL_{name.upper()}", default)
-
-
-def _env_flag(name: str) -> bool:
-    return str(_env(name, "")).lower() in ("1", "true", "yes", "on")
-
-
 def _add_common(p: _Parser):
     p.add_argument("--protocol", choices=PROTOCOLS + ("auto",),
-                   default=_env("protocol", "acool"),
+                   default="acool",
                    help=f"auto picks small_t once n >= {SMALL_T_RATIO:g} * "
                         "(3t+1)")
-    p.add_argument("--n", type=int, default=_env("n", 4))
-    p.add_argument("--t", type=int, default=_env("t", None),
+    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--t", type=int,
                    help="fault bound; default floor((n-1)/3)")
-    p.add_argument("--len", type=int, dest="msg_len_bits",
-                   default=_env("len", 256),
+    p.add_argument("--len", type=int, dest="msg_len_bits", default=256,
                    help="message length in bits")
-    p.add_argument("--seed", type=int, default=_env("seed", 0))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--adversary", choices=("none",) + ADVERSARIES,
-                   default=_env("adversary", "none"))
-    p.add_argument("--scheduler", choices=SCHEDULERS,
-                   default=_env("scheduler", "uniform"))
-    p.add_argument("--abba", choices=("oracle", "coin"),
-                   default=_env("abba", "oracle"))
-    p.add_argument("--abba-hint", type=int, choices=(0, 1),
-                   default=_env("abba_hint", 0))
-    p.add_argument("--skip-brba", action="store_true",
-                   default=_env_flag("skip_brba"))
-    p.add_argument("--count-abba-bits", action="store_true",
-                   default=_env_flag("count_abba_bits"))
-    p.add_argument("--count-byzantine-bits", action="store_true",
-                   default=_env_flag("count_byzantine_bits"))
-    p.add_argument("--legacy-cool", action="store_true",
-                   default=_env_flag("legacy_cool"))
-    p.add_argument("--leader", type=int, default=_env("leader", 1))
-    p.add_argument("--unbalanced", action="store_true",
-                   default=_env_flag("unbalanced"))
-    p.add_argument("--event-cap", type=int,
-                   default=_env("event_cap", 1_000_000))
-    p.add_argument("--out", default=_env("out", None),
-                   help="write report JSON here (event log beside it)")
+                   default="none")
+    p.add_argument("--scheduler", choices=SCHEDULERS, default="uniform")
+    p.add_argument("--abba", choices=("oracle", "coin"), default="oracle")
+    p.add_argument("--abba-hint", type=int, choices=(0, 1), default=0)
+    p.add_argument("--skip-brba", action="store_true")
+    p.add_argument("--count-abba-bits", action="store_true")
+    p.add_argument("--count-byzantine-bits", action="store_true")
+    p.add_argument("--legacy-cool", action="store_true")
+    p.add_argument("--leader", type=int, default=1)
+    p.add_argument("--unbalanced", action="store_true")
+    p.add_argument("--event-cap", type=int, default=1_000_000)
+    p.add_argument("--out", help="write report JSON here (event log beside it)")
 
 
-def _config_from(args, seed=None) -> SimConfig:
+def _config_from(args) -> SimConfig:
     t = args.t if args.t is not None else (args.n - 1) // 3
     protocol = args.protocol
     if protocol == "auto":
         protocol = ("small_t" if args.n >= SMALL_T_RATIO * (3 * t + 1)
                     else "acool")
     return SimConfig(
-        n=args.n, t=t, seed=args.seed if seed is None else seed,
+        n=args.n, t=t, seed=args.seed,
         msg_len_bits=args.msg_len_bits, protocol=protocol,
         adversary=args.adversary, scheduler=args.scheduler,
         abba=args.abba, abba_hint=args.abba_hint,
@@ -99,19 +77,10 @@ def _config_from(args, seed=None) -> SimConfig:
 
 
 def cmd_run(args) -> int:
+    config = _config_from(args)
     if args.scenario:
-        builder = SCENARIOS[args.scenario]
-        t = args.t if args.t is not None else (args.n - 1) // 3
-        config = builder(
-            args.n, t, seed=args.seed, msg_len_bits=args.msg_len_bits,
-            scheduler=args.scheduler, abba=args.abba,
-            abba_hint=args.abba_hint, skip_brba=args.skip_brba,
-            count_abba_bits=args.count_abba_bits,
-            count_byzantine_bits=args.count_byzantine_bits,
-            legacy_cool=args.legacy_cool, event_cap=args.event_cap,
-        )
-    else:
-        config = _config_from(args)
+        # the scenario sets inputs, Byzantine ids and adversary; the rest stays
+        config = SCENARIOS[args.scenario](**vars(config))
     report = run(config)
     print(report.to_json())
     if args.out:
@@ -172,25 +141,22 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run one simulation", parents=[])
     _add_common(p_run)
-    p_run.add_argument("--scenario", choices=sorted(SCENARIOS),
-                       default=_env("scenario", None))
+    p_run.add_argument("--scenario", choices=sorted(SCENARIOS))
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a parameter grid")
     _add_common(p_sweep)
-    p_sweep.add_argument("--n-list", default=_env("n_list", "4,7,13"),
+    p_sweep.add_argument("--n-list", default="4,7,13",
                          help="comma-separated node counts")
-    p_sweep.add_argument("--seeds", type=int, default=_env("seeds", 3))
+    p_sweep.add_argument("--seeds", type=int, default=3)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_list = sub.add_parser("scenario-list", help="list canned scenarios")
     p_list.set_defaults(func=cmd_scenario_list)
 
     p_acc = sub.add_parser("accept", help="run the acceptance suite")
-    p_acc.add_argument("--quick", action="store_true",
-                       default=_env_flag("quick"))
-    p_acc.add_argument("--workers", type=int,
-                       default=_env("workers", os.cpu_count() or 1))
+    p_acc.add_argument("--quick", action="store_true")
+    p_acc.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p_acc.set_defaults(func=cmd_accept)
 
     try:

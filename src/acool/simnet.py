@@ -107,10 +107,8 @@ class SimConfig:
             return tuple(sorted(self.byzantine))
         if self.adversary == "none":
             return ()
-        if self.protocol == "small_t":
-            np = committee_size(self.t)
-            return tuple(range(np - self.t + 1, np + 1))
-        return tuple(range(self.n - self.t + 1, self.n + 1))
+        top = committee_size(self.t) if self.protocol == "small_t" else self.n
+        return tuple(range(top - self.t + 1, top + 1))
 
     def window(self) -> int:
         w = self.fairness_window
@@ -301,9 +299,6 @@ class _Replica(Strategy):
             live = live or not node.terminated
             sends.append(node.handle(frm, msg))
         return self._rewrite(*sends) if live else []
-
-    def _rewrite(self, sends):
-        return sends
 
 
 class GarbageShares(_Replica):
@@ -554,12 +549,11 @@ def run(config: SimConfig) -> RunReport:
             targets, build_node)
         strategies[b] = _STRATEGIES[config.adversary](ctx)
 
-    participants = None
-    adjudicator = None
-    if config.abba == "oracle" and config.protocol in ("acool", "small_t"):
-        scope = params.n if config.protocol == "small_t" else config.n
-        participants = [i for i in honest if i <= scope]
-        adjudicator = OracleAdjudicator(participants, config.abba_hint)
+    # the binary-agreement members: honest nodes that run the composition
+    participants = [i for i, node in nodes.items()
+                    if isinstance(node, AcoolNode)]
+    adjudicator = (OracleAdjudicator(participants, config.abba_hint)
+                   if config.abba == "oracle" else None)
 
     queue = _Queue(random.Random(_subseed(config.seed, "sched")),
                    config.scheduler, frozenset(targets), config.window())
@@ -609,12 +603,10 @@ def run(config: SimConfig) -> RunReport:
             egress[tag] = egress.get(tag, 0) + copies * bits
         metrics.ideal_total_bits = ideal_total
 
-    # feed inputs in id order; committee outsiders never input
+    # feed inputs in id order to the code's n nodes; outsiders never input
     inputs = config.effective_inputs()
-    for i in range(1, config.n + 1):
+    for i in range(1, params.n + 1):
         w = inputs.get(i)
-        if config.protocol == "small_t" and i > params.n:
-            continue
         if i in nodes:
             if w is not None:
                 enqueue(i, nodes[i].input(w))
@@ -676,8 +668,7 @@ def run(config: SimConfig) -> RunReport:
     metrics.max_causal_round = max(
         (depth[i] for i, node in nodes.items() if node.terminated), default=0)
     members = nodes.values()
-    metrics.abba_instances = sum(isinstance(node, AcoolNode)
-                                 for node in members)
+    metrics.abba_instances = len(participants)
     metrics.decode_attempts = sum(acc.attempts for node in members
                                   for acc in node.accumulators)
 

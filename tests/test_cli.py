@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from acool.cli import main
 
 
@@ -56,46 +54,15 @@ def test_out_writes_report_and_log(tmp_path, capsys):
         "report.json", "report.json.ndjson"]
 
 
-def test_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("ACOOL_SEED", "9")
-    code = main(["run", "--n", "4", "--t", "1", "--len", "64"])
-    report = json.loads(capsys.readouterr().out)
-    assert code == 0 and report["config"]["seed"] == 9
-    monkeypatch.setenv("ACOOL_T", "0")
-    code = main(["run", "--n", "4", "--len", "64"])
-    report = json.loads(capsys.readouterr().out)
-    assert code == 0 and report["config"]["t"] == 0
-    code = main(["run", "--n", "4", "--t", "1", "--len", "64"])
-    report = json.loads(capsys.readouterr().out)
-    assert code == 0 and report["config"]["t"] == 1
-
-
-# each numeric override and the subcommand whose parser reads it
-NUMERIC_OVERRIDES = (
-    ("N", "run"), ("SEED", "run"), ("LEN", "run"), ("LEADER", "run"),
-    ("EVENT_CAP", "run"), ("ABBA_HINT", "run"), ("T", "run"),
-    ("SEEDS", "sweep"), ("WORKERS", "accept"),
-)
-
-
-@pytest.mark.parametrize("name,command", NUMERIC_OVERRIDES)
-def test_bad_env_override_is_an_argument_error(name, command, monkeypatch,
-                                               capsys):
-    monkeypatch.setenv(f"ACOOL_{name}", "x")
-    assert main([command]) == 1
-    err = capsys.readouterr().err
-    assert "error: argument --" in err and "'x'" in err
-    # a subcommand without that flag does not read it
-    assert main(["scenario-list"]) == 0
-    assert "split-input" in capsys.readouterr().out
-
-
 def test_scenario_keeps_count_byzantine_bits(capsys):
     args = ["--n", "7", "--t", "2", "--len", "64", "--count-byzantine-bits"]
     for extra in ([], ["--scenario", "split-input"]):
         code = main(["run"] + extra + args)
         report = json.loads(capsys.readouterr().out)
         assert code == 0 and report["config"]["count_byzantine_bits"] is True
+        code = main(["run"] + extra + args + ["--protocol", "small_t"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["config"]["protocol"] == "small_t"
 
 
 def test_scenario_list(capsys):

@@ -93,6 +93,13 @@ def test_derive_params_k_floor():
 def test_derive_params_resilience():
     with pytest.raises(ResilienceViolation):
         derive_params(3, 1, 8)
+    with pytest.raises(ValueError, match="msg_len_bits"):
+        derive_params(4, 1, 0)
+    params = derive_params(4, 1, 64)        # k * chunks = 8 data elements
+    with pytest.raises(ValueError, match="expected 8 data elements"):
+        encode_elements(params, [0])
+    with pytest.raises(DecodeFailure, match="wrong chunk count"):
+        ecc_decode(params, {1: (0,) * (params.chunks + 1)})
 
 
 def test_field_size_tracks_n():

@@ -54,11 +54,17 @@ def test_unknown_names_rejected():
         run(SimConfig(n=4, t=1, scheduler="nope"))
     with pytest.raises(ValueError):
         run(SimConfig(n=4, t=1, protocol="nope"))
+    with pytest.raises(ValueError):
+        run(SimConfig(n=4, t=1, abba="nope"))
 
 
 def test_byzantine_bound_enforced():
     with pytest.raises(ValueError):
         run(SimConfig(n=4, t=1, adversary="crash_silent", byzantine=(3, 4)))
+    with pytest.raises(ValueError, match="Byzantine id outside 1..n"):
+        run(SimConfig(n=4, t=1, adversary="crash_silent", byzantine=(5,)))
+    with pytest.raises(ValueError, match="leader outside 1..n"):
+        run(SimConfig(n=4, t=1, protocol="rbc", leader=5))
 
 
 def test_event_cap_reported():
