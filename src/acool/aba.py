@@ -117,7 +117,6 @@ class CoinAbba:
         self.bin_values: dict = {}      # round -> set of accepted bits
         self.aux_sent: set = set()      # rounds
         self.aux_recv: dict = {}        # round -> {sender: bit}
-        self.decided: Optional[int] = None
         self.decide_sent = False
         self.decide_seen: set = set()
         self.decide_recv = {0: set(), 1: set()}
@@ -204,11 +203,9 @@ class CoinAbba:
             if len(vals) == 1:
                 (v,) = vals
                 self.est = v
-                if v == s and self.decided is None:
-                    self.decided = v
-                    if not self.decide_sent:
-                        self.decide_sent = True
-                        sends += self._broadcast(Decide(v))
+                if v == s and not self.decide_sent:
+                    self.decide_sent = True
+                    sends += self._broadcast(Decide(v))
             else:
                 self.est = s
             self.round = rnd + 1

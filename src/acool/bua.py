@@ -53,7 +53,6 @@ class Bua:
         self.vote: Optional[int] = None
         self.delivered: dict = {}                # sender -> well-formed pair
         self.symbol_seen: set = set()
-        self.si_seen = (set(), set())            # per phase
         self.pending: list = []
 
     # -- input and message handlers ------------------------------------
@@ -112,10 +111,10 @@ class Bua:
         """
         if type(phase) is not int or phase not in (1, 2):
             return 0
-        seen = self.si_seen[phase - 1]
-        if frm in seen:
+        ones, zeros = ((self.S1p1, self.S0p1) if phase == 1
+                       else (self.S1p2, self.S0p2))
+        if frm in ones or frm in zeros:
             return 0
-        seen.add(frm)
         n, t = self.params.n, self.params.t
         if phase == 2:
             if bit == 1:

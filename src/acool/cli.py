@@ -58,15 +58,19 @@ def _add_common(p: _Parser):
     p.add_argument("--out", help="write report JSON here (event log beside it)")
 
 
-def _config_from(args) -> SimConfig:
-    t = args.t if args.t is not None else (args.n - 1) // 3
+def _cell(args, n: int) -> dict:
+    """n, the fault bound and the protocol, with auto resolved, for one n."""
+    t = args.t if args.t is not None else (n - 1) // 3
     protocol = args.protocol
     if protocol == "auto":
-        protocol = ("small_t" if args.n >= SMALL_T_RATIO * (3 * t + 1)
-                    else "acool")
+        protocol = "small_t" if n >= SMALL_T_RATIO * (3 * t + 1) else "acool"
+    return {"n": n, "t": t, "protocol": protocol}
+
+
+def _config_from(args) -> SimConfig:
     return SimConfig(
-        n=args.n, t=t, seed=args.seed,
-        msg_len_bits=args.msg_len_bits, protocol=protocol,
+        **_cell(args, args.n), seed=args.seed,
+        msg_len_bits=args.msg_len_bits,
         adversary=args.adversary, scheduler=args.scheduler,
         abba=args.abba, abba_hint=args.abba_hint,
         skip_brba=args.skip_brba, count_abba_bits=args.count_abba_bits,
@@ -96,11 +100,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ns = [int(x) for x in args.n_list.split(",")]
-    cells = []
-    for n in ns:
-        t = args.t if args.t is not None else (n - 1) // 3
-        cells.append({"n": n, "t": t})
+    cells = [_cell(args, int(x)) for x in args.n_list.split(",")]
     base = _config_from(args)
     rows = sweep(base, cells, seeds=args.seeds)
     cols = ["n", "t", "mean_bits", "max_bits", "mean_ideal_bits",

@@ -21,6 +21,10 @@ variants of `rba_rbc` and the committee nodes of `small_t`: input,
 exact-type dispatch, SYMBOL/SI routing by an exact `int` tag, READY
 tallying, the decision and the final decode.
 
+Guards read instance and agreement state directly: instance 2's input
+is ``bua2.w``, phase three is ``v_out == 1``.  The one dirty flag,
+``calib_dirty``, stays because legacy wiring depends on it (see there).
+
 Handlers are synchronous and deterministic: every inbound event is
 processed to quiescence before the next.  A node and each of its
 unique-agreement instances are quiescent between events: no standing
@@ -66,10 +70,12 @@ BOTTOM = _Bottom()
 
 
 # `AcoolNode._pump`'s guards, one bit each, in evaluation order; a handler
-# returns those it can newly fire (`RbaNode`'s quorum rule is _ABBA_INPUT)
-(_NEW_SYMBOL, _ADOPT_W2, _SECOND_INPUT, _ABBA_INPUT, _ABBA_OUTPUT, _READY,
- _DECISION, _FINAL_DECODE) = (1 << i for i in range(8))
-_ALL_GUARDS = (1 << 8) - 1
+# returns those it can newly fire (`RbaNode`'s quorum rule is _ABBA_INPUT).
+# The decision guard has no bit: it can newly fire only in the pass that
+# fixed ``v_out``
+(_NEW_SYMBOL, _SECOND_INPUT, _ABBA_INPUT, _ABBA_OUTPUT, _READY,
+ _FINAL_DECODE) = (1 << i for i in range(6))
+_ALL_GUARDS = (1 << 6) - 1
 
 
 class ProtocolBase:
@@ -92,13 +98,13 @@ class ProtocolBase:
         self.node_id = node_id
         self.params = params
         self.buas: dict = {}                      # SYMBOL/SI tag -> Bua
-        self.w_input: Optional[bytes] = None
         self.ready_sent: Optional[int] = None     # bit sent, None if not yet
         self.ready_from = {0: set(), 1: set()}
-        self.v_out: Optional[int] = None
-        self.ph3 = False
+        self.v_out: Optional[int] = None          # 1 starts phase three
         self.calibrated = False
-        self.calib_dirty = False
+        # not a pure cache: legacy wiring feeds no instance-1 delivery into
+        # it, so a legacy node calibrates at most once, on entering phase three
+        self.calib_dirty = True
         self.oec_final = OecAccumulator(params)
         self.accumulators = (self.oec_final,)    # every share accumulator
         self.output = None                        # None | bytes | BOTTOM
@@ -109,13 +115,13 @@ class ProtocolBase:
     def input(self, w: bytes):
         """Start the first instance on ``w``, then run every guard."""
         sends: list = []
-        if self.terminated or self.w_input is not None:
+        first = next(iter(self.buas.values()))
+        if self.terminated or first.w is not None:
             return sends
         if not w:
             log.debug("node %d: empty input ignored", self.node_id)
             return sends
-        self.w_input = w
-        next(iter(self.buas.values())).input(w, sends)
+        first.input(w, sends)
         self._pump(sends)
         return sends
 
@@ -201,13 +207,9 @@ class ProtocolBase:
         return changed
 
     def _decision_guard(self) -> bool:
-        """Turn a fixed vote into termination (zero) or phase three (one)."""
-        if self.v_out is not None and not self.terminated and not self.ph3:
-            if self.v_out == 0:
-                self._terminate(BOTTOM)
-            else:
-                self.ph3 = True
-                self.calib_dirty = True
+        """Terminate on a fixed zero vote; a one starts phase three."""
+        if self.v_out == 0 and not self.terminated:
+            self._terminate(BOTTOM)
             return True
         return False
 
@@ -225,7 +227,7 @@ class ProtocolBase:
             self.calib_dirty = True
             if msg.bit == 1:
                 self._harvest_final(bua, frm)
-        return _FINAL_DECODE if self.ph3 else 0
+        return _FINAL_DECODE if self.v_out == 1 else 0
 
     def _harvest_final(self, bua: Bua, j: int):
         """Store a phase-2-successful peer's own symbol for the final decode."""
@@ -242,7 +244,7 @@ class ProtocolBase:
         adopt the majority own-symbol among phase-2-successful peers,
         multicast it, then wait for the accumulated decode.
         """
-        if not self.ph3 or self.terminated:
+        if self.v_out != 1 or self.terminated:
             return False
         if bua.vote is not None and bua.s2 == 1:
             self._terminate(bua.w)
@@ -290,13 +292,10 @@ class AcoolNode(ProtocolBase):
         self.bua2 = Bua(2, params, node_id)
         self.buas = {1: self.bua1} if legacy else {1: self.bua1, 2: self.bua2}
         self.abba = abba
-        self.abba_in: Optional[int] = None
-        self.w2: Optional[bytes] = None            # derived second input
         self.oec_new = OecAccumulator(params)
         self.accumulators = (self.oec_new, self.oec_final)
         self.y_table: dict = {}                    # symbol value -> senders
         self.y_major = None
-        self.y_dirty = False
         self.newsym_seen: set = set()
         self.skip_brba = skip_brba
         self.legacy = legacy
@@ -319,7 +318,7 @@ class AcoolNode(ProtocolBase):
         if not self.params.valid_elems(msg.elems) or frm in self.oec_new:
             return 0
         got = self.oec_new.submit(frm, msg.elems)
-        return _ADOPT_W2 if got is not None else 0
+        return _SECOND_INPUT if got is not None else 0
 
     def _on_abba(self, frm: int, msg, sends) -> int:
         undecided = self.abba.output is None
@@ -349,7 +348,6 @@ class AcoolNode(ProtocolBase):
             if pair is not None:
                 grp = self.y_table.setdefault(pair[0], set())
                 grp.add(frm)
-                self.y_dirty = True
                 n, t = self.params.n, self.params.t
                 if (starved and len(grp) >= n - 2 * t
                         and len(grp) + len(bua.S0p2) >= n - t):
@@ -360,13 +358,11 @@ class AcoolNode(ProtocolBase):
             pair = bua.delivered.get(frm) if msg.bit == 1 else None
             if pair is not None:
                 elems = pair[1]
-        elif msg.bit != 1:
-            self.y_dirty = True
-            if starved:
-                wake |= _NEW_SYMBOL
+        elif msg.bit != 1 and starved:
+            wake |= _NEW_SYMBOL
         if (elems is not None and frm not in self.oec_new
                 and self.oec_new.submit(frm, elems) is not None):
-            wake |= _ADOPT_W2
+            wake |= _SECOND_INPUT
         return wake
 
     # -- guard cascade -------------------------------------------------------
@@ -386,10 +382,6 @@ class AcoolNode(ProtocolBase):
             changed = False
             if wake & _NEW_SYMBOL:
                 changed = self._new_symbol_guard(sends)
-            if ((changed or wake & _ADOPT_W2) and self.w2 is None
-                    and self.oec_new.decoded is not None):
-                self.w2 = self.oec_new.decoded
-                changed = True
             if changed or wake & _SECOND_INPUT:
                 changed |= self._second_input_guard(sends)
             if changed or wake & _ABBA_INPUT:
@@ -398,8 +390,8 @@ class AcoolNode(ProtocolBase):
                 changed |= self._abba_output_guard(sends)
             if not self.skip_brba and (changed or wake & _READY):
                 changed |= self._ready_guards(sends)
-            if changed or wake & _DECISION:
-                changed |= self._decision_guard()
+            if changed:
+                self._decision_guard()
             if changed or wake & _FINAL_DECODE:
                 changed |= self._final_decode_guard(hb, sends)
             if not changed:
@@ -413,10 +405,8 @@ class AcoolNode(ProtocolBase):
         value must be reported by n-2t peers and, together with the
         phase-2 zero set, cover n-t peers.
         """
-        if (self.legacy or self.y_major is not None or not self.y_dirty
-                or self.bua1.s1 == 1):
+        if self.legacy or self.y_major is not None or self.bua1.s1 == 1:
             return False
-        self.y_dirty = False
         n, t = self.params.n, self.params.t
         s0p2 = self.bua1.S0p2
         for y in sorted(self.y_table):
@@ -428,23 +418,24 @@ class AcoolNode(ProtocolBase):
         return False
 
     def _second_input_guard(self, sends) -> bool:
+        """Start instance 2 on the decoded majority input or, failing that,
+        on the own input once instance 1 reached phase-2 success."""
         if self.legacy or self.bua2.w is not None:
             return False
-        if self.w2 is not None:
-            self.bua2.input(self.w2, sends)
-            return True
-        if self.bua1.s2 == 1 and self.w_input is not None:
-            self.w2 = self.w_input
-            return True
-        return False
+        w = self.oec_new.decoded
+        if w is None and self.bua1.s2 == 1:
+            w = self.bua1.w
+        if w is None:
+            return False
+        self.bua2.input(w, sends)
+        return True
 
     def _abba_input_guard(self, sends) -> bool:
-        if self.abba_in is not None:
+        if self.abba.input_bit is not None:
             return False
         if self.legacy:
             if self.bua1.vote is not None:
-                self.abba_in = self.bua1.vote
-                sends += self.abba.input(self.abba_in)
+                sends += self.abba.input(self.bua1.vote)
                 return True
             return False
         from_second = self.bua2.vote is not None
@@ -453,12 +444,11 @@ class AcoolNode(ProtocolBase):
             self.abba_race = True
             log.debug("node %d: both agreement-input rules enabled", self.node_id)
         if from_second:
-            self.abba_in = self.bua2.vote
+            sends += self.abba.input(self.bua2.vote)
         elif from_first_zero:
-            self.abba_in = 0
+            sends += self.abba.input(0)
         else:
             return False
-        sends += self.abba.input(self.abba_in)
         return True
 
     def _abba_output_guard(self, sends) -> bool:

@@ -21,7 +21,7 @@ from .bua import Bua
 from .field_ecc import CodeParams, OecAccumulator, ecc_encode
 from .messages import Initial, Leader, LeaderMessage, Ready, Si
 from .protocol import (
-    _ABBA_INPUT, _ALL_GUARDS, _DECISION, _FINAL_DECODE, _READY, ProtocolBase,
+    _ABBA_INPUT, _ALL_GUARDS, _FINAL_DECODE, _READY, ProtocolBase,
 )
 
 log = logging.getLogger(__name__)
@@ -63,8 +63,8 @@ class RbaNode(ProtocolBase):
                 changed = self._quorum_ready_guard(sends)
             if changed or wake & _READY:
                 changed |= self._ready_guards(sends)
-            if changed or wake & _DECISION:
-                changed |= self._decision_guard()
+            if changed:
+                self._decision_guard()
             if changed or wake & _FINAL_DECODE:
                 changed |= self._final_decode_guard(self.bua, sends)
             if not changed:

@@ -41,11 +41,6 @@ from .rba_rbc import RbaNode, RbcNode
 from .small_t import SmallTNode, SmallTOutsider, committee_size
 
 PROTOCOLS = ("acool", "rba", "rbc", "small_t")
-ADVERSARIES = (
-    "crash_silent", "equivocate_symbols", "garbage_shares",
-    "withhold_from_subset", "split_input_builder", "ready_spammer",
-    "random_byzantine",
-)
 SCHEDULERS = ("uniform", "lifo", "adversary")
 
 
@@ -234,7 +229,6 @@ class _Queue:
 class _AdvCtx(NamedTuple):
     self_id: int
     n: int
-    t: int
     params: CodeParams
     rng: random.Random
     targets: frozenset
@@ -424,6 +418,7 @@ _STRATEGIES = {
     "ready_spammer": ReadySpammer,
     "random_byzantine": RandomByzantine,
 }
+ADVERSARIES = tuple(_STRATEGIES)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +539,7 @@ def run(config: SimConfig) -> RunReport:
     strategies = {}
     for b in sorted(byz):
         ctx = _AdvCtx(
-            b, config.n, config.t, params,
+            b, config.n, params,
             random.Random(_subseed(config.seed, f"adv{b}")),
             targets, build_node)
         strategies[b] = _STRATEGIES[config.adversary](ctx)
@@ -749,32 +744,19 @@ def _run_checks(config, nodes, inputs, reason) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def scenario_split_input(n: int, t: int, sizes: Optional[tuple] = None,
-                         **overrides) -> SimConfig:
+def scenario_split_input(n: int, t: int, **overrides) -> SimConfig:
     """Partition honest nodes into two input camps with a withholding adversary.
 
-    Default sizes follow (n - t - f, t, f) with f = t: the first group
-    holds one value, the second another, and the f Byzantine nodes run
-    the protocol honestly on the second value while never sending
-    anything to the first group.
+    The groups have sizes (n - 2t, t, t): the first group holds one
+    value, the second another, and the t Byzantine nodes run the
+    protocol honestly on the second value while never sending anything
+    to the first group.
     """
-    if sizes is None:
-        sizes = (n - 2 * t, t, t)
-    a1, a2, f = sizes
-    if a1 + a2 + f != n or f > t or min(a1, a2, f) < 0:
-        raise ValueError(f"invalid partition {sizes} for n={n}, t={t}")
+    a1 = n - 2 * t
     base = SimConfig(n=n, t=t, **overrides)
-    w_a = base.default_message(1)
-    w_b = base.default_message(2)
-    inputs = {}
-    for i in range(1, a1 + 1):
-        inputs[i] = w_a
-    for i in range(a1 + 1, a1 + a2 + 1):
-        inputs[i] = w_b
-    for i in range(a1 + a2 + 1, n + 1):
-        inputs[i] = w_b
-    base.inputs = inputs
-    base.byzantine = tuple(range(a1 + a2 + 1, n + 1))
+    w_a, w_b = base.default_message(1), base.default_message(2)
+    base.inputs = {i: w_a if i <= a1 else w_b for i in range(1, n + 1)}
+    base.byzantine = tuple(range(n - t + 1, n + 1))
     base.adversary = "withhold_from_subset"
     base.adversary_targets = tuple(range(1, a1 + 1))
     return base

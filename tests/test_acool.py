@@ -40,13 +40,13 @@ def test_duplicate_input_ignored():
     node = fresh()
     node.input(W)
     assert node.input(b"other") == []
-    assert node.w_input == W
+    assert node.bua1.w == W
 
 
 def test_empty_input_ignored():
     node = fresh()
     assert node.input(b"") == []
-    assert node.w_input is None
+    assert node.bua1.w is None
 
 
 def test_malformed_symbols_that_fix_indicators_keep_their_sends():
@@ -69,9 +69,9 @@ def test_new_symbols_decode_shared_input_and_start_second_instance():
     node.input(W)
     rows = rows_for(b"mB")
     sends = node.handle(2, NewSymbol(rows[1]))
-    assert node.w2 is None and sends == []
+    assert node.bua2.w is None and sends == []
     sends = node.handle(3, NewSymbol(rows[2]))   # k + t = 2 shares
-    assert node.w2 == b"mB"
+    assert node.bua2.w == b"mB"
     syms = sends_of_type(sends, Symbol)
     assert len(syms) == 4 and all(m.inst == 2 for _, m in syms)
 
@@ -82,9 +82,9 @@ def test_new_symbol_garbage_tolerated_via_retry():
     rows = rows_for(b"mB")
     node.handle(4, NewSymbol((12345 % P41.q,) * P41.chunks))
     node.handle(2, NewSymbol(rows[1]))
-    assert node.w2 is None                       # garbage blocked this attempt
+    assert node.bua2.w is None                   # garbage blocked this attempt
     node.handle(3, NewSymbol(rows[2]))
-    assert node.w2 == b"mB"
+    assert node.bua2.w == b"mB"
 
 
 def test_new_symbol_after_decode_is_stored_not_redecoded():
@@ -95,7 +95,7 @@ def test_new_symbol_after_decode_is_stored_not_redecoded():
     node.handle(3, NewSymbol(rows[2]))
     attempts = node.oec_new.attempts
     node.handle(4, NewSymbol(rows[3]))
-    assert node.oec_new.attempts == attempts and node.w2 == b"mB"
+    assert node.oec_new.attempts == attempts and node.bua2.w == b"mB"
 
 
 def test_duplicate_new_symbol_dropped():
@@ -118,7 +118,7 @@ def test_harvest_from_phase1_success_peers_feeds_decoder():
     assert not node.oec_new.shares
     node.handle(2, Si(1, 1, 1))
     node.handle(3, Si(1, 1, 1))                  # k + t = 2 harvested
-    assert node.w2 == W and node.bua2.w == W
+    assert node.bua2.w == W
 
 
 def test_second_instance_fed_from_own_input_on_phase2_success():
@@ -149,7 +149,7 @@ def test_second_input_equal_to_first_shares_its_encoding():
     node.input(bytes(bytearray(W)))
     node.handle(2, NewSymbol(rows[1]))
     node.handle(3, NewSymbol(rows[2]))
-    assert node.w2 == node.w_input and node.bua2.w == W
+    assert node.bua2.w == node.bua1.w == W
     assert node.bua2.own_shares is node.bua1.own_shares
 
 
@@ -219,7 +219,7 @@ def test_ready_decision_one_enters_phase_three():
     node.input(W)
     for j in (2, 3, 4):
         node.handle(j, Ready(1))
-    assert node.ph3 and not node.terminated
+    assert node.v_out == 1 and not node.terminated
 
 
 def test_first_ready_per_sender_counts():
@@ -262,7 +262,7 @@ def test_phase_three_calibration_path():
         node.handle(j, Si(2, 2, 1))
     for j in (2, 3, 4):
         node.handle(j, Ready(1))
-    assert node.ph3 and node.bua2.s2 is None and node.calibrated
+    assert node.v_out == 1 and node.bua2.s2 is None and node.calibrated
     # own CORRECTSYMBOL loops back, then one more peer share decodes
     node.handle(1, CorrectSymbol(rows[0]))
     node.handle(4, CorrectSymbol(rows[3]))
@@ -274,7 +274,7 @@ def test_correct_symbol_before_phase_three_is_stored():
     node.input(W)
     rows = rows_for(W)
     node.handle(2, CorrectSymbol(rows[1]))
-    assert 2 in node.oec_final.shares and not node.ph3
+    assert 2 in node.oec_final.shares and node.v_out is None
 
 
 def test_correct_symbol_duplicates_dropped():
@@ -347,11 +347,6 @@ def test_split_input_default_partition_sizes():
     assert len(byz) == 1 and cfg.adversary_targets == (1, 2)
     cfg = scenario_split_input(7, 2, msg_len_bits=64)
     assert len(cfg.byzantine_ids()) == 2 and cfg.adversary_targets == (1, 2, 3)
-
-
-def test_split_input_invalid_partition_rejected():
-    with pytest.raises(ValueError):
-        scenario_split_input(4, 1, sizes=(1, 1, 1))
 
 
 def test_legacy_wiring_stalls_on_split_input():

@@ -209,7 +209,7 @@ def test_si_outside_phases_one_and_two_not_recorded():
         sends = []
         assert not b.on_si(phase, 2, 1, sends)
         assert sends == []
-    assert b.si_seen == (set(), set())
+    assert not (b.S1p1 or b.S0p1 or b.S1p2 or b.S0p2)
 
 
 def test_sender_joins_at_most_one_set_per_phase():
@@ -294,6 +294,12 @@ def _random_call(rng, b, own, other, lean):
     return lambda sends: b.on_si(phase, frm, bit, sends)
 
 
+def _recorded(b):
+    """Sizes of the sets a recorded SYMBOL or SI grows."""
+    return (len(b.symbol_seen), len(b.S1p1), len(b.S0p1), len(b.S1p2),
+            len(b.S0p2))
+
+
 def test_handlers_leave_the_instance_quiescent_and_report_fixes():
     """After every handler call a full guard pass fires nothing, and the
     return value is falsy exactly when nothing was recorded and 2 exactly
@@ -311,10 +317,10 @@ def test_handlers_leave_the_instance_quiescent_and_report_fixes():
                 if step == input_at:
                     b.input(own, [])
                 call = _random_call(rng, b, own, other, lean)
-                seen = (len(b.symbol_seen), *map(len, b.si_seen))
+                seen = _recorded(b)
                 flags = (b.s1, b.s2, b.vote)
                 got = call([])
-                recorded = seen != (len(b.symbol_seen), *map(len, b.si_seen))
+                recorded = seen != _recorded(b)
                 assert bool(got) == recorded
                 assert (got == 2) == (flags != (b.s1, b.s2, b.vote))
                 flags, extra = (b.s1, b.s2, b.vote), []

@@ -78,7 +78,15 @@ def test_sweep_emits_csv(capsys):
     assert len(out) == 3
 
 
-def test_auto_protocol_selects_committee_at_ratio(capsys):
+def _sweep_rows(tmp_path, protocol, n_list):
+    out = tmp_path / f"{protocol}-{n_list}.json"
+    assert main(["sweep", "--protocol", protocol, "--n-list", n_list,
+                 "--t", "1", "--len", "64", "--seeds", "1",
+                 "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_auto_protocol_selects_committee_at_ratio(tmp_path, capsys):
     code = main(["run", "--protocol", "auto", "--n", "10", "--t", "1",
                  "--len", "64"])
     report = json.loads(capsys.readouterr().out)
@@ -87,6 +95,12 @@ def test_auto_protocol_selects_committee_at_ratio(capsys):
                  "--len", "64"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["config"]["protocol"] == "acool"
+    # a sweep resolves auto per cell: n=4 runs the composition, n=25 the
+    # committee
+    auto = _sweep_rows(tmp_path, "auto", "4,25")
+    assert auto[0] == _sweep_rows(tmp_path, "acool", "4")[0]
+    assert auto[1] == _sweep_rows(tmp_path, "small_t", "25")[0]
+    assert auto[1]["mean_bits"] == 16064
 
 
 def test_unbalanced_rbc_flag(capsys):
@@ -95,3 +109,23 @@ def test_unbalanced_rbc_flag(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["metrics"]["bits_by_tag"].get("LEADERMESSAGE", 0) > 0
+
+
+def test_accept_prints_one_line_per_criterion_and_exits_2_on_failure(
+        monkeypatch, capsys):
+    from acool import acceptance
+
+    calls = []
+
+    def stub(passed):
+        def criterion(quick, workers):
+            calls.append((quick, workers))
+            return passed, "stub detail"
+        return criterion
+
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [("a passing", stub(True)), ("b failing", stub(False))])
+    assert main(["accept", "--workers", "1"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS  a passing: stub detail", "FAIL  b failing: stub detail"]
+    assert calls == [(False, 1), (False, 1)]

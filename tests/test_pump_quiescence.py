@@ -30,9 +30,8 @@ from acool.simnet import (
 
 
 def _acool_state(node):
-    return (node.w2, node.y_major, node.abba_in, node.ready_sent, node.v_out,
-            node.ph3, node.calibrated, node.terminated, node.bua2.w,
-            node.abba.output)
+    return (node.y_major, node.abba.input_bit, node.ready_sent, node.v_out,
+            node.calibrated, node.terminated, node.bua2.w, node.abba.output)
 
 
 def _grid():
@@ -83,8 +82,8 @@ def _variants():
 
 
 def _rb_state(node):
-    return (node.w_input, node.ready_sent, node.v_out, node.ph3,
-            node.calibrated, node.terminated, node.quorum_collision)
+    return (node.bua.w, node.ready_sent, node.v_out, node.calibrated,
+            node.terminated, node.quorum_collision)
 
 
 def _rb_runs():
@@ -170,7 +169,7 @@ def test_legacy_phase2_success_after_phase_three_wakes_final_decode(checked):
         node.handle(j, Si(1, 2, 1))               # vote 1 before own s2
     for j in (2, 3, 4):
         node.handle(j, Ready(1))
-    assert node.ph3 and node.bua1.s2 is None and not node.terminated
+    assert node.v_out == 1 and node.bua1.s2 is None and not node.terminated
     for j in (1, 2, 3, 4):
         node.handle(j, Symbol(1, (rows[0], rows[j - 1])))
     for j in (1, 2, 3):
@@ -213,7 +212,7 @@ def test_phase2_success_before_shared_decode_starts_second_instance(checked):
     for j in (1, 2, 3, 4):
         node.handle(j, Si(1, 1, 1))
     assert node.bua1.s2 == 1 and node.oec_new.decoded is None
-    assert node.w2 == w and node.bua2.w == w
+    assert node.bua2.w == w
 
 
 def test_wake_pin_clean_n49_pumps_rarely_and_keeps_every_state_change(

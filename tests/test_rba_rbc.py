@@ -176,7 +176,7 @@ def test_rbc_follower_reconstructs_from_initials():
     sends = []
     for j in range(1, 5):                          # k + t = 3 suffice
         sends += node.handle(j, Initial(rows[j - 1]))
-    assert node.w_input == W
+    assert node.bua.w == W
     assert any(isinstance(m, Symbol) for _, m in sends)  # agreement started
     attempts = node.initial_acc.attempts
     assert node.handle(3, Initial(rows[2])) == []
@@ -195,7 +195,7 @@ def test_rbc_empty_decode_rejected_by_guard():
     rows = ecc_encode(P72, b"")
     for j in range(1, 6):
         node.handle(j, Initial(rows[j - 1]))
-    assert node.w_input is None and not node.initial_acc.done
+    assert node.bua.w is None and not node.initial_acc.done
 
 
 def test_rbc_honest_leader_validity_end_to_end():

@@ -72,6 +72,9 @@ def _cases() -> dict:
     cases["split-input-legacy-stall"] = scenario_split_input(
         7, 2, seed=5, msg_len_bits=64, abba="coin", legacy_cool=True,
         event_cap=30_000)
+    cases["acool-legacy-garbage-lifo"] = SimConfig(
+        n=10, t=3, seed=1, msg_len_bits=64, adversary="garbage_shares",
+        scheduler="lifo", abba_hint=1, legacy_cool=True, event_cap=20_000)
     cases["rba-none"] = SimConfig(n=7, t=2, seed=14, msg_len_bits=64,
                                   protocol="rba")
     cases["rba-equivocate"] = SimConfig(
@@ -125,6 +128,8 @@ DIGESTS = {
         "9ae2db94ae6b8038a581d5945621dc16bb85573ae8eb65f82796458c9f564fdc",
     "acool-k5-garbage":
         "0dc88c3be9246ce87efc3ea4424c77dd54fee40999498f88bd8e33d4b906feba",
+    "acool-legacy-garbage-lifo":
+        "35585652cb659b70aa35794cd46d02c073a182e1f13769c33f33bbc2c0714bbc",
     "acool-none-adversary":
         "7e19cd31a501bcffb191e87982e1b3c29209aacaa4e99fa99fb4ea1e6bc72a15",
     "acool-none-lifo":

@@ -192,7 +192,7 @@ def test_rand_elems_draws_the_randrange_stream(q, chunks):
     """Garbage draws consume the generator exactly as randrange(q) does."""
     params = CodeParams(n=4, t=1, k=1, q=q, chunks=chunks)
     rng, ref = random.Random(q + chunks), random.Random(q + chunks)
-    strategy = Strategy(_AdvCtx(4, 4, 1, params, rng, (), None))
+    strategy = Strategy(_AdvCtx(4, 4, params, rng, (), None))
     for _ in range(20):
         assert strategy._rand_elems() == tuple(ref.randrange(q)
                                                for _ in range(chunks))

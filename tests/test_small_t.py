@@ -24,7 +24,7 @@ def test_committee_is_lowest_ids():
 
 def test_outsider_input_ignored():
     node = outsider()
-    assert node.input(W) == [] and node.w_input is None and not node.buas
+    assert node.input(W) == [] and not node.buas
 
 
 def test_outsider_decodes_from_committee_shares():
