@@ -161,16 +161,18 @@ class ProtocolBase:
         return self._absorb(bua, frm, msg, recorded == 2) if recorded else 0
 
     def _on_ready(self, frm: int, msg, sends) -> int:
-        """READY sets grow one sender at a time, so the READY guards can
-        newly fire only when one reaches t+1 or 2t+1."""
+        """READY sets grow one sender at a time, so the amplify guard can
+        newly fire only when one reaches t+1 before READY is sent, and the
+        decide guard only when one reaches 2t+1 before ``v_out`` is set."""
         bit = msg.bit
         ready_from = self.ready_from
         if frm in ready_from[0] or frm in ready_from[1] or bit not in (0, 1):
             return 0
         grown = ready_from[bit]
         grown.add(frm)
-        t = self.params.t
-        return _READY if len(grown) in (t + 1, 2 * t + 1) else 0
+        size, t = len(grown), self.params.t
+        return _READY if (size == t + 1 and self.ready_sent is None
+                          or size == 2 * t + 1 and self.v_out is None) else 0
 
     def _on_correct_symbol(self, frm: int, msg, sends) -> int:
         acc = self.oec_final
@@ -334,13 +336,17 @@ class AcoolNode(ProtocolBase):
     # -- delivery absorption ------------------------------------------------
 
     def _absorb(self, bua: Bua, frm: int, msg, fixed: bool) -> int:
+        # an instance fix wakes only guards that read the flag it set: the
+        # agreement input reads instance 2's vote, and instance 1's s2 and
+        # vote (outside legacy wiring, wake1's guards read no s1)
         if bua is not self.bua1:
             wake = self._absorb_final(bua, frm, msg)
-            return wake | _ABBA_INPUT if fixed else wake
+            return wake | _ABBA_INPUT if fixed and bua.vote is not None else wake
         # fold an instance-1 delivery into the majority table and share
         # decoder; while starved, the majority guard can newly fire for the
         # grown group alone, or for any group once the phase-2 zero set grows
-        wake = self.wake1 if fixed else 0
+        wake = (self.wake1 if fixed and (self.legacy or bua.s2 is not None
+                                         or bua.vote is not None) else 0)
         elems = None
         starved = not self.legacy and self.y_major is None and bua.s1 != 1
         if type(msg) is Symbol:
@@ -350,7 +356,7 @@ class AcoolNode(ProtocolBase):
                 grp.add(frm)
                 n, t = self.params.n, self.params.t
                 if (starved and len(grp) >= n - 2 * t
-                        and len(grp) + len(bua.S0p2) >= n - t):
+                        and len(grp | bua.S0p2) >= n - t):
                     wake |= _NEW_SYMBOL
                 if frm in bua.S1p1:
                     elems = pair[1]

@@ -143,12 +143,14 @@ class SimConfig:
 class _Queue:
     """Pending deliveries with O(1) policy picks and an aging guarantee.
 
-    Each pending delivery is one record, ``[event, slot in ids]``, plus
-    its slot in ``pref_ids`` under the adversary policy; a swap-remove
-    updates the slot of the record it moves.  ``age`` holds every record
-    in push order and skips delivered ones lazily at both ends: delivery
-    clears a record, which marks it and drops its payload while it waits
-    there.  Aging reads its left end, a LIFO pick its right end.
+    A pending delivery is an int handle, its push index ``h``; per-run
+    lists indexed by handle hold its event (``None`` once delivered,
+    which drops the payload), its slot in ``ids`` and, under the
+    adversary policy, its slot in ``pref_ids`` or -1.  A swap-remove
+    updates the slot of the handle it moves.  ``age`` holds every handle
+    in push order and skips delivered ones lazily at both ends: aging
+    reads its left end, a LIFO pick its right end.  No pending delivery
+    keeps a container alive beyond its event tuple.
 
     A random pick draws its index the way ``rng.randrange(len)`` does,
     with the same `getrandbits` rejection loop inlined, so the draws and
@@ -163,62 +165,66 @@ class _Queue:
         self.adversary = policy == "adversary"
         self.victims = victims
         self.window = window
+        self.events: list = []               # handle -> event, or None
+        self.slot: list = []                 # handle -> index in ids
+        self.pslot: list = []                # handle -> index in pref_ids or -1
         self.age: deque = deque()
-        self.ids: list = []                  # every pending record
+        self.ids: list = []                  # every pending handle
         self.pref_ids: list = []             # non-victim targets, adversary policy
 
     def push(self, step: int, frm: int, dst: int, msg, rnd: int, tag: str,
              bits: int):
-        ids = self.ids
-        rec = [(step, frm, dst, msg, rnd, tag, bits), len(ids)]
-        ids.append(rec)
-        self.age.append(rec)
-        if self.adversary and dst not in self.victims:
-            rec.append(len(self.pref_ids))
-            self.pref_ids.append(rec)
-
-    def _pick(self, ids: list) -> list:
-        """ids[rng.randrange(len(ids))], drawing exactly as `randrange`."""
-        n = len(ids)
-        k = n.bit_length()
-        r = self.getrandbits(k)
-        while r >= n:
-            r = self.getrandbits(k)
-        return ids[r]
-
-    def _remove(self, rec: list) -> tuple:
-        ids = self.ids
-        last = ids.pop()
-        if last is not rec:
-            ids[rec[1]] = last
-            last[1] = rec[1]
-        if len(rec) == 3:                    # also in pref_ids
-            ids = self.pref_ids
-            last = ids.pop()
-            if last is not rec:
-                ids[rec[2]] = last
-                last[2] = rec[2]
-        event = rec[0]
-        rec.clear()
-        return event
+        events, ids = self.events, self.ids
+        h = len(events)
+        events.append((step, frm, dst, msg, rnd, tag, bits))
+        self.slot.append(len(ids))
+        ids.append(h)
+        self.age.append(h)
+        if self.adversary:
+            if dst in self.victims:
+                self.pslot.append(-1)
+            else:
+                self.pslot.append(len(self.pref_ids))
+                self.pref_ids.append(h)
 
     def pop(self, step: int) -> tuple:
-        age = self.age
+        events, age, ids = self.events, self.age, self.ids
         # aging: anything past the fairness window is delivered first
-        while age and not age[0]:
+        while events[age[0]] is None:
             age.popleft()
-        if age:
-            oldest = age[0]
-            if step - oldest[0][0] > self.window:
-                age.popleft()
-                return self._remove(oldest)
-        if self.lifo and self.rng.random() < 0.9:
-            while not age[-1]:
-                age.pop()
-            return self._remove(age.pop())
-        if self.adversary and self.pref_ids:
-            return self._remove(self._pick(self.pref_ids))
-        return self._remove(self._pick(self.ids))
+        h = age[0]
+        if step - events[h][0] > self.window:
+            age.popleft()
+        elif self.lifo and self.rng.random() < 0.9:
+            h = age.pop()
+            while events[h] is None:
+                h = age.pop()
+        else:
+            pick = self.pref_ids if self.adversary and self.pref_ids else ids
+            n = len(pick)
+            k = n.bit_length()
+            r = self.getrandbits(k)
+            while r >= n:
+                r = self.getrandbits(k)
+            h = pick[r]
+        slot = self.slot
+        last = ids.pop()
+        if last != h:
+            i = slot[h]
+            ids[i] = last
+            slot[last] = i
+        if self.adversary:
+            pslot = self.pslot
+            i = pslot[h]
+            if i >= 0:
+                pref = self.pref_ids
+                last = pref.pop()
+                if last != h:
+                    pref[i] = last
+                    pslot[last] = i
+        event = events[h]
+        events[h] = None
+        return event
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +470,7 @@ class RunReport:
     outputs: dict                    # id -> {"terminated", "output", "bottom"}
     checks: dict
     metrics: Metrics
-    event_log: list
+    event_log: list                  # flat: six fields per delivery
     flags: dict = field(default_factory=dict)
 
     @property
@@ -479,20 +485,24 @@ class RunReport:
             "checks": dict(sorted(self.checks.items())),
             "flags": dict(sorted(self.flags.items())),
             "metrics": self.metrics.to_dict(),
-            "events": len(self.event_log),
+            "events": len(self.event_log) // 6,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
+    def rows(self):
+        """The event log, one ``(step, frm, dst, tag, bits, rnd)`` row
+        per delivery."""
+        it = iter(self.event_log)
+        return zip(it, it, it, it, it, it)
+
     def log_ndjson(self) -> str:
-        rows = []
-        for step, frm, dst, tag, bits, rnd in self.event_log:
-            rows.append(json.dumps(
-                {"step": step, "from": frm, "to": dst, "tag": tag,
-                 "bits": bits, "round": rnd},
-                sort_keys=True, separators=(",", ":")))
-        return "\n".join(rows)
+        return "\n".join(
+            json.dumps({"step": step, "from": frm, "to": dst, "tag": tag,
+                        "bits": bits, "round": rnd},
+                       sort_keys=True, separators=(",", ":"))
+            for step, frm, dst, tag, bits, rnd in self.rows())
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +648,7 @@ def run(config: SimConfig) -> RunReport:
                 depth[dst] = rnd
             sends = node.handle(frm, msg)
             delivered += 1
-            event_log.append((step, frm, dst, tag, bits, rnd))
+            event_log.extend((step, frm, dst, tag, bits, rnd))
             if sends:
                 enqueue(dst, sends)
             if node.terminated:
@@ -647,7 +657,7 @@ def run(config: SimConfig) -> RunReport:
             if rnd > depth[dst]:
                 depth[dst] = rnd
             delivered += 1
-            event_log.append((step, frm, dst, tag, bits, rnd))
+            event_log.extend((step, frm, dst, tag, bits, rnd))
             sends = strategies[dst].on_deliver(frm, msg)
             if sends:
                 enqueue(dst, sends)

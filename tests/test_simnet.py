@@ -1,5 +1,7 @@
 """Simulator harness tests: determinism, fairness, accounting, config."""
 
+import gc
+import json
 import math
 import random
 import weakref
@@ -145,11 +147,16 @@ def test_coin_abba_bits_counted_in_protocol():
 
 def test_event_log_schema():
     rep = run(SimConfig(n=4, t=1, seed=1, msg_len_bits=64))
-    step, frm, dst, tag, bits, rnd = rep.event_log[0]
+    step, frm, dst, tag, bits, rnd = next(rep.rows())
     assert isinstance(step, int) and isinstance(tag, str)
-    line = rep.log_ndjson().splitlines()[0]
-    assert set(__import__("json").loads(line)) == \
+    lines = rep.log_ndjson().splitlines()
+    assert set(json.loads(lines[0])) == \
         {"step", "from", "to", "tag", "bits", "round"}
+    rows = list(rep.rows())
+    assert len(rows) == len(lines) == rep.to_dict()["events"] > 0
+    for row, line in zip(rows, lines):
+        assert json.loads(line) == dict(
+            zip(("step", "from", "to", "tag", "bits", "round"), row))
 
 
 def test_report_json_is_sorted_and_stable():
@@ -312,6 +319,30 @@ def test_queue_drops_delivered_payloads(policy):
     assert len(queue.ids) == 1
     assert [ref for ref in refs if ref() is not None] == []
     assert queue.pop(200)[3] is oldest
+
+
+@pytest.mark.parametrize("policy", SCHEDULERS)
+def test_pending_delivery_keeps_one_tracked_object(policy):
+    """A pending delivery keeps at most its event tuple alive for the
+    cyclic collector, and a delivered one keeps nothing."""
+    queue = _Queue(random.Random(3), policy, frozenset({1, 2}), 500)
+    msgs = [_Payload() for _ in range(7)]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        step = 0
+        for i in range(2000):
+            queue.push(step, 1, 1 + i % 7, msgs[i % 7], 1, "T", 1)
+            if i % 2:
+                step += 1
+                queue.pop(step)
+        grown = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(queue.ids) == 1000
+    assert grown <= len(queue.ids) + 20
 
 
 class _IllTypedBroadcaster(Strategy):
