@@ -6,13 +6,15 @@ and split into ``chunks`` independent (n, k) codewords that share the
 evaluation points x = 1..n.  Share j concatenates the j-th evaluation of
 every chunk, so comparing two shares compares all chunks at once.
 
-`ecc_encode` encodes (once per message per run), `ecc_decode` corrects
-errors through `decode_elements` and `_decode_chunk`, and
-`OecAccumulator` is the accumulate-and-retry loop of the agreement
-protocols.  Encoding and the clean decode path pack one lane per chunk
-into one int (Kronecker substitution, see `CodeParams.lane_code`).
-Lagrange interpolation only fits chunks on an index set known to be
-clean (`_fit`); the key-equation fold does every correction.
+`ecc_encode` encodes (once per message per run), `ecc_decode` answers
+a share map that holds m - e rows of one memoised message from that
+memo and corrects any other through `decode_elements` and
+`_decode_chunk`, and `OecAccumulator` is the accumulate-and-retry loop
+of the agreement protocols.  Encoding and the clean decode path pack
+one lane per chunk into one int (Kronecker substitution, see
+`CodeParams.lane_code`).  Lagrange interpolation only fits chunks on an
+index set known to be clean (`_fit`); the key-equation fold does every
+correction.
 """
 
 from __future__ import annotations
@@ -552,23 +554,56 @@ def ecc_decode(params: CodeParams, shares: Mapping[int, Sequence[int]],
                chunk0_basis: Optional[Callable[[], list]] = None) -> tuple:
     """Decode a byte message from m <= n shares with Byzantine errors.
 
-    Recovers the unique message whose codeword differs from the given
-    shares in <= e positions whenever 2e + k <= m.  Returns
-    ``(message, support)``, where ``support`` holds the indices whose
-    share equals ``ecc_encode(params, message)`` at that index.
-    ``chunk0_basis`` is passed on to `decode_elements`.
+    Recovers the unique message whose codeword differs from the shares in
+    <= e positions, e = (m - k) // 2 clamped to ``max_errors`` as in
+    `_decode_chunk`.  Returns ``(message, support)``, where ``support``
+    holds the indices whose share equals ``ecc_encode(params, message)``
+    at that index.  ``chunk0_basis`` is passed on to `decode_elements`.
 
-    Rows of one memoised encoding (see `ecc_encode`) are recognised first:
-    at least k shares, and ``shares[x] is rows[x - 1]`` with every x an int
-    in 1..n, give ``(message, set(shares))``, the full decoder's answer on
-    an error-free codeword.  Any other map, equal copies included, is
-    decoded in full.
+    The encode memo (see `ecc_encode`) answers first when m >= k, every
+    index is an int in 1..n and every share that is not a memo row passes
+    `CodeParams.valid_elems`; the scan gives up once more than e shares
+    are not memo rows.  Its candidate M is the message whose rows, matched
+    by identity at their own index, make up the most shares; M's support
+    is every x with ``shares[x] is rows[x - 1]`` or ``rows[x - 1] ==
+    tuple(shares[x])``.  If it holds m - e or more indices, ``(M,
+    support)`` is the full decoder's answer: on every chunk M's codeword
+    equals the received word on the support, so it lies within e of it,
+    and 2e + k <= m makes it the unique such codeword, which
+    `decode_elements` returns chunk by chunk; M's frame is canonical, and
+    the full decoder's support is the indices equal on every chunk.  Any
+    other map is decoded in full.
     """
-    hit = params.encoded_rows.get(id(next(iter(shares.values()), None)))
-    if hit and len(shares) >= params.k and all(
-            type(x) is int and 0 < x <= params.n and hit[1][x - 1] is s
-            for x, s in shares.items()):
-        return hit[0], set(shares)
+    m, k = len(shares), params.k
+    e = (m - k) // 2
+    if max_errors is not None:
+        e = max(0, min(e, max_errors))
+    if m >= k:
+        memo, n, valid = params.encoded_rows, params.n, params.valid_elems
+        found = []                # (message, rows) of each memo row
+        misses = 0
+        for x, s in shares.items():
+            if type(x) is not int or not 0 < x <= n:
+                break
+            hit = memo.get(id(s))
+            if hit is not None and hit[1][x - 1] is s:
+                found.append(hit)
+            elif misses == e or not valid(s):
+                break
+            else:
+                misses += 1
+        else:
+            if found:
+                hit = found[0]
+                if found.count(hit) < len(found):   # rows of several messages
+                    hit = max(found, key=found.count)
+                elif len(found) == m:
+                    return hit[0], set(shares)
+                message, rows = hit
+                support = {x for x, s in shares.items()
+                           if s is rows[x - 1] or rows[x - 1] == tuple(s)}
+                if len(support) >= m - e:
+                    return message, support
     for idx, elems in shares.items():
         if len(elems) != params.chunks:
             raise DecodeFailure(f"share {idx} has wrong chunk count")

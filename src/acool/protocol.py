@@ -31,13 +31,14 @@ unique-agreement instances are quiescent between events: no standing
 guard can fire.  A message can therefore enable only the guards whose
 inputs its handler changed, and a handler reports just the guards its
 delivery can newly fire: a threshold guard when its set reaches the
-threshold, an instance-dependent guard when the instance fixed a flag.
-`handle` pumps only when a handler reports some, and a node's `_pump`
-first evaluates only those, in the fixed guard order; once any guard
-fires, every guard runs, in the same order, until a full pass fires
-none.  The sends come out in the order a full re-evaluation after every
-event would give.  All cross-node effects travel as returned
-(destination, message) pairs; nothing here touches a network.
+threshold, an instance-dependent guard when the instance fixed a flag it
+reads and it has not fired yet.  `handle` pumps only when a handler
+reports some, and a node's `_pump` first evaluates only those, in the
+fixed guard order; once any guard fires, every guard runs, in the same
+order, until a full pass fires none.  The sends come out in the order
+a full re-evaluation after every event would give.  All cross-node
+effects travel as returned (destination, message) pairs; nothing here
+touches a network.
 """
 
 from __future__ import annotations
@@ -301,10 +302,6 @@ class AcoolNode(ProtocolBase):
         self.newsym_seen: set = set()
         self.skip_brba = skip_brba
         self.legacy = legacy
-        # guards an instance-1 flag can newly fire; the legacy final decode
-        # runs on instance 1
-        self.wake1 = (_SECOND_INPUT | _ABBA_INPUT
-                      | (_FINAL_DECODE if legacy else 0))
 
     # bound in the class body: the perfbench tracer wraps the entry points
     # each class holds itself
@@ -325,7 +322,11 @@ class AcoolNode(ProtocolBase):
     def _on_abba(self, frm: int, msg, sends) -> int:
         undecided = self.abba.output is None
         sends += self.abba.handle(frm, msg)
-        return _ABBA_OUTPUT if undecided and self.abba.output is not None else 0
+        if undecided and self.abba.output is not None and (
+                self.v_out is None if self.skip_brba
+                else self.ready_sent is None):
+            return _ABBA_OUTPUT
+        return 0
 
     _HANDLERS = {
         **ProtocolBase._HANDLERS,
@@ -336,17 +337,24 @@ class AcoolNode(ProtocolBase):
     # -- delivery absorption ------------------------------------------------
 
     def _absorb(self, bua: Bua, frm: int, msg, fixed: bool) -> int:
-        # an instance fix wakes only guards that read the flag it set: the
-        # agreement input reads instance 2's vote, and instance 1's s2 and
-        # vote (outside legacy wiring, wake1's guards read no s1)
+        # an instance fix wakes only unfired guards that read the flag it
+        # set: the agreement input reads instance 2's vote and instance 1's
+        # s2 and vote, the shared input instance 1's s2; none reads s1
         if bua is not self.bua1:
             wake = self._absorb_final(bua, frm, msg)
-            return wake | _ABBA_INPUT if fixed and bua.vote is not None else wake
+            if fixed and bua.vote is not None and self.abba.input_bit is None:
+                wake |= _ABBA_INPUT
+            return wake
         # fold an instance-1 delivery into the majority table and share
         # decoder; while starved, the majority guard can newly fire for the
         # grown group alone, or for any group once the phase-2 zero set grows
-        wake = (self.wake1 if fixed and (self.legacy or bua.s2 is not None
-                                         or bua.vote is not None) else 0)
+        wake = 0
+        if fixed:
+            if self.legacy:      # the final decode runs on instance 1
+                wake = _SECOND_INPUT | _ABBA_INPUT | _FINAL_DECODE
+            elif bua.s2 is not None or bua.vote is not None:
+                wake = ((_ABBA_INPUT if self.abba.input_bit is None else 0)
+                        | (_SECOND_INPUT if self.bua2.w is None else 0))
         elems = None
         starved = not self.legacy and self.y_major is None and bua.s1 != 1
         if type(msg) is Symbol:

@@ -903,12 +903,11 @@ def counting(monkeypatch, name):
 
 
 def full_decode(params, shares, max_errors=None):
-    """`ecc_decode`'s answer computed on copies, which it cannot recognise."""
+    """`ecc_decode`'s answer computed on copies: they hold no memo row, so
+    the full decoder gives it."""
     copies = {x: tuple(list(s)) for x, s in shares.items()}
-    data, support = decode_elements(params, copies, max_errors)
-    message, canonical = _unframe(params, data)
-    assert canonical
-    return message, support
+    assert not any(id(c) in params.encoded_rows for c in copies.values())
+    return ecc_decode(params, copies, max_errors)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
@@ -938,22 +937,23 @@ class _TupleSub(tuple):
     pass
 
 
-def test_unrecognised_share_maps_take_the_full_decoder(monkeypatch):
+def test_share_maps_within_the_radius_take_the_memo_path(monkeypatch):
     params = params_for_message_bits(19, 6, 256)      # k = 2
     n = params.n
     rows = ecc_encode(params, b"first")
     other = ecc_encode(params, b"second")
     whole = {x: rows[x - 1] for x in range(1, n + 1)}
-    cases = {
-        "wrong index": {**whole, 1: rows[1], 2: rows[0]},
-        "two messages": {**whole, **{x: other[x - 1] for x in range(1, 8)}},
-        "equal but distinct": {**whole, 5: tuple(list(rows[4]))},
-        "tuple subclass": {**whole, 5: _TupleSub(rows[4])},
-        "index 0": {0: rows[n - 1], 1: rows[0], 2: rows[1]},
-        "index n + 1": {1: rows[0], 2: rows[1], n + 1: rows[0]},
-        "fewer than k": {3: rows[2]},
+    cases = {   # name -> (shares, decode_elements calls)
+        "wrong index": ({**whole, 1: rows[1], 2: rows[0]}, []),
+        "two messages": ({**whole, **{x: other[x - 1] for x in range(1, 8)}},
+                         []),
+        "equal but distinct": ({**whole, 5: tuple(list(rows[4]))}, []),
+        "tuple subclass": ({**whole, 5: _TupleSub(rows[4])}, []),
+        "index 0": ({0: rows[n - 1], 1: rows[0], 2: rows[1]}, [1]),
+        "index n + 1": ({1: rows[0], 2: rows[1], n + 1: rows[0]}, [1]),
+        "fewer than k": ({3: rows[2]}, [1]),
     }
-    for name, shares in cases.items():
+    for name, (shares, path) in cases.items():
         try:
             expect = full_decode(params, shares)
         except DecodeFailure:
@@ -964,11 +964,117 @@ def test_unrecognised_share_maps_take_the_full_decoder(monkeypatch):
         except DecodeFailure:
             got = DecodeFailure
         monkeypatch.undo()
-        assert decodes == [1], name
+        assert decodes == path, name
         assert got == expect, name
     # the mix is within the radius: the majority message, on its own rows
-    assert full_decode(params, cases["two messages"]) == (
+    assert full_decode(params, cases["two messages"][0]) == (
         b"first", set(range(8, n + 1)))
+
+
+def mixed_share(rng, params, x, first, second):
+    """One share for index ``x`` of the differential test's share maps."""
+    q, chunks = params.q, params.chunks
+    kind = rng.choice(("first", "first", "first", "second", "copy",
+                       "subclass", "valid", "above q", "chunk count"))
+    row = first[x - 1] if 1 <= x <= params.n else first[0]
+    if kind == "second":
+        return second[x - 1] if 1 <= x <= params.n else second[0]
+    if kind == "copy":
+        return tuple(list(row))
+    if kind == "subclass":
+        return _TupleSub(row)
+    if kind == "valid":
+        return tuple(rng.randrange(q) for _ in range(chunks))
+    if kind == "above q":
+        c = rng.randrange(chunks)
+        return row[:c] + (q + rng.randrange(3),) + row[c + 1:]
+    if kind == "chunk count":
+        return row + (0,) if rng.random() < 0.5 else row[:-1]
+    return row
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_memo_path_matches_full_decoder_on_mixed_maps(k, monkeypatch):
+    """Seeded differential test: on share maps mixing the rows of one or
+    two memoised messages with equal copies, tuple subclasses, valid
+    random shares, elements >= q, wrong chunk counts and indices 0 or
+    n+1, `ecc_decode` gives exactly the full decoder's outcome on copies,
+    whichever path answers."""
+    rng = random.Random(100 + k)
+    t = 3 * k
+    n = 3 * t + 1
+    params = params_for_message_bits(n, t, 64 * k)
+    seen = set()                  # (memo path answered, outcome succeeded)
+    for trial in range(4):
+        first = ecc_encode(params, bytes([trial]) * rng.randrange(1, 8 * k))
+        second = ecc_encode(params, bytes([trial + 100, trial]))
+        for m in range(k - 1, n + 1):
+            for max_errors in (None, 0, m - (k + t)):
+                xs = rng.sample(range(1, n + 1), m)
+                if xs and rng.random() < 0.1:
+                    xs[rng.randrange(m)] = rng.choice((0, n + 1))
+                noise = rng.choice((0, 0.1, 0.3, 1))
+                shares = {x: mixed_share(rng, params, x, first, second)
+                          if rng.random() < noise or not 0 < x <= n
+                          else first[x - 1] for x in xs}
+                expect = decode_outcome(full_decode, params, shares,
+                                        max_errors)
+                decodes = counting(monkeypatch, "decode_elements")
+                got = decode_outcome(ecc_decode, params, shares, max_errors)
+                monkeypatch.undo()
+                assert got == expect, (m, max_errors, shares)
+                if got is not DecodeFailure:
+                    assert type(got[0]) is bytes
+                seen.add((not decodes, got is not DecodeFailure))
+    # the memo path answered, the full decoder succeeded, and it failed
+    assert {(True, True), (False, True), (False, False)} <= seen
+
+
+def test_accumulator_on_memo_rows_matches_copies(monkeypatch):
+    """An accumulator fed honest memo rows and t valid garbage shares
+    accepts on the same submit, with the same message, support size and
+    attempt count, as one fed equal copies of the same shares; only the
+    copies reach a successful full decode."""
+    params = params_for_message_bits(31, 10, 1024)
+    n, t, q = params.n, params.t, params.q
+    rng = random.Random(31)
+    supports = []
+    decode = field_ecc.ecc_decode
+
+    def recorded(*args, **kwargs):
+        message, support = decode(*args, **kwargs)
+        supports.append(len(support))
+        return message, support
+
+    monkeypatch.setattr(field_ecc, "ecc_decode", recorded)
+    full = []                     # successful decode_elements calls
+    decode_in_full = field_ecc.decode_elements
+
+    def counted(*args, **kwargs):
+        got = decode_in_full(*args, **kwargs)
+        full.append(1)
+        return got
+
+    monkeypatch.setattr(field_ecc, "decode_elements", counted)
+    for trial in range(10):
+        rows = ecc_encode(params, bytes([trial]) * (1 + trial))
+        bad = set(rng.sample(range(1, n + 1), t))
+        arrivals = [(x, tuple(rng.randrange(q) for _ in range(params.chunks))
+                     if x in bad else rows[x - 1])
+                    for x in rng.sample(range(1, n + 1), n)]
+        outcomes = []
+        for shares in (arrivals, [(x, tuple(list(s))) for x, s in arrivals]):
+            acc = OecAccumulator(params)
+            supports.clear()
+            full.clear()
+            accepting = [pos for pos, (x, s) in enumerate(shares)
+                         if acc.submit(x, s) is not None]
+            outcomes.append((accepting, acc.decoded, supports[-1:],
+                             acc.attempts, len(full)))
+        memo, copies = outcomes
+        assert memo[:4] == copies[:4] and len(memo[0]) == 1
+        assert memo[1] == bytes([trial]) * (1 + trial)
+        assert memo[4] == 0 and copies[4] == 1
 
 
 def test_encode_memo_is_per_params_and_returns_the_same_rows(monkeypatch):
