@@ -102,6 +102,16 @@ class CodeParams:
     def oec_threshold(self) -> int:
         return self.k + self.t
 
+    @property
+    def lead_chunk(self) -> int:
+        """The first chunk that holds a message bit (the last if none does).
+
+        The chunks before it hold only the length prefix, which two
+        messages of one length share.
+        """
+        return min((LENGTH_PREFIX_BITS // self.elem_payload_bits) // self.k,
+                   self.chunks - 1)
+
     def valid_elems(self, elems) -> bool:
         """True when ``elems`` is one share: a tuple of ``chunks`` ints in [0, q).
 
@@ -508,32 +518,36 @@ def _fit(params: CodeParams, shares: Mapping[int, Sequence[int]],
 
 def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
                     max_errors: Optional[int] = None,
-                    chunk0_basis: Optional[Callable[[], list]] = None) -> tuple:
+                    lead_basis: Optional[Callable[[], list]] = None) -> tuple:
     """Per-chunk error correction over a share map {index: elems}.
 
     Returns ``(data, support)``: the k*chunks decoded elements and the
     indices whose share equals the decoded codeword on every chunk.
 
-    A Byzantine sender normally corrupts a whole share, so chunk 0 is
+    A Byzantine sender normally corrupts a whole share, so the lead chunk
+    (`CodeParams.lead_chunk`, the first that holds a message bit) is
     corrected first and the indices it finds consistent ("clean") seed
-    every chunk at once (see `_fit`).  A chunk that fails is corrected in
+    every chunk at once (see `_fit`).  The lead chunk goes first because
+    the chunks before it hold only the length prefix, on which two
+    messages of one length agree: a map that mixes them fails there, not
+    after every chunk is fitted.  A chunk that fails is corrected in
     full, and the indices that agree with its codeword, at least m - e of
     them, seed the chunks still failing; only those that fail again are
     corrected in full, and so on.  Each chunk's result is exact: a
     candidate that matches m - e or more shares lies within the radius,
-    so it is the unique codeword there that full correction would return.
-    A share element outside [0, q) never matches, so it counts as an
-    error in its chunk.  The support is the clean indices that every
-    chunk's codeword matches.  Every full correction folds the key
-    equation (see `_decode_chunk`), chunk 0's into ``chunk0_basis`` when
-    the caller carries one.
+    so it is the unique codeword there that full correction would return,
+    whatever the order of the chunks.  A share element outside [0, q)
+    never matches, so it counts as an error in its chunk.  The support is
+    the clean indices that every chunk's codeword matches.  Every full
+    correction folds the key equation (see `_decode_chunk`), the lead
+    chunk's into ``lead_basis`` when the caller carries one.
     """
     xs = sorted(shares)
     if not xs or xs[0] < 1 or xs[-1] > params.n:
         raise DecodeFailure("share indices outside 1..n")
-    k, q = params.k, params.q
-    _, seed = _decode_chunk(xs, [shares[x][0] for x in xs], k, q, max_errors,
-                            chunk0_basis)
+    k, q, lead = params.k, params.q, params.lead_chunk
+    _, seed = _decode_chunk(xs, [shares[x][lead] for x in xs], k, q,
+                            max_errors, lead_basis)
     support = set(seed)
     coeffs = [None] * k          # coeffs[d][c]: degree-d coefficient of chunk c
     failing = _fit(params, shares, seed, range(params.chunks), coeffs)
@@ -551,14 +565,15 @@ def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
 
 def ecc_decode(params: CodeParams, shares: Mapping[int, Sequence[int]],
                max_errors: Optional[int] = None,
-               chunk0_basis: Optional[Callable[[], list]] = None) -> tuple:
+               lead_basis: Optional[Callable[[], list]] = None) -> tuple:
     """Decode a byte message from m <= n shares with Byzantine errors.
 
     Recovers the unique message whose codeword differs from the shares in
     <= e positions, e = (m - k) // 2 clamped to ``max_errors`` as in
     `_decode_chunk`.  Returns ``(message, support)``, where ``support``
     holds the indices whose share equals ``ecc_encode(params, message)``
-    at that index.  ``chunk0_basis`` is passed on to `decode_elements`.
+    at that index.  ``lead_basis``, the lead chunk's key-equation basis
+    when the caller carries one, is passed on to `decode_elements`.
 
     The encode memo (see `ecc_encode`) answers first when m >= k, every
     index is an int in 1..n and every share that is not a memo row passes
@@ -572,7 +587,9 @@ def ecc_decode(params: CodeParams, shares: Mapping[int, Sequence[int]],
     and 2e + k <= m makes it the unique such codeword, which
     `decode_elements` returns chunk by chunk; M's frame is canonical, and
     the full decoder's support is the indices equal on every chunk.  Any
-    other map is decoded in full.
+    other map is decoded in full.  A memo answer thus implies a codeword
+    within e of the lead chunk, which `OecAccumulator` relies on when it
+    skips attempts.
     """
     m, k = len(shares), params.k
     e = (m - k) // 2
@@ -607,7 +624,7 @@ def ecc_decode(params: CodeParams, shares: Mapping[int, Sequence[int]],
     for idx, elems in shares.items():
         if len(elems) != params.chunks:
             raise DecodeFailure(f"share {idx} has wrong chunk count")
-    data, support = decode_elements(params, shares, max_errors, chunk0_basis)
+    data, support = decode_elements(params, shares, max_errors, lead_basis)
     message, canonical = _unframe(params, data)
     if not canonical:
         # Nonzero padding bits or an element above 2^b, which no honest
@@ -632,16 +649,35 @@ class OecAccumulator:
     any extra ``accept`` predicate passes; the adversary holds at most t
     slots, so an accepted message is pinned down by >= k honest shares.
 
-    Successive attempts see the same shares plus new ones, so chunk 0's
-    key-equation basis (see `_decode_chunk`) is carried from one attempt
-    to the next.  It is brought up to date only when an attempt reaches
-    the decoder, by one O(m) `_fold` per share stored since, and answers
-    the attempt directly: an attempt with no codeword in reach fails on
-    one degree comparison.
+    Successive attempts see the same shares plus new ones, so the lead
+    chunk's key-equation basis (see `CodeParams.lead_chunk` and
+    `_decode_chunk`) is carried from one attempt to the next.  It is
+    brought up to date only when an attempt reaches the decoder, by one
+    O(m) `_fold` per share stored since, and answers the attempt
+    directly: an attempt with no codeword in reach fails on one degree
+    comparison, before any other chunk is fitted.
+
+    A failed attempt also tells how many later attempts must fail.  With
+    m shares the radius is e = min((m - k) // 2, m - threshold); let w
+    be the weighted degree of the basis's minimal element, and D = w -
+    (e + k - 1) its margin.  If D > 1, the next D - 1 attempts are
+    counted and fail without a decode, for two reasons:
+
+    * They would fail the degree check.  `_fold` never lowers the
+      minimal key (one element's key rises by 2, the other's stays), and
+      e grows by at most 1 per share, so j shares later the basis over
+      every stored share still has minimal weighted degree >= w > e + j
+      + k - 1 for every j < D.  This holds also when the failed attempt
+      stopped before the decoder brought the basis up to date, as it
+      then covers only some of the shares.
+    * The encode memo could not answer them either.  `ecc_decode`
+      answers from the memo only with a message whose rows equal m - e
+      or more shares; its codeword then lies within e of the lead chunk,
+      which puts the minimal weighted degree at or below e + k - 1.
     """
 
     __slots__ = ("params", "threshold", "accept", "shares", "decoded", "done",
-                 "attempts", "_basis", "_folded")
+                 "attempts", "_basis", "_folded", "_hopeless")
 
     def __init__(self, params: CodeParams,
                  accept: Optional[Callable[[bytes], bool]] = None):
@@ -654,15 +690,16 @@ class OecAccumulator:
         self.attempts = 0
         self._basis = _key_basis(params.k)  # over the first _folded shares
         self._folded = 0
+        self._hopeless = 0                  # attempts certain to fail
 
     def __contains__(self, index: int) -> bool:
         return index in self.shares
 
-    def _chunk0_basis(self) -> list:
-        """Chunk 0's key-equation basis over every stored share."""
-        q = self.params.q
+    def _lead_basis(self) -> list:
+        """The lead chunk's key-equation basis over every stored share."""
+        q, lead = self.params.q, self.params.lead_chunk
         for x, elems in islice(self.shares.items(), self._folded, None):
-            _fold(self._basis, x, elems[0], q)
+            _fold(self._basis, x, elems[lead], q)
         self._folded = len(self.shares)
         return self._basis
 
@@ -675,13 +712,21 @@ class OecAccumulator:
         if self.done or len(self.shares) < self.threshold:
             return None
         self.attempts += 1
+        if self._hopeless:
+            self._hopeless -= 1
+            return None
+        m = len(self.shares)
         try:
             # errors beyond m - threshold could never pass the match check
             message, support = ecc_decode(
-                self.params, self.shares,
-                max_errors=len(self.shares) - self.threshold,
-                chunk0_basis=self._chunk0_basis)
+                self.params, self.shares, max_errors=m - self.threshold,
+                lead_basis=self._lead_basis)
         except DecodeFailure:
+            # the next margin - 1 attempts fail too (see the class docstring)
+            k = self.params.k
+            e = min((m - k) // 2, m - self.threshold)
+            margin = (min(self._basis)[0] >> 1) - (e + k - 1)
+            self._hopeless = max(0, margin - 1)
             return None
         if len(support) < self.threshold:
             return None

@@ -337,9 +337,10 @@ class AcoolNode(ProtocolBase):
     # -- delivery absorption ------------------------------------------------
 
     def _absorb(self, bua: Bua, frm: int, msg, fixed: bool) -> int:
-        # an instance fix wakes only unfired guards that read the flag it
-        # set: the agreement input reads instance 2's vote and instance 1's
-        # s2 and vote, the shared input instance 1's s2; none reads s1
+        # an instance fix wakes only unfired guards that can newly hold:
+        # the agreement input reads instance 2's vote, and instance 1's s2
+        # and vote only at 0; the shared input reads instance 1's s2 only
+        # at 1; none reads s1
         if bua is not self.bua1:
             wake = self._absorb_final(bua, frm, msg)
             if fixed and bua.vote is not None and self.abba.input_bit is None:
@@ -347,14 +348,18 @@ class AcoolNode(ProtocolBase):
             return wake
         # fold an instance-1 delivery into the majority table and share
         # decoder; while starved, the majority guard can newly fire for the
-        # grown group alone, or for any group once the phase-2 zero set grows
+        # grown group alone, or, once the phase-2 zero set grows, for any
+        # group of n-2t senders
         wake = 0
         if fixed:
             if self.legacy:      # the final decode runs on instance 1
                 wake = _SECOND_INPUT | _ABBA_INPUT | _FINAL_DECODE
-            elif bua.s2 is not None or bua.vote is not None:
-                wake = ((_ABBA_INPUT if self.abba.input_bit is None else 0)
-                        | (_SECOND_INPUT if self.bua2.w is None else 0))
+            else:
+                zero = bua.vote == 0 or bua.s2 == 0
+                if zero and self.abba.input_bit is None:
+                    wake = _ABBA_INPUT
+                if bua.s2 == 1 and self.bua2.w is None:
+                    wake |= _SECOND_INPUT
         elems = None
         starved = not self.legacy and self.y_major is None and bua.s1 != 1
         if type(msg) is Symbol:
@@ -373,7 +378,9 @@ class AcoolNode(ProtocolBase):
             if pair is not None:
                 elems = pair[1]
         elif msg.bit != 1 and starved:
-            wake |= _NEW_SYMBOL
+            need = self.params.n - 2 * self.params.t
+            if any(len(grp) >= need for grp in self.y_table.values()):
+                wake |= _NEW_SYMBOL
         if (elems is not None and frm not in self.oec_new
                 and self.oec_new.submit(frm, elems) is not None):
             wake |= _SECOND_INPUT

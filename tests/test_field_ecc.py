@@ -388,8 +388,17 @@ def ref_decode_chunk(xs, ys, k, q, max_errors=None):
     return p
 
 
+def ref_lead_chunk(params):
+    """The chunk of the first element that holds a bit past the 32-bit
+    length prefix, or the last chunk when no element does."""
+    b = params.q.bit_length() - 1
+    first = next(i for i in range(33) if (i + 1) * b > 32)
+    return min(first // params.k, params.chunks - 1)
+
+
 def ref_decode_elements(params, shares, max_errors=None, corrections=None):
-    """One interpolation per chunk on chunk 0's clean indices, else correction.
+    """Correct the lead chunk, then one interpolation per other chunk on
+    its clean indices, else correction.
 
     Appends one entry to ``corrections`` per `ref_decode_chunk` call.
     """
@@ -401,13 +410,14 @@ def ref_decode_elements(params, shares, max_errors=None, corrections=None):
     xs = sorted(shares)
     if not xs or xs[0] < 1 or xs[-1] > params.n:
         raise DecodeFailure("share indices outside 1..n")
-    k, q = params.k, params.q
-    data = decode_chunk([shares[x][0] for x in xs])
-    clean = [x for x in xs if ref_eval(data, x, q) == shares[x][0]]
-    for c in range(1, params.chunks):
+    k, q, lead = params.k, params.q, ref_lead_chunk(params)
+    first = decode_chunk([shares[x][lead] for x in xs])
+    clean = [x for x in xs if ref_eval(first, x, q) == shares[x][lead]]
+    data = []
+    for c in range(params.chunks):
         ys = {x: shares[x][c] for x in xs}
-        p = None
-        if len(clean) >= k:
+        p = first if c == lead else None
+        if p is None and len(clean) >= k:
             cand = ref_interpolate(clean[:k], [ys[x] for x in clean[:k]], q)
             if all(ref_eval(cand, x, q) == ys[x] for x in clean):
                 p = cand
@@ -566,8 +576,8 @@ def test_codec_matches_reference(params, monkeypatch):
     if params.k > 1 and params.chunks > 1:
         assert fallbacks > 0     # some chunks went to full correction
     if params.chunks > 2:
-        # some chunk that failed chunk 0's clean set passed on the indices
-        # another chunk's full correction found, without its own
+        # some chunk that failed the lead chunk's clean set passed on the
+        # indices another chunk's full correction found, without its own
         assert reseeded > 0
 
 
@@ -657,11 +667,22 @@ def test_lane_width_is_the_narrowest_holding_k_q_squared():
         CodeParams(n=4, t=1, k=2, q=2 ** 32 + 15, chunks=1).lane_code
 
 
+OEC_KINDS = 7
+
+
 def oec_arrivals(rng, params, kind):
     """One share per node in random order, the t Byzantine ones corrupted by
-    ``kind``, with re-submissions of earlier indices mixed in.  Kind 4,
-    "garbage first", sends the t garbage shares before any honest one, so
-    an accumulator makes all t + 1 attempts."""
+    ``kind``, with re-submissions of earlier indices mixed in.
+
+    Kinds 0-3: garbage, one element off by one, one element outside
+    [0, q), and a second codeword equal to the message on chunk 0.  Kind
+    4, "garbage first", sends the t garbage shares before any honest one,
+    so an accumulator makes all t + 1 attempts.  Kind 5 splits the honest
+    indices between the memoised rows of two messages of one length, as
+    an equivocating leader does, and the Byzantine ones send garbage.
+    Kind 6 forges shares that equal the message on the lead chunk only,
+    so an attempt passes the lead chunk's degree check and can still
+    fail."""
     n, t, k, q, chunks = params.n, params.t, params.k, params.q, params.chunks
     msg = bytes(rng.randrange(256) for _ in range(
         rng.randrange(1, params.capacity_bits // 8 - 4)))
@@ -674,11 +695,19 @@ def oec_arrivals(rng, params, kind):
     order = rng.sample(range(1, n + 1), n)
     if kind == 4:
         order.sort(key=lambda idx: idx not in bad)
+    elif kind == 5:
+        other = bytes(rng.randrange(256) for _ in msg)
+        honest = sorted(set(order) - bad)
+        camp = set(rng.sample(honest, rng.randint(0, len(honest))))
+        memo = ecc_encode(params, msg), ecc_encode(params, other)
+    lead_chunk = ref_lead_chunk(params)
     arrivals = []
     for idx in order:
         elems = list(good[idx - 1])
-        if idx in bad:
-            if kind in (0, 4):
+        if kind == 5 and idx not in bad:
+            elems = memo[idx in camp][idx - 1]
+        elif idx in bad:
+            if kind in (0, 4, 5):
                 elems = [rng.randrange(q) for _ in range(chunks)]
             elif kind == 1:
                 c = rng.randrange(chunks)
@@ -686,8 +715,11 @@ def oec_arrivals(rng, params, kind):
             elif kind == 2:
                 c = rng.randrange(chunks)
                 elems[c] = out_of_range(rng, q, elems[c])
-            else:
+            elif kind == 3:
                 elems = list(second[idx - 1])
+            else:
+                elems = [v if c == lead_chunk else rng.randrange(q)
+                         for c, v in enumerate(elems)]
         arrivals.append((idx, tuple(elems)))
     for _ in range(rng.randint(1, n // 2)):
         pos = rng.randrange(1, n + 1)
@@ -698,20 +730,33 @@ def oec_arrivals(rng, params, kind):
     return arrivals
 
 
-@pytest.mark.parametrize("n,t,bits", [(7, 2, 64), (19, 6, 512), (31, 10, 1024),
-                                      (49, 16, 256)])
-def test_oec_matches_reference(n, t, bits):
+@pytest.mark.parametrize("n,t,bits", [(7, 2, 64), (13, 4, 1024), (19, 6, 512),
+                                      (31, 10, 1024), (49, 16, 256)])
+def test_oec_matches_reference(n, t, bits, monkeypatch):
+    """The accumulator against `ref_oec` on every arrival kind.  An attempt
+    that the last failure rules out is counted but skips `ecc_decode`, so
+    garbage first still makes t + 1 attempts, and from t = 3 on, where
+    the first attempt's margin can exceed 1, fewer decodes in all."""
     params = params_for_message_bits(n, t, bits)
     rng = random.Random(n)
+    decodes = counting(monkeypatch, "ecc_decode")
     accepted = 0
-    for trial in range(20):
-        arrivals = oec_arrivals(rng, params, trial % 5)
+    garbage_first = [0, 0]        # attempts, ecc_decode calls
+    for trial in range(4 * OEC_KINDS):
+        kind = trial % OEC_KINDS
+        arrivals = oec_arrivals(rng, params, kind)
+        del decodes[:]
         got = run_oec(params, arrivals)
+        assert len(decodes) <= got[2]
         assert got == ref_oec(params, arrivals)
         accepted += got[1] is not None and got[1] < len(arrivals) - 1
-        if trial % 5 == 4:        # garbage first: every attempt is made
+        if kind == 4:             # garbage first: every attempt is made
             assert got[2] == t + 1
+            garbage_first[0] += got[2]
+            garbage_first[1] += len(decodes)
     assert accepted > 0           # some submits came after acceptance
+    if t >= 3:
+        assert garbage_first[1] < garbage_first[0]
 
 
 def lead(element, k):
@@ -735,41 +780,43 @@ def monic(element, k, q):
     return [c * inv % q for c in num], [c * inv % q for c in den]
 
 
-@pytest.mark.parametrize("n,t,bits", [(31, 10, 1024), (49, 16, 256)])
+@pytest.mark.parametrize("n,t,bits", [(13, 4, 1024), (31, 10, 1024),
+                                      (49, 16, 256)])
 def test_oec_carried_key_basis_invariants(n, t, bits, monkeypatch):
-    """After every lazy fold, the accumulator's chunk-0 basis solves the key
-    equation at every stored share, its two leading positions differ, its
+    """After every lazy fold, the accumulator's lead-chunk basis solves the
+    key equation at every stored share, its two leading positions differ, its
     key is its weighted degree and position, and its minimal element is,
     up to a scalar, that of a fresh fold of the same shares in shuffled
     order."""
     params = params_for_message_bits(n, t, bits)
-    k, q = params.k, params.q
-    chunk0_basis = OecAccumulator._chunk0_basis
+    k, q, c = params.k, params.q, ref_lead_chunk(params)
+    assert c == params.lead_chunk
+    lead_basis = OecAccumulator._lead_basis
     rng = random.Random(n + 1)
     steps = set()                 # shares folded in by one call
 
     def checked(acc):
         before = acc._folded
-        basis = chunk0_basis(acc)
+        basis = lead_basis(acc)
         shares = list(acc.shares.items())
         for element in basis:
             _, num, den = element
             for x, elems in shares:
                 assert (field_ecc._poly_eval(num, x, q)
-                        - elems[0] * field_ecc._poly_eval(den, x, q)) % q == 0
+                        - elems[c] * field_ecc._poly_eval(den, x, q)) % q == 0
             wdeg, pos = lead(element, k)
             assert element[0] == 2 * wdeg + (pos == "W")
         assert lead(basis[0], k)[1] != lead(basis[1], k)[1]
         fresh = _key_basis(k)
         for x, elems in rng.sample(shares, len(shares)):
-            _fold(fresh, x, elems[0], q)
+            _fold(fresh, x, elems[c], q)
         assert monic(min(basis), k, q) == monic(min(fresh), k, q)
         steps.add(len(shares) - before)
         return basis
 
-    monkeypatch.setattr(OecAccumulator, "_chunk0_basis", checked)
-    for trial in range(10):
-        run_oec(params, oec_arrivals(rng, params, trial % 5))
+    monkeypatch.setattr(OecAccumulator, "_lead_basis", checked)
+    for trial in range(2 * OEC_KINDS):
+        run_oec(params, oec_arrivals(rng, params, trial % OEC_KINDS))
     assert 1 in steps and max(steps) > 1   # one share, and several at once
 
 

@@ -214,7 +214,9 @@ def test_k3_garbage_run_makes_no_successful_full_decode(monkeypatch):
     """Every decode that succeeds in this run holds m - e rows of one
     memoised message, so `ecc_decode` answers it from the encode memo and
     no `decode_elements` call returns.  When only maps made wholly of memo
-    rows were answered from the memo, 62 of 670 calls returned."""
+    rows were answered from the memo, 62 of 670 calls returned.  Before
+    an accumulator skipped the attempts its last failure rules out, 608
+    calls were made."""
     from acool import field_ecc
 
     decode_elements = field_ecc.decode_elements
@@ -229,4 +231,35 @@ def test_k3_garbage_run_makes_no_successful_full_decode(monkeypatch):
     monkeypatch.setattr(field_ecc, "decode_elements", counted)
     report = run(CASES["acool-k3-garbage"])
     assert report.ok
-    assert len(calls) == 608 and not any(calls)
+    assert len(calls) == 239 and not any(calls)
+
+
+def test_byzantine_leader_decode_failures_stop_at_the_lead_chunk(monkeypatch):
+    """An equivocating leader's two messages have one length, so they agree
+    on every chunk before the lead chunk, which holds only the length
+    prefix.  Every decode that fails in this run must fail on the lead
+    chunk, before `_fit` compares any chunk.  When chunk 0 went first,
+    all 58 failing `decode_elements` calls reached `_fit`."""
+    from acool import field_ecc
+
+    decode_elements, fit = field_ecc.decode_elements, field_ecc._fit
+    calls = []                    # [reached _fit, returned] per decode
+
+    def counted_fit(*args):
+        calls[-1][0] = True
+        return fit(*args)
+
+    def counted(*args, **kwargs):
+        calls.append([False, False])
+        result = decode_elements(*args, **kwargs)
+        calls[-1][1] = True
+        return result
+
+    monkeypatch.setattr(field_ecc, "_fit", counted_fit)
+    monkeypatch.setattr(field_ecc, "decode_elements", counted)
+    report = run(SimConfig(n=13, t=4, seed=0, msg_len_bits=1024,
+                           protocol="rbc", leader=13,
+                           adversary="equivocate_symbols"))
+    assert report.ok
+    failed = [fitted for fitted, returned in calls if not returned]
+    assert failed and not any(failed)
