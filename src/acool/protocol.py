@@ -22,8 +22,8 @@ exact-type dispatch, SYMBOL/SI routing by an exact `int` tag, READY
 tallying, the decision and the final decode.
 
 Guards read instance and agreement state directly: instance 2's input
-is ``bua2.w``, phase three is ``v_out == 1``.  The one dirty flag,
-``calib_dirty``, stays because legacy wiring depends on it (see there).
+is ``bua2.w``, phase three is ``v_out == 1``, and calibration is
+recomputed until it succeeds.
 
 Handlers are synchronous and deterministic: every inbound event is
 processed to quiescence before the next.  A node and each of its
@@ -89,10 +89,9 @@ class ProtocolBase:
     says whether the instance fixed one of its flags.  A handler appends
     its sends and returns the guards it can newly fire as a bit set, 0
     for none; `handle` pumps only on a nonzero wake.  After a run the
-    simulator reads ``buas``, ``accumulators`` and the two flags below.
+    simulator reads ``buas``, ``accumulators`` and the flag below.
     """
 
-    abba_race = False             # both binary-agreement input rules fired
     quorum_collision = False      # both READY quorums reached n-t
 
     def __init__(self, node_id: int, params: CodeParams):
@@ -103,9 +102,6 @@ class ProtocolBase:
         self.ready_from = {0: set(), 1: set()}
         self.v_out: Optional[int] = None          # 1 starts phase three
         self.calibrated = False
-        # not a pure cache: legacy wiring feeds no instance-1 delivery into
-        # it, so a legacy node calibrates at most once, on entering phase three
-        self.calib_dirty = True
         self.oec_final = OecAccumulator(params)
         self.accumulators = (self.oec_final,)    # every share accumulator
         self.output = None                        # None | bytes | BOTTOM
@@ -219,26 +215,16 @@ class ProtocolBase:
     # -- final multicast ---------------------------------------------------
 
     def _absorb_final(self, bua: Bua, frm: int, msg) -> int:
-        """Fold a delivery the final-decode instance recorded into
-        calibration and decode; the guard can fire only in phase three."""
-        if type(msg) is Symbol:
-            if frm in bua.delivered:
-                self.calib_dirty = True
-                if frm in bua.S1p2:
-                    self._harvest_final(bua, frm)
-        elif msg.phase == 2:
-            self.calib_dirty = True
-            if msg.bit == 1:
-                self._harvest_final(bua, frm)
+        """Store a peer's own symbol for the final decode once the
+        final-decode instance holds both it and the peer's phase-2 success;
+        the guard can newly fire only in phase three."""
+        acc = self.oec_final
+        if ((type(msg) is Symbol or msg.phase == 2 and msg.bit == 1)
+                and not acc.done and frm not in acc and frm in bua.S1p2):
+            pair = bua.delivered.get(frm)
+            if pair is not None:
+                acc.submit(frm, pair[1])
         return _FINAL_DECODE if self.v_out == 1 else 0
-
-    def _harvest_final(self, bua: Bua, j: int):
-        """Store a phase-2-successful peer's own symbol for the final decode."""
-        if j in self.oec_final or self.oec_final.done:
-            return
-        pair = bua.delivered.get(j)
-        if pair is not None and j in bua.S1p2:
-            self.oec_final.submit(j, pair[1])
 
     def _final_decode_guard(self, bua: Bua, sends) -> bool:
         """Phase-three progress over the given unique-agreement instance.
@@ -253,8 +239,7 @@ class ProtocolBase:
             self._terminate(bua.w)
             return True
         changed = False
-        if not self.calibrated and self.calib_dirty:
-            self.calib_dirty = False
+        if not self.calibrated:
             best = self._majority_symbol(bua)
             if best is not None:
                 self.calibrated = True
@@ -285,7 +270,9 @@ class AcoolNode(ProtocolBase):
     agreement already guarantees totality.  ``legacy`` wires instance 1
     directly into the binary agreement with no shared-input derivation;
     it reproduces the composition that loses liveness under asynchrony
-    and exists only for demonstration.
+    and exists only for demonstration.  Instance 1 is then the
+    final-decode instance, and its deliveries fill neither ``y_table``
+    nor ``oec_new``, so the majority guard never fires.
     """
 
     def __init__(self, node_id: int, params: CodeParams, abba,
@@ -338,10 +325,10 @@ class AcoolNode(ProtocolBase):
 
     def _absorb(self, bua: Bua, frm: int, msg, fixed: bool) -> int:
         # an instance fix wakes only unfired guards that can newly hold:
-        # the agreement input reads instance 2's vote, and instance 1's s2
-        # and vote only at 0; the shared input reads instance 1's s2 only
-        # at 1; none reads s1
-        if bua is not self.bua1:
+        # the agreement input reads the final-decode instance's vote (instance
+        # 1's under legacy wiring), and else instance 1's s2 and vote only at
+        # 0; the shared input reads instance 1's s2 only at 1; none reads s1
+        if bua is not self.bua1 or self.legacy:
             wake = self._absorb_final(bua, frm, msg)
             if fixed and bua.vote is not None and self.abba.input_bit is None:
                 wake |= _ABBA_INPUT
@@ -352,16 +339,12 @@ class AcoolNode(ProtocolBase):
         # group of n-2t senders
         wake = 0
         if fixed:
-            if self.legacy:      # the final decode runs on instance 1
-                wake = _SECOND_INPUT | _ABBA_INPUT | _FINAL_DECODE
-            else:
-                zero = bua.vote == 0 or bua.s2 == 0
-                if zero and self.abba.input_bit is None:
-                    wake = _ABBA_INPUT
-                if bua.s2 == 1 and self.bua2.w is None:
-                    wake |= _SECOND_INPUT
+            if (bua.vote == 0 or bua.s2 == 0) and self.abba.input_bit is None:
+                wake = _ABBA_INPUT
+            if bua.s2 == 1 and self.bua2.w is None:
+                wake |= _SECOND_INPUT
         elems = None
-        starved = not self.legacy and self.y_major is None and bua.s1 != 1
+        starved = self.y_major is None and bua.s1 != 1
         if type(msg) is Symbol:
             pair = bua.delivered.get(frm)
             if pair is not None:
@@ -426,7 +409,7 @@ class AcoolNode(ProtocolBase):
         value must be reported by n-2t peers and, together with the
         phase-2 zero set, cover n-t peers.
         """
-        if self.legacy or self.y_major is not None or self.bua1.s1 == 1:
+        if self.y_major is not None or self.bua1.s1 == 1:
             return False
         n, t = self.params.n, self.params.t
         s0p2 = self.bua1.S0p2
@@ -459,14 +442,9 @@ class AcoolNode(ProtocolBase):
                 sends += self.abba.input(self.bua1.vote)
                 return True
             return False
-        from_second = self.bua2.vote is not None
-        from_first_zero = self.bua1.vote == 0 or self.bua1.s2 == 0
-        if from_second and from_first_zero:
-            self.abba_race = True
-            log.debug("node %d: both agreement-input rules enabled", self.node_id)
-        if from_second:
+        if self.bua2.vote is not None:
             sends += self.abba.input(self.bua2.vote)
-        elif from_first_zero:
+        elif self.bua1.vote == 0 or self.bua1.s2 == 0:
             sends += self.abba.input(0)
         else:
             return False

@@ -254,17 +254,8 @@ class Strategy:
         return []
 
     def _rand_elems(self):
-        # randrange(q) inlined: its rejection loop over getrandbits, so the
-        # draws and the generator's state afterwards are the same
-        p = self.ctx.params
-        q, bits, getrandbits = p.q, p.q.bit_length(), self.ctx.rng.getrandbits
-        out = []
-        for _ in range(p.chunks):
-            r = getrandbits(bits)
-            while r >= q:
-                r = getrandbits(bits)
-            out.append(r)
-        return tuple(out)
+        # q >= 257 (`derive_params`), so every byte is a field element
+        return tuple(self.ctx.rng.randbytes(self.ctx.params.chunks))
 
 
 class CrashSilent(Strategy):
@@ -687,10 +678,8 @@ def run(config: SimConfig) -> RunReport:
         }
 
     checks = _run_checks(config, nodes, inputs, reason)
-    flags = {
-        "abba_input_races": sum(node.abba_race for node in members),
-        "quorum_collisions": sum(node.quorum_collision for node in members),
-    }
+    flags = {"quorum_collisions": sum(node.quorum_collision
+                                      for node in members)}
     return RunReport(config.to_dict(), reason, outputs, checks, metrics,
                      event_log, flags)
 

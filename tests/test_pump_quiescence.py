@@ -159,23 +159,50 @@ def test_full_cascade_after_every_rba_and_rbc_delivery_changes_nothing(
 
 
 def test_legacy_phase2_success_after_phase_three_wakes_final_decode(checked):
-    """Legacy decodes on instance 1, so an instance-1 event can finish it."""
+    """Legacy decodes on instance 1, so an instance-1 event can finish it.
+
+    Only peer 2 reports phase-2 success, so no symbol has the t+1
+    phase-2-successful senders calibration needs: the node can finish
+    only through its own phase-2 success."""
     params = params_for_message_bits(4, 1, 64)
     w = b"legacy-1"
     rows = ecc_encode(params, w)
     node = AcoolNode(1, params, OracleAbba(1), legacy=True)
     node.input(w)
-    for j in (2, 3, 4):
-        node.handle(j, Si(1, 2, 1))               # vote 1 before own s2
+    for j, bit in ((2, 1), (3, 0), (4, 0)):
+        node.handle(j, Si(1, 2, bit))             # vote 0 before own s2
     for j in (2, 3, 4):
         node.handle(j, Ready(1))
     assert node.v_out == 1 and node.bua1.s2 is None and not node.terminated
     for j in (1, 2, 3, 4):
         node.handle(j, Symbol(1, (rows[0], rows[j - 1])))
+    assert not node.calibrated and not node.terminated
     for j in (1, 2, 3):
         node.handle(j, Si(1, 1, 1))               # own phase-2 success
     assert node.terminated and node.output == w
     assert len(checked) == 12
+
+
+def test_legacy_symbols_after_phase_three_calibrate_and_decode(checked):
+    """A legacy node that enters phase three with no t+1 majority still
+    calibrates and decodes from later instance-1 symbols of
+    phase-2-successful peers, without its own phase-2 success."""
+    params = params_for_message_bits(4, 1, 64)
+    w = b"legacy-2"
+    rows = ecc_encode(params, w)
+    node = AcoolNode(1, params, OracleAbba(1), legacy=True)
+    node.input(w)
+    for j in (2, 3, 4):
+        node.handle(j, Si(1, 2, 1))
+    for j in (2, 3, 4):
+        node.handle(j, Ready(1))
+    assert node.v_out == 1 and not node.calibrated and not node.terminated
+    node.handle(2, Symbol(1, (rows[0], rows[1])))
+    assert not node.calibrated
+    sends = node.handle(3, Symbol(1, (rows[0], rows[2])))
+    assert sends == [(j, CorrectSymbol(rows[0])) for j in (1, 2, 3, 4)]
+    assert node.calibrated and node.bua1.s2 is None
+    assert node.terminated and node.output == w
 
 
 def test_correct_symbol_that_completes_the_final_decode_terminates(checked):

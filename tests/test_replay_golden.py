@@ -101,97 +101,97 @@ CASES = _cases()
 
 DIGESTS = {
     "acool-crash_silent-adversary":
-        "9084253c152fea6a0930433778432344bc2d0340d046ea072012322047098ff4",
+        "e71cdbb3e8f73f8a8ce2fdcb01358d72043b2867aecadcac15eb6ac7bc7cdffd",
     "acool-crash_silent-lifo":
-        "aab86236b77659587e71987d689f19da6106be37bd5393b205133ec045810bca",
+        "d73230496890d56f19349b1c5f92cf05ce400cf66fda7b115cd5dbf7a89e1a2f",
     "acool-crash_silent-uniform":
-        "0239ebbcca3fc42bcfd95232dd7e9596b2bef4459cdf5712e00d627f779bcd1a",
+        "a328d07264ddabf35d1fd9fdef018e4ad9d9467fd52bffefa2b572438446e076",
     "acool-equivocate_symbols-adversary":
-        "b6f10b845a61274fe76fbe2f03b8eabfe57bf8fd683da3c7179b7bbeee84c5a3",
+        "e845ea0c1c4fd7971bcc844146f656f6e6a2aae272fa93dbc247aa627ef4e3c0",
     "acool-equivocate_symbols-lifo":
-        "a720e0661498482ff05f4b04c3b9e6da1c123d01bac2cc6a66a4385e2969bad5",
+        "7bd30ad61065b0d5d4efd9cc1a85da15a4be735790c566fb82208b9e0be812ea",
     "acool-equivocate_symbols-uniform":
-        "e350937450f12270dea99df61ec2f718b74881ed2a64a8e507d2d29df15af3e7",
+        "2727aba0854c4ff44ef22664b409af7ae19dad9700cb739937e7850bc9dc88a6",
     "acool-garbage_shares-adversary":
-        "694286fa2c5d78d0a49e54b06a8daddc2086827e6c8f8738203ae4a6353af076",
+        "b9edaaf4cf0454fdde9d0502381bd144b0ecedbcc4b4196b9e44a1b6ca61a308",
     "acool-garbage_shares-lifo":
-        "3e5d2b6d90d0feaea5297b20a9d233e8d979b0175c9d58bae7c295e56f016873",
+        "8b8b1b22a4bf8cff6d56778785624d3640231a2ca3b2f285a4bc917aef0e2ac8",
     "acool-garbage_shares-uniform":
-        "a08c76e8f7f40149ab48933dba157fe126db9e574acca150193fc133f0066f2e",
+        "d10f7ddc86879dbdcd1f553ddb00048358cf947051249e395ddc2f01510c55ab",
     "acool-k2-equivocate":
-        "71dba029b5c7f9b5d5622eab2f14a8bf3d76f13a5ba53041bf5f8808a53f630b",
+        "6126be66ce1a8e468d4d7e7f6a12027ea166077998ecb6c0105030e67b2edd1a",
     "acool-k2-garbage":
-        "7f9dce9076aab3eec8edc43e26a7c9f45825654766dea8f9b1ed165b3aee4426",
+        "53281bd8712ca70b9cbbbfc3212a09bb52705ca5c5159f7ace50fc00fa54abd8",
     "acool-k3-garbage":
-        "e2b1aa897c5d73112ccbdd1a94fb57f890a40fc9274c87bb1436055ef56926a6",
+        "bbb47dc862843d967b243ddb17958455c39cc2976e5d709739dc1fa2354a5efd",
     "acool-k5-clean":
-        "9ae2db94ae6b8038a581d5945621dc16bb85573ae8eb65f82796458c9f564fdc",
+        "11df3c26d2c71dac4bede568a09f53ea788583b529139b45669e7539592da1c3",
     "acool-k5-garbage":
-        "0dc88c3be9246ce87efc3ea4424c77dd54fee40999498f88bd8e33d4b906feba",
+        "63b8cf4ed7d31378dc489ff794bc64e2d689ad783a8420dd412b1458cfc40101",
     "acool-legacy-garbage-lifo":
-        "35585652cb659b70aa35794cd46d02c073a182e1f13769c33f33bbc2c0714bbc",
+        "d9f3e4bbdfbfab7b661315c702f918eeade52a5f01b74c0282971796975ac2a7",
     "acool-none-adversary":
-        "7e19cd31a501bcffb191e87982e1b3c29209aacaa4e99fa99fb4ea1e6bc72a15",
+        "a813a86cfbebd2aa0657cf7311eae76de2fcdbe7aa9f580811351e3a74bad9f3",
     "acool-none-lifo":
-        "09555fe95691cb623826e5719aaa46ec45d541bbfe2737d328fe78a0a9fd2dad",
+        "53118cae69a9a84640b7a07546ebea6a5fe309d1d760f7dffb9b7d5b792716ff",
     "acool-none-uniform":
-        "ff2754d72db5f6a5c062df4289f6da4a1f9e46f0cc9af804efd7ee7e0f08eb0a",
+        "67f79a3de36541185829acea205e83ce3844e08a2705a515a2dd55f078f9cb17",
     "acool-partial-inputs":
-        "7344012a0201d8706075b2b11366af7ae2d1ba637330b5c3ddef44d360abfbb6",
+        "02f2907f504a734a8d1606b19ec2b633be156d72acc7856c90f35d93726a6578",
     "acool-random_byzantine-adversary":
-        "4e4853ead754d125fd18b7f2d15b48343c09c3e7692fec05be6c4b78b6f54c0a",
+        "a0eb039d010ba834e6801da64d49ea0da7a8c5719a1dbe9e7cae6c417a422dee",
     "acool-random_byzantine-lifo":
-        "a8b678b8594e5da119e5dad79a69497f07ebc005a694a5b2ffc6c85c5e75acdc",
+        "445e22616fb329be9276eff20ca16fdcb0ea7f25a992be9d6f5cdcd6ef14724a",
     "acool-random_byzantine-uniform":
-        "00ee5e4b0a3d58d6b9903a9585a060bf95b31cf17ae416d4a2cd5122d4354c3e",
+        "914f919100257d30c28cced882c527065fc9682892e31feca86cbf53605a1001",
     "acool-ready_spammer-adversary":
-        "8669df773a07b8da52b33846ad0a8b1d3cdf469c4afc01aba2db0376b94c25da",
+        "cc7ba82cb549c28d5f42a8049e04c099272d59f69da7aa0ef913d5e31d7dac0d",
     "acool-ready_spammer-lifo":
-        "2ff801f9c88b66348242b2f2c2235317ec43a4025d20ec6948e654f0eac10501",
+        "f2de712a49250ddd1797606c23cecc0c1d98fd8db2457862e038e99593ee700b",
     "acool-ready_spammer-uniform":
-        "3037104961bacb432bd7d5c417bc043c317d0b985c5a546438cc9ec537bfe899",
+        "36b81d744a9baf513ed3890f5ba9d92e1d63fae54cc792f277ce3c73adc266e7",
     "acool-skip-brba-counted":
-        "5b5bcca919b8b9f52945e87378a66092fe0bdcde285f287a5043bed6d5074c35",
+        "f5fd49302e9f58e90a021fe64628c42f711aedb87198b85e53a101b4ba1b2b18",
     "acool-split_input_builder-adversary":
-        "ca7bb319126f5d4e6202dacf4e1b3e8e6592d7eecb23b2f285706a59bfe848ed",
+        "ec587cdd8728eccc61b5d290137845b93642c4f44edd52c8cd63b89df1c23f73",
     "acool-split_input_builder-lifo":
-        "db356782116895bb96b02b56948e927f14d05450c8331fa4690d52557fa62b56",
+        "a2078c444cefd226531d1fc8512b0c3f8791b5d0f70d1341d02cccdb615415e6",
     "acool-split_input_builder-uniform":
-        "478b4beabdf45aff96c34003ece10fe7765509b29015b566decb2d0b510efa1c",
+        "e75cb0b2245545075484214f5e89d7bf868a6fd11c8289c2c2c97e542264712e",
     "acool-two-camp":
-        "7be06512395f2e11bb2978372129fe7533fac050d22168b3df63d76388f423ba",
+        "93572194189c5faf46a98646e2624b8baf7110c2b281a6ef9507c76c33d8d2e0",
     "acool-withhold_from_subset-adversary":
-        "e301851c4f72c092ffc3b60ea52b6b4e8b0d98aff3dddd3a5da996168b70095b",
+        "a40f840456852eab076821e05e4f0d9f279e88114d92ad6b85fca503b35dcea5",
     "acool-withhold_from_subset-lifo":
-        "63d37b47c0cb09fb7911c3fa3b7dc6517647061e9a0db15c00ced0dfc548c69f",
+        "6a1ab1cd5fbadb9b29e99bd083f753ad56d08656f1f774b739a692b8aa5f21c3",
     "acool-withhold_from_subset-uniform":
-        "d203f63ce552432719a864e71df456b8c98e64e466ae6a1c97544c9341072c79",
+        "c0b5ec1c0370fbce785601aa422367757ba3f12a6d1fb33df1edf6eb74d56b1e",
     "coin-equivocate":
-        "f132853914bf775db164014c76ed6b904b0902c5c7ed72c4c1be77c463875875",
+        "a5db1a277a854a1cb440642c341b6d7107c6e67e6417ef86d90aeb01855d4b9c",
     "coin-random":
-        "d3704bb8d1b6a1c1837c5e78055a578e68c5f1ab7e3f6acd56f633b01d9f731f",
+        "054633bd080b9d75a7687b18f38d517fb31aec0b92c887f2a83a3dd7d8f90ed1",
     "rba-equivocate":
-        "2d4e548f5c39f4f3fc60231d9ea1f6117d2fc38f714561c90d2637b6577a4157",
+        "6f992f064668caa0d428300019c60277b09a672a81affff1b3cf1fe41aab1f59",
     "rba-none":
-        "3540de4ba01cee56ddc15f003754c5c31e50c7b34b35aa65e7c8273f3013d0af",
+        "31350c9803be19b916b1868a6c2b7a551f2cb0b128a6a500ecdd208ebc5c65ec",
     "rbc-byzantine-leader":
-        "7a1c6e1b800834ccb1abcac045c8f3a88f38863727f1adc255b92ab130137da1",
+        "fb114304d508e5b886afc81f49f94b466d577b24ad726cdfd0a6d407121d8416",
     "rbc-honest-leader":
-        "08a5382e5c5a60c400c4b4ff7f4c4ce64052352a315fdbb22530ca21ba3f0fea",
+        "9cd6e055c7b363fd56ce6bc12fd51850c033094cf4212e305ae7cef2cab8473f",
     "rbc-unbalanced":
-        "a80addede8651ed3f26547c6d7e63db829801b29a7d339ded65328e07705a9a8",
+        "06d1a7fc844e280e2e5b020540d8e9deb4b162ed3bb1db4c597903c6d86bce79",
     "small_t-coin":
-        "b38c23c8c35a6470739541d20b4b25c42f8038440574786f0730f0f51ed35678",
+        "c21504a5827d8b4c5cdd0510f1d47fb9492e7ad658f93a78f7f1a0afa866046f",
     "small_t-garbage":
-        "37a040a00e319bc8c3d4c8cbd9e8b8ebc561d93b10cc7e7927373aa3083411b5",
+        "fc1956bb8c3769c965febf8b584d35a43ad86f101e3374d6d03af010fba54f6d",
     "split-input-coin":
-        "310e0e25ef4008509d828d78e557315625fefe7c6c175f61bb628303ff309270",
+        "93573043b75291c4e3e1441a504368534470235e5d646856db92a7c4cd622a47",
     "split-input-legacy":
-        "f2a8eaaf316ffa98bb1e9a7728d26a8847438f64157d0a7fbe329740496c1b0a",
+        "50bac33071e83f3599c5fde8e49cac224bdc373c7db91c2a63b32751413fc88e",
     "split-input-legacy-stall":
-        "538a21bb2abbfcc90c142b1353149c9de2e0496c28ce1697f370203d52c64dc7",
+        "2b18c596b0ebedafaf40064d2498ebdf79a47e0a6b1a50ca6e8637e9078c4d07",
     "split-input-live":
-        "f2b2c4f709ff49fea669d8c8edd73da10874d1434de2059f23f3971a0d8b6d19",
+        "99eb2b12faf6f22d11ba6b18deb14421ea4ae776577f9fb12730ffac11bd422d",
 }
 
 
@@ -263,3 +263,10 @@ def test_byzantine_leader_decode_failures_stop_at_the_lead_chunk(monkeypatch):
     assert report.ok
     failed = [fitted for fitted, returned in calls if not returned]
     assert failed and not any(failed)
+
+
+if __name__ == "__main__":
+    # print the digest table, e.g. after a deliberate change of run bytes:
+    # PYTHONPATH=src python3 tests/test_replay_golden.py
+    for name in sorted(CASES):
+        print(f"{name}: {digest(CASES[name])}")

@@ -195,15 +195,18 @@ def test_default_byzantine_ids_are_last_t():
 
 @pytest.mark.parametrize("chunks", [1, 44, 104])
 @pytest.mark.parametrize("q", [257, 263, 65537])
-def test_rand_elems_draws_the_randrange_stream(q, chunks):
-    """Garbage draws consume the generator exactly as randrange(q) does."""
+def test_rand_elems_draws_one_byte_per_element(q, chunks):
+    """A garbage share is one generator byte per element: q >= 257 makes
+    every byte a field element, so no draw is ever 256 or above."""
     params = CodeParams(n=4, t=1, k=1, q=q, chunks=chunks)
     rng, ref = random.Random(q + chunks), random.Random(q + chunks)
     strategy = Strategy(_AdvCtx(4, 4, params, rng, (), None))
     for _ in range(20):
-        assert strategy._rand_elems() == tuple(ref.randrange(q)
-                                               for _ in range(chunks))
+        elems = strategy._rand_elems()
+        assert elems == tuple(ref.randbytes(chunks))
         assert rng.getstate() == ref.getstate()
+        assert len(elems) == chunks and all(0 <= v < 256 for v in elems)
+        assert params.valid_elems(elems)
 
 
 
