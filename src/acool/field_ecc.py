@@ -19,15 +19,12 @@ correction.
 
 from __future__ import annotations
 
-import logging
 import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, zip_longest
 from typing import Callable, Mapping, Optional, Sequence
-
-log = logging.getLogger(__name__)
 
 # Bits consumed by the length prefix that makes decoded output unambiguous.
 # `derive_params` is a pure function of its bit-length argument; callers that
@@ -692,9 +689,6 @@ class OecAccumulator:
         self._folded = 0
         self._hopeless = 0                  # attempts certain to fail
 
-    def __contains__(self, index: int) -> bool:
-        return index in self.shares
-
     def _lead_basis(self) -> list:
         """The lead chunk's key-equation basis over every stored share."""
         q, lead = self.params.q, self.params.lead_chunk
@@ -704,12 +698,14 @@ class OecAccumulator:
         return self._basis
 
     def submit(self, index: int, elems: Sequence[int]) -> Optional[bytes]:
-        """Store one share; returns the message on the accepting attempt."""
-        if index in self.shares:
-            log.debug("duplicate share from %d ignored", index)
+        """Store one share; returns the message on the accepting attempt.
+
+        A duplicate, and any share once the accumulator is done, is ignored.
+        """
+        if self.done or index in self.shares:
             return None
         self.shares[index] = tuple(elems)
-        if self.done or len(self.shares) < self.threshold:
+        if len(self.shares) < self.threshold:
             return None
         self.attempts += 1
         if self._hopeless:

@@ -33,12 +33,12 @@ inputs its handler changed, and a handler reports just the guards its
 delivery can newly fire: a threshold guard when its set reaches the
 threshold, an instance-dependent guard when the instance fixed a flag it
 reads and it has not fired yet.  `handle` pumps only when a handler
-reports some, and a node's `_pump` first evaluates only those, in the
-fixed guard order; once any guard fires, every guard runs, in the same
-order, until a full pass fires none.  The sends come out in the order
-a full re-evaluation after every event would give.  All cross-node
-effects travel as returned (destination, message) pairs; nothing here
-touches a network.
+reports some, and `ProtocolBase._pump` then walks the class's guard
+table `_GUARDS`: it first evaluates only those, in the fixed guard order;
+once any guard fires, every guard runs, in the same order, until a full
+pass fires none.  The sends come out in the order a full re-evaluation
+after every event would give.  All cross-node effects travel as returned
+(destination, message) pairs; nothing here touches a network.
 """
 
 from __future__ import annotations
@@ -70,10 +70,10 @@ class _Bottom:
 BOTTOM = _Bottom()
 
 
-# `AcoolNode._pump`'s guards, one bit each, in evaluation order; a handler
-# returns those it can newly fire (`RbaNode`'s quorum rule is _ABBA_INPUT).
-# The decision guard has no bit: it can newly fire only in the pass that
-# fixed ``v_out``
+# Wake bits of `AcoolNode._GUARDS`, in evaluation order; a handler returns
+# those it can newly fire (`RbaNode`'s quorum rule is _ABBA_INPUT).  Bit 0
+# marks a guard that can newly fire only in a pass where an earlier one
+# fired: the decision, which reads ``v_out``, and the committee dispersal
 (_NEW_SYMBOL, _SECOND_INPUT, _ABBA_INPUT, _ABBA_OUTPUT, _READY,
  _FINAL_DECODE) = (1 << i for i in range(6))
 _ALL_GUARDS = (1 << 6) - 1
@@ -83,16 +83,20 @@ class ProtocolBase:
     """One node's lifecycle over its unique-agreement instances.
 
     A subclass fills ``buas`` (SYMBOL/SI tag -> instance; input starts the
-    first) and supplies its extra `_HANDLERS`, ``_pump(sends, wake)`` and,
-    if it has instances, ``_absorb(bua, frm, msg, fixed)``, which folds a
-    delivery an instance recorded into the node's own state; ``fixed``
-    says whether the instance fixed one of its flags.  A handler appends
-    its sends and returns the guards it can newly fire as a bit set, 0
-    for none; `handle` pumps only on a nonzero wake.  After a run the
-    simulator reads ``buas``, ``accumulators`` and the flag below.
+    first), sets ``final_bua``, the instance the final decode reads, and
+    supplies its extra `_HANDLERS`, its own ``(wake bit, guard)`` pairs in
+    front of `_GUARDS` and, if it has instances, ``_absorb(bua, frm, msg,
+    fixed)``, which folds a delivery an instance recorded into the node's
+    own state; ``fixed`` says whether the instance fixed one of its flags.
+    A handler appends its sends and returns the guards it can newly fire
+    as a bit set, 0 for none; `handle` pumps only on a nonzero wake.  A
+    guard takes ``(self, sends)`` and returns True on a state change.
+    After a run the simulator reads ``buas``, ``accumulators`` and the
+    flag below.
     """
 
     quorum_collision = False      # both READY quorums reached n-t
+    skip_brba = False             # bypass the READY stage
 
     def __init__(self, node_id: int, params: CodeParams):
         self.node_id = node_id
@@ -135,6 +139,22 @@ class ProtocolBase:
             self._pump(sends, wake)
         return sends
 
+    def _pump(self, sends, wake: int = _ALL_GUARDS):
+        """Evaluate the `_GUARDS` in fixed order until quiescent.
+
+        The node was quiescent before the last event, so only the guards
+        in ``wake`` can fire, and only they run until one does; from then
+        on every guard runs, pass after pass, until a full pass fires none.
+        """
+        while not self.terminated:
+            changed = False
+            for bit, guard in self._GUARDS:
+                if changed or wake & bit:
+                    changed |= guard(self, sends)
+            if not changed:
+                return
+            wake = _ALL_GUARDS
+
     def _terminate(self, value):
         if not self.terminated:
             self.output = value
@@ -172,9 +192,8 @@ class ProtocolBase:
                           or size == 2 * t + 1 and self.v_out is None) else 0
 
     def _on_correct_symbol(self, frm: int, msg, sends) -> int:
-        acc = self.oec_final
-        if (acc.done or frm in acc or not self.params.valid_elems(msg.elems)
-                or acc.submit(frm, msg.elems) is None):
+        if (not self.params.valid_elems(msg.elems)
+                or self.oec_final.submit(frm, msg.elems) is None):
             return 0
         return _FINAL_DECODE
 
@@ -187,7 +206,9 @@ class ProtocolBase:
     # -- READY stage -------------------------------------------------------
 
     def _ready_guards(self, sends) -> bool:
-        """Amplify at t+1, decide at 2t+1.  Returns True on a state change."""
+        """Amplify at t+1, decide at 2t+1, unless ``skip_brba``."""
+        if self.skip_brba:
+            return False
         t = self.params.t
         changed = False
         if self.ready_sent is None:
@@ -205,7 +226,7 @@ class ProtocolBase:
                     break
         return changed
 
-    def _decision_guard(self) -> bool:
+    def _decision_guard(self, sends) -> bool:
         """Terminate on a fixed zero vote; a one starts phase three."""
         if self.v_out == 0 and not self.terminated:
             self._terminate(BOTTOM)
@@ -218,16 +239,15 @@ class ProtocolBase:
         """Store a peer's own symbol for the final decode once the
         final-decode instance holds both it and the peer's phase-2 success;
         the guard can newly fire only in phase three."""
-        acc = self.oec_final
         if ((type(msg) is Symbol or msg.phase == 2 and msg.bit == 1)
-                and not acc.done and frm not in acc and frm in bua.S1p2):
+                and frm in bua.S1p2):
             pair = bua.delivered.get(frm)
             if pair is not None:
-                acc.submit(frm, pair[1])
+                self.oec_final.submit(frm, pair[1])
         return _FINAL_DECODE if self.v_out == 1 else 0
 
-    def _final_decode_guard(self, bua: Bua, sends) -> bool:
-        """Phase-three progress over the given unique-agreement instance.
+    def _final_decode_guard(self, sends) -> bool:
+        """Phase-three progress over ``final_bua``.
 
         Fast path: own phase-2 success pins the message.  Slow path:
         adopt the majority own-symbol among phase-2-successful peers,
@@ -235,6 +255,7 @@ class ProtocolBase:
         """
         if self.v_out != 1 or self.terminated:
             return False
+        bua = self.final_bua
         if bua.vote is not None and bua.s2 == 1:
             self._terminate(bua.w)
             return True
@@ -261,6 +282,10 @@ class ProtocolBase:
         winners = sorted(y for y, c in counts.items() if c >= need)
         return winners[0] if winners else None
 
+    # the tail every agreeing node ends with, after its own guards
+    _GUARDS = ((_READY, _ready_guards), (0, _decision_guard),
+               (_FINAL_DECODE, _final_decode_guard))
+
 
 class AcoolNode(ProtocolBase):
     """One node of the full agreement composition.
@@ -281,6 +306,7 @@ class AcoolNode(ProtocolBase):
         self.bua1 = Bua(1, params, node_id)
         self.bua2 = Bua(2, params, node_id)
         self.buas = {1: self.bua1} if legacy else {1: self.bua1, 2: self.bua2}
+        self.final_bua = self.bua1 if legacy else self.bua2
         self.abba = abba
         self.oec_new = OecAccumulator(params)
         self.accumulators = (self.oec_new, self.oec_final)
@@ -301,10 +327,10 @@ class AcoolNode(ProtocolBase):
         if self.legacy or frm in self.newsym_seen:
             return 0
         self.newsym_seen.add(frm)
-        if not self.params.valid_elems(msg.elems) or frm in self.oec_new:
+        if (not self.params.valid_elems(msg.elems)
+                or self.oec_new.submit(frm, msg.elems) is None):
             return 0
-        got = self.oec_new.submit(frm, msg.elems)
-        return _SECOND_INPUT if got is not None else 0
+        return _SECOND_INPUT
 
     def _on_abba(self, frm: int, msg, sends) -> int:
         undecided = self.abba.output is None
@@ -325,10 +351,10 @@ class AcoolNode(ProtocolBase):
 
     def _absorb(self, bua: Bua, frm: int, msg, fixed: bool) -> int:
         # an instance fix wakes only unfired guards that can newly hold:
-        # the agreement input reads the final-decode instance's vote (instance
-        # 1's under legacy wiring), and else instance 1's s2 and vote only at
-        # 0; the shared input reads instance 1's s2 only at 1; none reads s1
-        if bua is not self.bua1 or self.legacy:
+        # the agreement input reads the final-decode instance's vote, and
+        # else instance 1's s2 and vote only at 0; the shared input reads
+        # instance 1's s2 only at 1; none reads s1
+        if bua is self.final_bua:
             wake = self._absorb_final(bua, frm, msg)
             if fixed and bua.vote is not None and self.abba.input_bit is None:
                 wake |= _ABBA_INPUT
@@ -364,43 +390,11 @@ class AcoolNode(ProtocolBase):
             need = self.params.n - 2 * self.params.t
             if any(len(grp) >= need for grp in self.y_table.values()):
                 wake |= _NEW_SYMBOL
-        if (elems is not None and frm not in self.oec_new
-                and self.oec_new.submit(frm, elems) is not None):
+        if elems is not None and self.oec_new.submit(frm, elems) is not None:
             wake |= _SECOND_INPUT
         return wake
 
     # -- guard cascade -------------------------------------------------------
-
-    def _pump(self, sends, wake: int = _ALL_GUARDS):
-        """Evaluate the standing guards in fixed order until quiescent.
-
-        ``wake`` holds the guards the last event can newly fire; the node
-        was quiescent before it, so no other guard can fire, and only
-        these are evaluated.  Once one fires, every guard after it
-        in that pass and every guard in each later pass is evaluated,
-        until a full pass fires none, so the sends and their order are
-        those of re-evaluating every guard after every event.
-        """
-        hb = self.bua1 if self.legacy else self.bua2
-        while not self.terminated:
-            changed = False
-            if wake & _NEW_SYMBOL:
-                changed = self._new_symbol_guard(sends)
-            if changed or wake & _SECOND_INPUT:
-                changed |= self._second_input_guard(sends)
-            if changed or wake & _ABBA_INPUT:
-                changed |= self._abba_input_guard(sends)
-            if changed or wake & _ABBA_OUTPUT:
-                changed |= self._abba_output_guard(sends)
-            if not self.skip_brba and (changed or wake & _READY):
-                changed |= self._ready_guards(sends)
-            if changed:
-                self._decision_guard()
-            if changed or wake & _FINAL_DECODE:
-                changed |= self._final_decode_guard(hb, sends)
-            if not changed:
-                return
-            wake = _ALL_GUARDS
 
     def _new_symbol_guard(self, sends) -> bool:
         """Adopt and gossip the per-index majority symbol when starved.
@@ -437,14 +431,9 @@ class AcoolNode(ProtocolBase):
     def _abba_input_guard(self, sends) -> bool:
         if self.abba.input_bit is not None:
             return False
-        if self.legacy:
-            if self.bua1.vote is not None:
-                sends += self.abba.input(self.bua1.vote)
-                return True
-            return False
-        if self.bua2.vote is not None:
-            sends += self.abba.input(self.bua2.vote)
-        elif self.bua1.vote == 0 or self.bua1.s2 == 0:
+        if self.final_bua.vote is not None:
+            sends += self.abba.input(self.final_bua.vote)
+        elif not self.legacy and (self.bua1.vote == 0 or self.bua1.s2 == 0):
             sends += self.abba.input(0)
         else:
             return False
@@ -464,3 +453,8 @@ class AcoolNode(ProtocolBase):
             self._broadcast(Ready(out), sends)
             return True
         return False
+
+    _GUARDS = ((_NEW_SYMBOL, _new_symbol_guard),
+               (_SECOND_INPUT, _second_input_guard),
+               (_ABBA_INPUT, _abba_input_guard),
+               (_ABBA_OUTPUT, _abba_output_guard), *ProtocolBase._GUARDS)

@@ -20,9 +20,7 @@ import logging
 from .bua import Bua
 from .field_ecc import CodeParams, OecAccumulator, ecc_encode
 from .messages import Initial, Leader, LeaderMessage, Ready, Si
-from .protocol import (
-    _ABBA_INPUT, _ALL_GUARDS, _FINAL_DECODE, _READY, ProtocolBase,
-)
+from .protocol import _ABBA_INPUT, ProtocolBase
 
 log = logging.getLogger(__name__)
 
@@ -34,6 +32,7 @@ class RbaNode(ProtocolBase):
         super().__init__(node_id, params)
         self.bua = Bua(0, params, node_id)
         self.buas = {0: self.bua}
+        self.final_bua = self.bua
 
     # bound in the class body: the perfbench tracer wraps the entry points
     # each class holds itself
@@ -49,27 +48,6 @@ class RbaNode(ProtocolBase):
             if len(grown) == self.params.n - self.params.t:
                 wake |= _ABBA_INPUT
         return wake
-
-    def _pump(self, sends, wake: int = _ALL_GUARDS):
-        """Evaluate the guards in fixed order until quiescent.
-
-        As in `AcoolNode._pump`, only the guards in ``wake``, those the
-        last event can newly fire, are evaluated until one fires; from
-        then on every guard runs until a full pass fires none.
-        """
-        while not self.terminated:
-            changed = False
-            if wake & _ABBA_INPUT:
-                changed = self._quorum_ready_guard(sends)
-            if changed or wake & _READY:
-                changed |= self._ready_guards(sends)
-            if changed:
-                self._decision_guard()
-            if changed or wake & _FINAL_DECODE:
-                changed |= self._final_decode_guard(self.bua, sends)
-            if not changed:
-                return
-            wake = _ALL_GUARDS
 
     def _quorum_ready_guard(self, sends) -> bool:
         """First phase-2 indicator set reaching n-t fires READY for its bit.
@@ -91,6 +69,8 @@ class RbaNode(ProtocolBase):
                 self._broadcast(Ready(b), sends)
                 return True
         return False
+
+    _GUARDS = ((_ABBA_INPUT, _quorum_ready_guard), *ProtocolBase._GUARDS)
 
 
 class RbcNode(RbaNode):
@@ -130,10 +110,8 @@ class RbcNode(RbaNode):
         return 0
 
     def _on_initial(self, frm: int, msg, sends) -> int:
-        acc = self.initial_acc
-        if (self.balanced and not acc.done and frm not in acc
-                and self.params.valid_elems(msg.elems)):
-            got = acc.submit(frm, msg.elems)
+        if self.balanced and self.params.valid_elems(msg.elems):
+            got = self.initial_acc.submit(frm, msg.elems)
             if got is not None:
                 sends += ProtocolBase.input(self, got)
         return 0

@@ -33,8 +33,8 @@ from typing import Callable, NamedTuple, Optional
 from .aba import CoinAbba, CoinOracle, OracleAbba, OracleAdjudicator, ORACLE_ID
 from .field_ecc import CodeParams, params_for_message_bits
 from .messages import (
-    AbbaIn, AbbaOut, Aux, CorrectSymbol, Decide, Est, Initial, Leader,
-    NewSymbol, Ready, Shmdm, Si, Symbol, payload_bits, tag_of,
+    AbbaIn, AbbaOut, Aux, CorrectSymbol, Decide, Est, NewSymbol, Ready, Si,
+    Symbol, payload_bits, tag_of,
 )
 from .protocol import BOTTOM, AcoolNode
 from .rba_rbc import RbaNode, RbcNode
@@ -300,8 +300,7 @@ class GarbageShares(_Replica):
         for dst, msg in sends:
             if isinstance(msg, Symbol):
                 msg = Symbol(msg.inst, (self._rand_elems(), self._rand_elems()))
-            elif (isinstance(msg, (NewSymbol, CorrectSymbol, Leader, Initial))
-                  or isinstance(msg, Shmdm) and msg.elems is not None):
+            elif getattr(msg, "elems", None) is not None:
                 msg = type(msg)(self._rand_elems())
             out.append((dst, msg))
         return out

@@ -18,7 +18,7 @@ import logging
 
 from .field_ecc import CodeParams, encode_elements, pack_message
 from .messages import Shmdm
-from .protocol import _ALL_GUARDS, BOTTOM, AcoolNode, ProtocolBase
+from .protocol import BOTTOM, AcoolNode, ProtocolBase
 
 log = logging.getLogger(__name__)
 
@@ -49,15 +49,11 @@ class SmallTNode(AcoolNode):
             return []
         return ProtocolBase.handle(self, frm, msg)
 
-    def _pump(self, sends, wake: int = _ALL_GUARDS):
-        """Run the composition's pump; disperse if it terminated the node.
-
-        `input` and `handle` pump only a node that has not terminated, and
-        termination happens only in the pump, so this disperses once.
-        """
-        AcoolNode._pump(self, sends, wake)
+    def _disperse_guard(self, sends) -> bool:
+        """Disperse the decision in the pass that terminated the node; only
+        a live node is pumped, and that pass is the pump's last."""
         if not self.terminated:
-            return
+            return False
         params = self.params
         if self.output is BOTTOM:
             share = Shmdm(None)
@@ -66,6 +62,9 @@ class SmallTNode(AcoolNode):
             share = Shmdm(rows[self.node_id - 1])
         for j in range(params.n + 1, self.n + 1):
             sends.append((j, share))
+        return True
+
+    _GUARDS = (*AcoolNode._GUARDS, (0, _disperse_guard))
 
 
 class SmallTOutsider(ProtocolBase):
@@ -92,7 +91,7 @@ class SmallTOutsider(ProtocolBase):
             self.bottom_votes.add(frm)
             if len(self.bottom_votes) >= self.params.t + 1:
                 self._terminate(BOTTOM)
-        elif not self.oec_final.done and self.params.valid_elems(msg.elems):
+        elif self.params.valid_elems(msg.elems):
             got = self.oec_final.submit(frm, msg.elems)
             if got is not None:
                 self._terminate(got)

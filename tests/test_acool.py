@@ -87,7 +87,7 @@ def test_new_symbol_garbage_tolerated_via_retry():
     assert node.bua2.w == b"mB"
 
 
-def test_new_symbol_after_decode_is_stored_not_redecoded():
+def test_new_symbol_after_decode_is_ignored():
     node = fresh()
     node.input(W)
     rows = rows_for(b"mB")
@@ -96,6 +96,7 @@ def test_new_symbol_after_decode_is_stored_not_redecoded():
     attempts = node.oec_new.attempts
     node.handle(4, NewSymbol(rows[3]))
     assert node.oec_new.attempts == attempts and node.bua2.w == b"mB"
+    assert 4 not in node.oec_new.shares
 
 
 def test_duplicate_new_symbol_dropped():

@@ -1,18 +1,20 @@
 """The woken-guard pump leaves every node quiescent.
 
 `ProtocolBase.handle` pumps only when a handler reports a guard its
-delivery can newly fire, and `AcoolNode._pump` and `RbaNode._pump` then
-evaluate only the guards that handler reported.  That is sound only if
-no other guard could fire: after each `handle` call on a live node, a
-full cascade over every guard must send nothing and change no flag.
+delivery can newly fire, and `ProtocolBase._pump` then evaluates only
+the guards of the class's `_GUARDS` table that handler reported.  That
+is sound only if no other guard could fire: after each `handle` call on
+a live node, a full cascade over every guard must send nothing and
+change no flag.
 The check runs over the acceptance-grid slice (every strategy and
 scheduler at n = 4, 7 and 10, equal inputs and two camps, both
 binary-agreement hints), over cells whose code dimension k is 2 and 3,
-over the wirings the grid leaves out, and over reliable agreement and
-broadcast (balanced and unbalanced dispersal, honest and Byzantine
-leader), Byzantine replicas included.  Scripted flows cover the wake
-bits no run of those needs, and the wake pin checks that the node pumps
-on few of its deliveries without losing a pump that changes state.
+over the wirings the grid leaves out, over committee runs (whose members
+define their own `handle`), and over reliable agreement and broadcast
+(balanced and unbalanced dispersal, honest and Byzantine leader),
+Byzantine replicas included.  Scripted flows cover the wake bits no run
+of those needs, and the wake pin checks that the node pumps on few of
+its deliveries without losing a pump that changes state.
 """
 
 from dataclasses import replace
@@ -24,6 +26,7 @@ from acool.field_ecc import ecc_encode, params_for_message_bits
 from acool.messages import CorrectSymbol, NewSymbol, Ready, Si, Symbol
 from acool.protocol import _ALL_GUARDS, AcoolNode
 from acool.rba_rbc import RbaNode, RbcNode
+from acool.small_t import SmallTNode
 from acool.simnet import (
     ADVERSARIES, SCHEDULERS, SimConfig, run, scenario_split_input,
 )
@@ -81,6 +84,21 @@ def _variants():
                                        abba="coin")
 
 
+def _small_t():
+    """Committee runs: the variants workload's cell, criterion 8's
+    strategies, and a split committee that decides bottom."""
+    yield SimConfig(n=31, t=2, seed=0, msg_len_bits=1024, protocol="small_t",
+                    adversary="garbage_shares")
+    for adversary in ("none", "crash_silent", "garbage_shares",
+                      "equivocate_symbols"):
+        for seed in (0, 1):
+            yield SimConfig(n=31, t=2, seed=seed, msg_len_bits=256,
+                            protocol="small_t", adversary=adversary)
+    yield SimConfig(n=10, t=1, seed=2, msg_len_bits=64, protocol="small_t",
+                    inputs={1: b"aa", 2: b"aa", 3: b"bb", 4: b"bb"},
+                    abba_hint=0)
+
+
 def _rb_state(node):
     return (node.bua.w, node.ready_sent, node.v_out, node.calibrated,
             node.terminated, node.quorum_collision)
@@ -121,7 +139,8 @@ def _check_every_handle(monkeypatch, cls, state, calls):
 @pytest.fixture
 def checked(monkeypatch):
     calls = []
-    _check_every_handle(monkeypatch, AcoolNode, _acool_state, calls)
+    for cls in (AcoolNode, SmallTNode):
+        _check_every_handle(monkeypatch, cls, _acool_state, calls)
     return calls
 
 
@@ -134,8 +153,9 @@ def checked_rb(monkeypatch):
 
 
 @pytest.mark.parametrize("configs,runs",
-                         [(_grid, 252), (_wide, 43), (_variants, 90)],
-                         ids=["accept-grid", "k-ge-2", "variants"])
+                         [(_grid, 252), (_wide, 43), (_variants, 90),
+                          (_small_t, 10)],
+                         ids=["accept-grid", "k-ge-2", "variants", "small_t"])
 def test_full_cascade_after_every_delivery_changes_nothing(configs, runs,
                                                            checked):
     done = 0

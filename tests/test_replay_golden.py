@@ -94,6 +94,11 @@ def _cases() -> dict:
     cases["small_t-coin"] = SimConfig(
         n=13, t=2, seed=20, msg_len_bits=64, protocol="small_t", abba="coin",
         adversary="random_byzantine", scheduler="adversary")
+    # split committee inputs and a zero hint: the committee decides bottom
+    # and disperses markers, so this pins the send order of that dispersal
+    cases["small_t-bottom"] = SimConfig(
+        n=10, t=1, seed=2, msg_len_bits=64, protocol="small_t",
+        inputs={1: b"aa", 2: b"aa", 3: b"bb", 4: b"bb"}, abba_hint=0)
     return cases
 
 
@@ -180,6 +185,8 @@ DIGESTS = {
         "9cd6e055c7b363fd56ce6bc12fd51850c033094cf4212e305ae7cef2cab8473f",
     "rbc-unbalanced":
         "06d1a7fc844e280e2e5b020540d8e9deb4b162ed3bb1db4c597903c6d86bce79",
+    "small_t-bottom":
+        "6bddf6aae4406c6889b8ceaf8961c79d985d1484c2066c734dd2d63cf667e05f",
     "small_t-coin":
         "c21504a5827d8b4c5cdd0510f1d47fb9492e7ad658f93a78f7f1a0afa866046f",
     "small_t-garbage":
