@@ -8,13 +8,13 @@ every chunk, so comparing two shares compares all chunks at once.
 
 `ecc_encode` encodes (once per message per run), `ecc_decode` answers
 a share map that holds m - e rows of one memoised message from that
-memo and corrects any other through `decode_elements` and
-`_decode_chunk`, and `OecAccumulator` is the accumulate-and-retry loop
-of the agreement protocols.  Encoding and the clean decode path pack
-one lane per chunk into one int (Kronecker substitution, see
-`CodeParams.lane_code`).  Lagrange interpolation only fits chunks on an
-index set known to be clean (`_fit`); the key-equation fold does every
-correction.
+memo, fails one whose lead chunk that message's codeword rules out, and
+corrects any other through `decode_elements` and `_decode_chunk`, and
+`OecAccumulator` is the accumulate-and-retry loop of the agreement
+protocols.  Encoding and the clean decode path pack one lane per chunk
+into one int (Kronecker substitution, see `CodeParams.lane_code`).
+Lagrange interpolation only fits chunks on an index set known to be
+clean (`_fit`); the key-equation fold does every correction.
 """
 
 from __future__ import annotations
@@ -42,7 +42,16 @@ class MessageTooLong(ValueError):
 
 
 class DecodeFailure(Exception):
-    """Raised when no codeword lies within the correctable radius."""
+    """Raised when no codeword lies within the correctable radius.
+
+    ``rules_out`` counts the attempts after this one that must fail too,
+    when each adds one share and raises the radius by at most 1 (see the
+    memo certificate of `ecc_decode`); it is 0 when nothing is known.
+    """
+
+    def __init__(self, reason: str = "", rules_out: int = 0):
+        super().__init__(reason)
+        self.rules_out = rules_out
 
 
 def _is_prime(x: int) -> bool:
@@ -574,19 +583,30 @@ def ecc_decode(params: CodeParams, shares: Mapping[int, Sequence[int]],
 
     The encode memo (see `ecc_encode`) answers first when m >= k, every
     index is an int in 1..n and every share that is not a memo row passes
-    `CodeParams.valid_elems`; the scan gives up once more than e shares
-    are not memo rows.  Its candidate M is the message whose rows, matched
-    by identity at their own index, make up the most shares; M's support
-    is every x with ``shares[x] is rows[x - 1]`` or ``rows[x - 1] ==
-    tuple(shares[x])``.  If it holds m - e or more indices, ``(M,
+    `CodeParams.valid_elems`.  Its candidate M is the message whose rows,
+    matched by identity at their own index, make up the most shares; M's
+    support is every x with ``shares[x] is rows[x - 1]`` or ``rows[x - 1]
+    == tuple(shares[x])``.  If it holds m - e or more indices, ``(M,
     support)`` is the full decoder's answer: on every chunk M's codeword
     equals the received word on the support, so it lies within e of it,
     and 2e + k <= m makes it the unique such codeword, which
     `decode_elements` returns chunk by chunk; M's frame is canonical, and
-    the full decoder's support is the indices equal on every chunk.  Any
-    other map is decoded in full.  A memo answer thus implies a codeword
-    within e of the lead chunk, which `OecAccumulator` relies on when it
-    skips attempts.
+    the full decoder's support is the indices equal on every chunk.  A
+    memo answer thus implies a codeword within e of the lead chunk, which
+    `OecAccumulator` relies on when it skips attempts.
+
+    Otherwise the same pass has counted a, the shares whose lead-chunk
+    element equals M's row there, and a - e >= k with a < m - e is a
+    certificate that the full decoder fails on the lead chunk, so
+    DecodeFailure is raised with no fold.  A codeword within e of the
+    lead chunk agrees with the received word on m - e or more shares, so
+    with M's lead codeword on a - e >= k of the a where M's does; two
+    polynomials of degree below k that agree on k points are equal, so it
+    is M's, which matches only a < m - e shares.  The failure's
+    ``rules_out`` is min(m - e - a - 1, a - e - k): j shares later, a has
+    not fallen, a and e have each grown by at most j, and m - e has not
+    fallen, so the certificate still holds for j up to that count.  Any
+    other map is decoded in full.
     """
     m, k = len(shares), params.k
     e = (m - k) // 2
@@ -595,17 +615,14 @@ def ecc_decode(params: CodeParams, shares: Mapping[int, Sequence[int]],
     if m >= k:
         memo, n, valid = params.encoded_rows, params.n, params.valid_elems
         found = []                # (message, rows) of each memo row
-        misses = 0
         for x, s in shares.items():
             if type(x) is not int or not 0 < x <= n:
                 break
             hit = memo.get(id(s))
             if hit is not None and hit[1][x - 1] is s:
                 found.append(hit)
-            elif misses == e or not valid(s):
+            elif not valid(s):
                 break
-            else:
-                misses += 1
         else:
             if found:
                 hit = found[0]
@@ -614,10 +631,20 @@ def ecc_decode(params: CodeParams, shares: Mapping[int, Sequence[int]],
                 elif len(found) == m:
                     return hit[0], set(shares)
                 message, rows = hit
-                support = {x for x, s in shares.items()
-                           if s is rows[x - 1] or rows[x - 1] == tuple(s)}
+                lead = params.lead_chunk
+                support = set()
+                agree = 0         # a: shares equal to M's row on the lead chunk
+                for x, s in shares.items():
+                    row = rows[x - 1]
+                    if s is row or row == tuple(s):
+                        support.add(x)
+                    agree += row[lead] == s[lead]
                 if len(support) >= m - e:
                     return message, support
+                if agree - e >= k and agree < m - e:
+                    raise DecodeFailure("the memoised lead codeword is the only "
+                                        "one in reach, and it is too far",
+                                        min(m - e - agree - 1, agree - e - k))
     for idx, elems in shares.items():
         if len(elems) != params.chunks:
             raise DecodeFailure(f"share {idx} has wrong chunk count")
@@ -654,11 +681,17 @@ class OecAccumulator:
     directly: an attempt with no codeword in reach fails on one degree
     comparison, before any other chunk is fitted.
 
-    A failed attempt also tells how many later attempts must fail.  With
-    m shares the radius is e = min((m - k) // 2, m - threshold); let w
-    be the weighted degree of the basis's minimal element, and D = w -
-    (e + k - 1) its margin.  If D > 1, the next D - 1 attempts are
-    counted and fail without a decode, for two reasons:
+    A failed attempt also tells how many later attempts must fail, and
+    the larger of two counts is skipped: each skipped attempt is counted
+    and fails without a decode.  The first is the failure's
+    ``rules_out``, which the memo certificate of `ecc_decode` sets when
+    a memoised message's lead codeword is the only one in reach and too
+    far; such an attempt fails with no fold, so the basis serves chiefly
+    maps the memo cannot name.  The second is the basis margin.  With m
+    shares the radius is e = min((m - k) // 2, m - threshold); let w be
+    the weighted degree of the basis's minimal element, and D = w - (e +
+    k - 1) its margin.  If D > 1, the next D - 1 attempts fail, for two
+    reasons:
 
     * They would fail the degree check.  `_fold` never lowers the
       minimal key (one element's key rises by 2, the other's stays), and
@@ -717,12 +750,12 @@ class OecAccumulator:
             message, support = ecc_decode(
                 self.params, self.shares, max_errors=m - self.threshold,
                 lead_basis=self._lead_basis)
-        except DecodeFailure:
-            # the next margin - 1 attempts fail too (see the class docstring)
+        except DecodeFailure as failure:
+            # so do the next rules_out or margin - 1 (see the class docstring)
             k = self.params.k
             e = min((m - k) // 2, m - self.threshold)
             margin = (min(self._basis)[0] >> 1) - (e + k - 1)
-            self._hopeless = max(0, margin - 1)
+            self._hopeless = max(failure.rules_out, margin - 1)
             return None
         if len(support) < self.threshold:
             return None

@@ -736,27 +736,57 @@ def test_oec_matches_reference(n, t, bits, monkeypatch):
     """The accumulator against `ref_oec` on every arrival kind.  An attempt
     that the last failure rules out is counted but skips `ecc_decode`, so
     garbage first still makes t + 1 attempts, and from t = 3 on, where
-    the first attempt's margin can exceed 1, fewer decodes in all."""
+    the first attempt's margin can exceed 1, fewer decodes in all.  On
+    the memo rows of kind 5 the memo certifies failures with no full
+    decode, and the attempts a certificate rules out are skipped."""
     params = params_for_message_bits(n, t, bits)
     rng = random.Random(n)
-    decodes = counting(monkeypatch, "ecc_decode")
+    decodes = []                  # (accumulator, attempt) of each ecc_decode
+    certified = []                # (accumulator, attempt, rules_out)
+    decode = field_ecc.ecc_decode
+    full = counting(monkeypatch, "decode_elements")
+
+    def recorded(*args, **kwargs):
+        acc = kwargs["lead_basis"].__self__
+        decodes.append((acc, acc.attempts))
+        before = len(full)
+        try:
+            return decode(*args, **kwargs)
+        except DecodeFailure as failure:
+            if len(full) == before:
+                certified.append((acc, acc.attempts, failure.rules_out))
+            raise
+
+    monkeypatch.setattr(field_ecc, "ecc_decode", recorded)
     accepted = 0
     garbage_first = [0, 0]        # attempts, ecc_decode calls
     for trial in range(4 * OEC_KINDS):
         kind = trial % OEC_KINDS
         arrivals = oec_arrivals(rng, params, kind)
-        del decodes[:]
+        before = len(decodes)
         got = run_oec(params, arrivals)
-        assert len(decodes) <= got[2]
+        assert len(decodes) - before <= got[2]
         assert got == ref_oec(params, arrivals)
         accepted += got[1] is not None and got[1] < len(arrivals) - 1
         if kind == 4:             # garbage first: every attempt is made
             assert got[2] == t + 1
             garbage_first[0] += got[2]
-            garbage_first[1] += len(decodes)
+            garbage_first[1] += len(decodes) - before
     assert accepted > 0           # some submits came after acceptance
     if t >= 3:
         assert garbage_first[1] < garbage_first[0]
+    # a certificate's rules_out attempts make no ecc_decode call
+    attempts = {}                 # accumulator -> attempts that decoded
+    for acc, attempt in decodes:
+        attempts.setdefault(acc, []).append(attempt)
+    skipped = 0
+    for acc, attempt, rules_out in certified:
+        later = [a for a in attempts.get(acc, ()) if a > attempt]
+        assert not later or later[0] > attempt + rules_out
+        skipped += rules_out
+    assert certified
+    if t >= 4:                    # at n = 7 every certificate rules out 0
+        assert skipped > 0
 
 
 def lead(element, k):
@@ -1073,8 +1103,126 @@ def test_memo_path_matches_full_decoder_on_mixed_maps(k, monkeypatch):
                 if got is not DecodeFailure:
                     assert type(got[0]) is bytes
                 seen.add((not decodes, got is not DecodeFailure))
-    # the memo path answered, the full decoder succeeded, and it failed
-    assert {(True, True), (False, True), (False, False)} <= seen
+    # the memo path answered and failed, the full decoder succeeded, and
+    # it failed
+    assert {(True, True), (True, False), (False, True), (False, False)} <= seen
+
+
+def lead_only_share(rng, params, row):
+    """A valid copy of ``row`` that differs from it on one chunk past the
+    lead chunk, chosen at random."""
+    c = rng.choice([c for c in range(params.chunks) if c != params.lead_chunk])
+    return row[:c] + ((row[c] + 1) % params.q,) + row[c + 1:]
+
+
+def off_lead_share(rng, params, row):
+    """A valid random share whose lead-chunk element differs from ``row``'s."""
+    lead, q = params.lead_chunk, params.q
+    share = [rng.randrange(q) for _ in range(params.chunks)]
+    share[lead] = (row[lead] + rng.randrange(1, q)) % q
+    return tuple(share)
+
+
+@pytest.mark.parametrize("n,t,bits", [(13, 4, 256), (19, 6, 512),
+                                      (28, 9, 512)])
+def test_memo_certificate_at_its_boundaries(n, t, bits, monkeypatch):
+    """Scripted maps of r memo rows of one message M, a - r valid copies
+    of M's rows that differ past the lead chunk, and m - a shares whose
+    lead element differs from M's, so M's whole-row support is r and its
+    lead agreement a.  At a - e = k and a = m - e - 1 (with a - e >= k)
+    `ecc_decode` fails with no `decode_elements` call and ``rules_out`` =
+    min(m - e - a - 1, a - e - k); at a - e = k - 1 and a = m - e it
+    reaches the full decoder.  Every outcome equals the full decoder's on
+    copies."""
+    params = params_for_message_bits(n, t, bits)
+    k, threshold = params.k, params.oec_threshold
+    rng = random.Random(n)
+    rows = ecc_encode(params, bytes(range(bits // 16)))
+    seen = set()                  # (boundary, certified)
+    for m in range(k + 1, n + 1):
+        for max_errors in (None, 0, m - threshold):
+            e = (m - k) // 2 if max_errors is None else max(
+                0, min((m - k) // 2, max_errors))
+            for name, a in (("a - e = k", e + k), ("a - e = k - 1", e + k - 1),
+                            ("a = m - e - 1", m - e - 1), ("a = m - e", m - e)):
+                if not 1 <= a <= m:
+                    continue
+                r = rng.randint(1, min(a, m - e - 1))
+                xs = rng.sample(range(1, n + 1), m)
+                shares = {}
+                for i, x in enumerate(xs):
+                    row = rows[x - 1]
+                    shares[x] = (row if i < r else
+                                 lead_only_share(rng, params, row) if i < a
+                                 else off_lead_share(rng, params, row))
+                shares = dict(rng.sample(list(shares.items()), m))
+                expect = decode_outcome(full_decode, params, shares, max_errors)
+                decodes = counting(monkeypatch, "decode_elements")
+                try:
+                    got = ecc_decode(params, shares, max_errors)
+                    rules_out = None
+                except DecodeFailure as failure:
+                    got, rules_out = DecodeFailure, failure.rules_out
+                monkeypatch.undo()
+                assert got == expect, (name, m, max_errors)
+                certified = a - e >= k and a < m - e
+                assert (decodes == []) == certified, (name, m, max_errors)
+                if certified:
+                    assert rules_out == min(m - e - a - 1, a - e - k)
+                elif rules_out is not None:
+                    assert rules_out == 0
+                seen.add((name, certified))
+    assert seen >= {("a - e = k", True), ("a - e = k - 1", False),
+                    ("a = m - e - 1", True), ("a = m - e", False)}
+
+
+@pytest.mark.parametrize("n,t,bits", [(13, 4, 1024), (19, 6, 512),
+                                      (31, 10, 1024)])
+def test_same_length_messages_fail_on_the_lead_chunk(n, t, bits, monkeypatch):
+    """An equivocating leader's two messages of one length agree on every
+    chunk before the lead chunk, which holds only the length prefix.
+    Copies of their rows, mixed with garbage whose lead element is
+    neither's and fed by arrival as an accumulator sees them, hold no
+    memo row, so the full decoder answers: every attempt that fails does
+    so on the lead chunk, before `_fit` compares any chunk.  The memo
+    rows themselves give the same outcomes, some failures certified with
+    no `decode_elements` call."""
+    params = params_for_message_bits(n, t, bits)
+    q, lead, threshold = params.q, params.lead_chunk, params.oec_threshold
+    rng = random.Random(n + t)
+    fits = counting(monkeypatch, "_fit")
+    decodes = counting(monkeypatch, "decode_elements")
+    lead_failures = certified = 0
+    for trial in range(6):
+        msg = bytes(rng.randrange(256) for _ in range(bits // 16))
+        other = bytes([msg[0] ^ (1 + trial)]) + msg[1:-1] + bytes([msg[-1] ^ 1])
+        first, second = ecc_encode(params, msg), ecc_encode(params, other)
+        assert all(first[x][:lead] == second[x][:lead] for x in range(n))
+        bad = set(rng.sample(range(1, n + 1), t))
+        camp = set(rng.sample(range(1, n + 1), n // 2))
+        arrivals = []
+        for x in rng.sample(range(1, n + 1), n):
+            if x in bad:
+                share = [rng.randrange(q) for _ in range(params.chunks)]
+                share[lead] = rng.choice(sorted(set(range(q)) - {
+                    first[x - 1][lead], second[x - 1][lead]}))
+                arrivals.append((x, tuple(share)))
+            else:
+                arrivals.append((x, (first if x in camp else second)[x - 1]))
+        for m in range(threshold, n + 1):
+            shares = dict(arrivals[:m])
+            max_errors = m - threshold
+            before = len(decodes)
+            got = decode_outcome(ecc_decode, params, shares, max_errors)
+            in_full = len(decodes) - before
+            fitted = len(fits)
+            expect = decode_outcome(full_decode, params, shares, max_errors)
+            assert got == expect
+            if expect is DecodeFailure:
+                assert len(fits) == fitted
+                lead_failures += 1
+                certified += in_full == 0
+    assert lead_failures > 0 and certified > 0
 
 
 def test_accumulator_on_memo_rows_matches_copies(monkeypatch):

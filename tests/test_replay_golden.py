@@ -220,10 +220,12 @@ def test_replay_digest(name):
 def test_k3_garbage_run_makes_no_successful_full_decode(monkeypatch):
     """Every decode that succeeds in this run holds m - e rows of one
     memoised message, so `ecc_decode` answers it from the encode memo and
-    no `decode_elements` call returns.  When only maps made wholly of memo
-    rows were answered from the memo, 62 of 670 calls returned.  Before
-    an accumulator skipped the attempts its last failure rules out, 608
-    calls were made."""
+    no `decode_elements` call returns.  Most failures are certified from
+    the memo as well, with no full decode.  When only maps made wholly of
+    memo rows were answered from the memo, 62 of 670 calls returned;
+    before an accumulator skipped the attempts its last failure rules
+    out, 608 calls were made, and before the memo certified failures,
+    239."""
     from acool import field_ecc
 
     decode_elements = field_ecc.decode_elements
@@ -238,39 +240,41 @@ def test_k3_garbage_run_makes_no_successful_full_decode(monkeypatch):
     monkeypatch.setattr(field_ecc, "decode_elements", counted)
     report = run(CASES["acool-k3-garbage"])
     assert report.ok
-    assert len(calls) == 239 and not any(calls)
+    assert len(calls) == 6 and not any(calls)
 
 
 def test_byzantine_leader_decode_failures_stop_at_the_lead_chunk(monkeypatch):
     """An equivocating leader's two messages have one length, so they agree
     on every chunk before the lead chunk, which holds only the length
-    prefix.  Every decode that fails in this run must fail on the lead
-    chunk, before `_fit` compares any chunk.  When chunk 0 went first,
-    all 58 failing `decode_elements` calls reached `_fit`."""
+    prefix.  Every honest share here is a memo row of one of the two, so
+    every decode that fails in this run is certified on the lead chunk by
+    `ecc_decode` from the encode memo, with no `decode_elements` call.
+    When chunk 0 went first, all 58 failing `decode_elements` calls
+    reached `_fit`; `test_same_length_messages_fail_on_the_lead_chunk`
+    keeps that order covered on copies."""
     from acool import field_ecc
 
-    decode_elements, fit = field_ecc.decode_elements, field_ecc._fit
-    calls = []                    # [reached _fit, returned] per decode
-
-    def counted_fit(*args):
-        calls[-1][0] = True
-        return fit(*args)
+    decode_elements, ecc_decode = field_ecc.decode_elements, field_ecc.ecc_decode
+    full, failures = [], []
 
     def counted(*args, **kwargs):
-        calls.append([False, False])
-        result = decode_elements(*args, **kwargs)
-        calls[-1][1] = True
-        return result
+        full.append(1)
+        return decode_elements(*args, **kwargs)
 
-    monkeypatch.setattr(field_ecc, "_fit", counted_fit)
+    def failing(*args, **kwargs):
+        try:
+            return ecc_decode(*args, **kwargs)
+        except field_ecc.DecodeFailure:
+            failures.append(1)
+            raise
+
     monkeypatch.setattr(field_ecc, "decode_elements", counted)
+    monkeypatch.setattr(field_ecc, "ecc_decode", failing)
     report = run(SimConfig(n=13, t=4, seed=0, msg_len_bits=1024,
                            protocol="rbc", leader=13,
                            adversary="equivocate_symbols"))
     assert report.ok
-    failed = [fitted for fitted, returned in calls if not returned]
-    assert failed and not any(failed)
-
+    assert full == [] and failures
 
 if __name__ == "__main__":
     # print the digest table, e.g. after a deliberate change of run bytes:

@@ -445,3 +445,29 @@ def test_two_camp_clean_run_encodes_each_input_once(monkeypatch):
     rep = run(SimConfig(n=49, t=16, seed=0, msg_len_bits=256, inputs=camps))
     assert rep.reason == "ok" and all(rep.checks.values())
     assert calls["encode_elements"] == 2
+
+
+def test_decode_heavy_runs_leave_no_reference_cycles():
+    """With the cyclic collector off, a run leaves nothing for it to
+    collect: no frame, traceback or exception forms a cycle, not even on
+    the decode-failure path, where an exception bound to a local of the
+    raising frame would form one per failure (10,435, 1,562 and 1,405
+    objects after these three runs)."""
+    configs = (
+        SimConfig(n=31, t=10, seed=0, msg_len_bits=1024,
+                  adversary="garbage_shares", scheduler="adversary"),
+        SimConfig(n=13, t=4, seed=0, msg_len_bits=1024, protocol="rbc",
+                  leader=13, adversary="equivocate_symbols"),
+        SimConfig(n=31, t=2, seed=0, msg_len_bits=1024, protocol="small_t",
+                  adversary="garbage_shares"),
+    )
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for cfg in configs:
+            assert run(cfg).ok
+            assert gc.collect() == 0, cfg
+    finally:
+        if enabled:
+            gc.enable()
