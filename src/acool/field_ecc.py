@@ -11,7 +11,8 @@ a share map that holds m - e rows of one memoised message from that
 memo, fails one whose lead chunk that message's codeword rules out, and
 corrects any other through `decode_elements` and `_decode_chunk`, and
 `OecAccumulator` is the accumulate-and-retry loop of the agreement
-protocols.  Encoding and the clean decode path pack one lane per chunk
+protocols; it skips only the attempts such a failure's ``rules_out``
+counts.  Encoding and the clean decode path pack one lane per chunk
 into one int (Kronecker substitution, see `CodeParams.lane_code`).
 Lagrange interpolation only fits chunks on an index set known to be
 clean (`_fit`); the key-equation fold does every correction.
@@ -23,7 +24,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, zip_longest
+from itertools import zip_longest
 from typing import Callable, Mapping, Optional, Sequence
 
 # Bits consumed by the length prefix that makes decoded output unambiguous.
@@ -426,8 +427,7 @@ def _fold(basis: list, x: int, y: int, q: int) -> None:
 
 
 def _decode_chunk(xs: Sequence[int], ys: Sequence[int], k: int, q: int,
-                  max_errors: Optional[int] = None,
-                  basis: Optional[Callable[[], list]] = None) -> tuple:
+                  max_errors: Optional[int] = None) -> tuple:
     """Recover the degree-(k-1) polynomial behind m >= k noisy evaluations.
 
     Returns ``(p, agree)``: p's k ascending coefficients and the x whose
@@ -452,11 +452,6 @@ def _decode_chunk(xs: Sequence[int], ys: Sequence[int], k: int, q: int,
     deg p < k and at most e errors.  The minimal element is unique up to
     a scalar, so the answer is that of any exact bounded-distance
     decoder, whatever the order of the shares.
-
-    One-shot or carried, every correction is this fold: a one-shot
-    decode folds every share into a fresh basis, while ``basis`` returns
-    the basis already folded over exactly these shares, for a caller
-    that carries it across attempts (see `OecAccumulator`).
     """
     m = len(xs)
     if m < k:
@@ -464,13 +459,10 @@ def _decode_chunk(xs: Sequence[int], ys: Sequence[int], k: int, q: int,
     e = (m - k) // 2
     if max_errors is not None:
         e = max(0, min(e, max_errors))
-    if basis is None:
-        folded = _key_basis(k)
-        for x, y in zip(xs, ys):
-            _fold(folded, x, y, q)
-    else:
-        folded = basis()
-    key, num, den = min(folded)
+    basis = _key_basis(k)
+    for x, y in zip(xs, ys):
+        _fold(basis, x, y, q)
+    key, num, den = min(basis)
     if key >> 1 > e + k - 1:
         raise DecodeFailure("no codeword within the correctable radius")
     p, rem = _poly_div(num, den, q)
@@ -523,8 +515,7 @@ def _fit(params: CodeParams, shares: Mapping[int, Sequence[int]],
 
 
 def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
-                    max_errors: Optional[int] = None,
-                    lead_basis: Optional[Callable[[], list]] = None) -> tuple:
+                    max_errors: Optional[int] = None) -> tuple:
     """Per-chunk error correction over a share map {index: elems}.
 
     Returns ``(data, support)``: the k*chunks decoded elements and the
@@ -545,15 +536,14 @@ def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
     whatever the order of the chunks.  A share element outside [0, q)
     never matches, so it counts as an error in its chunk.  The support is
     the clean indices that every chunk's codeword matches.  Every full
-    correction folds the key equation (see `_decode_chunk`), the lead
-    chunk's into ``lead_basis`` when the caller carries one.
+    correction folds the key equation (see `_decode_chunk`).
     """
     xs = sorted(shares)
     if not xs or xs[0] < 1 or xs[-1] > params.n:
         raise DecodeFailure("share indices outside 1..n")
     k, q, lead = params.k, params.q, params.lead_chunk
     _, seed = _decode_chunk(xs, [shares[x][lead] for x in xs], k, q,
-                            max_errors, lead_basis)
+                            max_errors)
     support = set(seed)
     coeffs = [None] * k          # coeffs[d][c]: degree-d coefficient of chunk c
     failing = _fit(params, shares, seed, range(params.chunks), coeffs)
@@ -570,16 +560,14 @@ def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
 
 
 def ecc_decode(params: CodeParams, shares: Mapping[int, Sequence[int]],
-               max_errors: Optional[int] = None,
-               lead_basis: Optional[Callable[[], list]] = None) -> tuple:
+               max_errors: Optional[int] = None) -> tuple:
     """Decode a byte message from m <= n shares with Byzantine errors.
 
     Recovers the unique message whose codeword differs from the shares in
     <= e positions, e = (m - k) // 2 clamped to ``max_errors`` as in
     `_decode_chunk`.  Returns ``(message, support)``, where ``support``
     holds the indices whose share equals ``ecc_encode(params, message)``
-    at that index.  ``lead_basis``, the lead chunk's key-equation basis
-    when the caller carries one, is passed on to `decode_elements`.
+    at that index.
 
     The encode memo (see `ecc_encode`) answers first when m >= k, every
     index is an int in 1..n and every share that is not a memo row passes
@@ -591,9 +579,7 @@ def ecc_decode(params: CodeParams, shares: Mapping[int, Sequence[int]],
     equals the received word on the support, so it lies within e of it,
     and 2e + k <= m makes it the unique such codeword, which
     `decode_elements` returns chunk by chunk; M's frame is canonical, and
-    the full decoder's support is the indices equal on every chunk.  A
-    memo answer thus implies a codeword within e of the lead chunk, which
-    `OecAccumulator` relies on when it skips attempts.
+    the full decoder's support is the indices equal on every chunk.
 
     Otherwise the same pass has counted a, the shares whose lead-chunk
     element equals M's row there, and a - e >= k with a < m - e is a
@@ -648,7 +634,7 @@ def ecc_decode(params: CodeParams, shares: Mapping[int, Sequence[int]],
     for idx, elems in shares.items():
         if len(elems) != params.chunks:
             raise DecodeFailure(f"share {idx} has wrong chunk count")
-    data, support = decode_elements(params, shares, max_errors, lead_basis)
+    data, support = decode_elements(params, shares, max_errors)
     message, canonical = _unframe(params, data)
     if not canonical:
         # Nonzero padding bits or an element above 2^b, which no honest
@@ -673,41 +659,18 @@ class OecAccumulator:
     any extra ``accept`` predicate passes; the adversary holds at most t
     slots, so an accepted message is pinned down by >= k honest shares.
 
-    Successive attempts see the same shares plus new ones, so the lead
-    chunk's key-equation basis (see `CodeParams.lead_chunk` and
-    `_decode_chunk`) is carried from one attempt to the next.  It is
-    brought up to date only when an attempt reaches the decoder, by one
-    O(m) `_fold` per share stored since, and answers the attempt
-    directly: an attempt with no codeword in reach fails on one degree
-    comparison, before any other chunk is fitted.
-
-    A failed attempt also tells how many later attempts must fail, and
-    the larger of two counts is skipped: each skipped attempt is counted
-    and fails without a decode.  The first is the failure's
-    ``rules_out``, which the memo certificate of `ecc_decode` sets when
-    a memoised message's lead codeword is the only one in reach and too
-    far; such an attempt fails with no fold, so the basis serves chiefly
-    maps the memo cannot name.  The second is the basis margin.  With m
-    shares the radius is e = min((m - k) // 2, m - threshold); let w be
-    the weighted degree of the basis's minimal element, and D = w - (e +
-    k - 1) its margin.  If D > 1, the next D - 1 attempts fail, for two
-    reasons:
-
-    * They would fail the degree check.  `_fold` never lowers the
-      minimal key (one element's key rises by 2, the other's stays), and
-      e grows by at most 1 per share, so j shares later the basis over
-      every stored share still has minimal weighted degree >= w > e + j
-      + k - 1 for every j < D.  This holds also when the failed attempt
-      stopped before the decoder brought the basis up to date, as it
-      then covers only some of the shares.
-    * The encode memo could not answer them either.  `ecc_decode`
-      answers from the memo only with a message whose rows equal m - e
-      or more shares; its codeword then lies within e of the lead chunk,
-      which puts the minimal weighted degree at or below e + k - 1.
+    A failed attempt may also tell how many later attempts must fail:
+    its ``rules_out``, which the memo certificate of `ecc_decode` sets
+    when a memoised message's lead codeword (see `CodeParams.lead_chunk`)
+    is the only one in reach and too far.  That many attempts are then
+    counted and fail without a decode.  The certificate holds while each
+    attempt adds one share and raises the radius e = min((m - k) // 2,
+    m - threshold) by at most 1, which every submission does.  Any other
+    attempt decodes the stored shares afresh.
     """
 
     __slots__ = ("params", "threshold", "accept", "shares", "decoded", "done",
-                 "attempts", "_basis", "_folded", "_hopeless")
+                 "attempts", "_hopeless")
 
     def __init__(self, params: CodeParams,
                  accept: Optional[Callable[[bytes], bool]] = None):
@@ -718,17 +681,7 @@ class OecAccumulator:
         self.decoded: Optional[bytes] = None
         self.done = False
         self.attempts = 0
-        self._basis = _key_basis(params.k)  # over the first _folded shares
-        self._folded = 0
         self._hopeless = 0                  # attempts certain to fail
-
-    def _lead_basis(self) -> list:
-        """The lead chunk's key-equation basis over every stored share."""
-        q, lead = self.params.q, self.params.lead_chunk
-        for x, elems in islice(self.shares.items(), self._folded, None):
-            _fold(self._basis, x, elems[lead], q)
-        self._folded = len(self.shares)
-        return self._basis
 
     def submit(self, index: int, elems: Sequence[int]) -> Optional[bytes]:
         """Store one share; returns the message on the accepting attempt.
@@ -748,14 +701,10 @@ class OecAccumulator:
         try:
             # errors beyond m - threshold could never pass the match check
             message, support = ecc_decode(
-                self.params, self.shares, max_errors=m - self.threshold,
-                lead_basis=self._lead_basis)
+                self.params, self.shares, max_errors=m - self.threshold)
         except DecodeFailure as failure:
-            # so do the next rules_out or margin - 1 (see the class docstring)
-            k = self.params.k
-            e = min((m - k) // 2, m - self.threshold)
-            margin = (min(self._basis)[0] >> 1) - (e + k - 1)
-            self._hopeless = max(failure.rules_out, margin - 1)
+            # so do the next rules_out (see the class docstring)
+            self._hopeless = failure.rules_out
             return None
         if len(support) < self.threshold:
             return None

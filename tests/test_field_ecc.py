@@ -17,7 +17,7 @@ import pytest
 from acool import field_ecc
 from acool.field_ecc import (
     CodeParams, DecodeFailure, MessageTooLong, OecAccumulator,
-    ResilienceViolation, _decode_chunk, _fold, _key_basis, _unframe,
+    ResilienceViolation, _decode_chunk, _unframe,
     decode_elements, derive_params, ecc_decode, ecc_encode, encode_elements,
     pack_message, params_for_message_bits,
 )
@@ -61,16 +61,16 @@ def one_shot(xs, ys, k, q, max_errors, rng=None):
         return DecodeFailure
 
 
-def carried(xs, ys, k, q, max_errors, rng):
-    """`_decode_chunk`'s ``(p, agree)`` from a basis folded in shuffled
-    order, as an accumulator carries it, or DecodeFailure."""
-    basis = _key_basis(k)
-    for i in rng.sample(range(len(xs)), len(xs)):
-        _fold(basis, xs[i], ys[i], q)
-    try:
-        return _decode_chunk(xs, ys, k, q, max_errors, basis=lambda: basis)
-    except DecodeFailure:
-        return DecodeFailure
+def shuffled(xs, ys, k, q, max_errors, rng):
+    """`_decode_chunk`'s ``(p, agree)`` with the shares folded in one random
+    order, or DecodeFailure; ``agree`` is put back in the order of xs."""
+    order = rng.sample(range(len(xs)), len(xs))
+    got = one_shot([xs[i] for i in order], [ys[i] for i in order], k, q,
+                   max_errors)
+    if got is DecodeFailure:
+        return got
+    p, agree = got
+    return p, sorted(agree, key=xs.index)
 
 
 def with_agreement(p, xs, ys, q):
@@ -142,7 +142,7 @@ def test_gf7_oracle_agreement_sampled():
         expect = brute_force_decode(GF7, shares)
         xs = sorted(shares)
         ys = [shares[x][0] for x in xs]
-        for decode in (one_shot, carried):
+        for decode in (one_shot, shuffled):
             got = decode(xs, ys, 2, 7, None, rng)
             assert got == with_agreement(expect or DecodeFailure, xs, ys, 7)
 
@@ -583,7 +583,7 @@ def test_codec_matches_reference(params, monkeypatch):
 
 @pytest.mark.parametrize("n,k", [(31, 3), (13, 1), (49, 5)])
 def test_decode_chunk_matches_berlekamp_welch(n, k, monkeypatch):
-    """The key-equation decoder, one-shot and carried, against the reference
+    """The key-equation decoder, in order and shuffled, against the reference
     at the workloads' geometries.
 
     "exactly e" and "e + 1" put that many errors around the radius e, the
@@ -623,7 +623,7 @@ def test_decode_chunk_matches_berlekamp_welch(n, k, monkeypatch):
                 want = ref_decode_chunk(xs, ys, k, q, max_errors)
             except DecodeFailure:
                 want = DecodeFailure
-            for decode in (one_shot, carried):
+            for decode in (one_shot, shuffled):
                 del divisions[:]
                 assert decode(xs, ys, k, q, max_errors, rng) == with_agreement(
                     want, xs, ys, q), (m, kind, max_errors, decode.__name__)
@@ -733,121 +733,69 @@ def oec_arrivals(rng, params, kind):
 @pytest.mark.parametrize("n,t,bits", [(7, 2, 64), (13, 4, 1024), (19, 6, 512),
                                       (31, 10, 1024), (49, 16, 256)])
 def test_oec_matches_reference(n, t, bits, monkeypatch):
-    """The accumulator against `ref_oec` on every arrival kind.  An attempt
-    that the last failure rules out is counted but skips `ecc_decode`, so
-    garbage first still makes t + 1 attempts, and from t = 3 on, where
-    the first attempt's margin can exceed 1, fewer decodes in all.  On
-    the memo rows of kind 5 the memo certifies failures with no full
-    decode, and the attempts a certificate rules out are skipped."""
+    """The accumulator against `ref_oec` on every arrival kind, garbage
+    first making all t + 1 attempts.  A failure that the memo certifies
+    (with no full decode, as on the memo rows of kind 5) rules out its
+    ``rules_out`` next attempts, which are counted but skip `ecc_decode`;
+    that is the only skip, so every other attempt calls `ecc_decode`
+    exactly once."""
     params = params_for_message_bits(n, t, bits)
+    assert params.lead_chunk == ref_lead_chunk(params)
     rng = random.Random(n)
-    decodes = []                  # (accumulator, attempt) of each ecc_decode
-    certified = []                # (accumulator, attempt, rules_out)
-    decode = field_ecc.ecc_decode
+    current = []                  # the accumulator whose submit is running
+    accumulators = {}             # every accumulator, in order of first submit
+    decodes = {}                  # accumulator -> attempts that decoded
+    certified = {}                # accumulator -> [(attempt, rules_out)]
+    decode, submit = field_ecc.ecc_decode, OecAccumulator.submit
     full = counting(monkeypatch, "decode_elements")
 
+    def tracked(acc, *args):
+        accumulators[acc] = None
+        current.append(acc)
+        try:
+            return submit(acc, *args)
+        finally:
+            current.pop()
+
     def recorded(*args, **kwargs):
-        acc = kwargs["lead_basis"].__self__
-        decodes.append((acc, acc.attempts))
+        acc = current[-1]
+        decodes.setdefault(acc, []).append(acc.attempts)
         before = len(full)
         try:
             return decode(*args, **kwargs)
         except DecodeFailure as failure:
             if len(full) == before:
-                certified.append((acc, acc.attempts, failure.rules_out))
+                certified.setdefault(acc, []).append(
+                    (acc.attempts, failure.rules_out))
             raise
 
+    monkeypatch.setattr(OecAccumulator, "submit", tracked)
     monkeypatch.setattr(field_ecc, "ecc_decode", recorded)
     accepted = 0
-    garbage_first = [0, 0]        # attempts, ecc_decode calls
     for trial in range(4 * OEC_KINDS):
         kind = trial % OEC_KINDS
         arrivals = oec_arrivals(rng, params, kind)
-        before = len(decodes)
         got = run_oec(params, arrivals)
-        assert len(decodes) - before <= got[2]
         assert got == ref_oec(params, arrivals)
         accepted += got[1] is not None and got[1] < len(arrivals) - 1
         if kind == 4:             # garbage first: every attempt is made
             assert got[2] == t + 1
-            garbage_first[0] += got[2]
-            garbage_first[1] += len(decodes) - before
     assert accepted > 0           # some submits came after acceptance
-    if t >= 3:
-        assert garbage_first[1] < garbage_first[0]
-    # a certificate's rules_out attempts make no ecc_decode call
-    attempts = {}                 # accumulator -> attempts that decoded
-    for acc, attempt in decodes:
-        attempts.setdefault(acc, []).append(attempt)
     skipped = 0
-    for acc, attempt, rules_out in certified:
-        later = [a for a in attempts.get(acc, ()) if a > attempt]
-        assert not later or later[0] > attempt + rules_out
-        skipped += rules_out
+    for acc in accumulators:
+        made = decodes.get(acc, [])
+        assert made == sorted(set(made))          # one decode per attempt
+        ruled_out = 0
+        for attempt, rules_out in certified.get(acc, ()):
+            # a certificate's rules_out attempts make no ecc_decode call
+            later = [a for a in made if a > attempt]
+            assert not later or later[0] > attempt + rules_out
+            ruled_out += min(rules_out, acc.attempts - attempt)
+            skipped += rules_out
+        assert len(made) == acc.attempts - ruled_out
     assert certified
     if t >= 4:                    # at n = 7 every certificate rules out 0
         assert skipped > 0
-
-
-def lead(element, k):
-    """(weighted degree, leading position) of a basis element [key, N, W],
-    from its polynomials; ties go to W."""
-    _, num, den = element
-    deg_n = len(field_ecc._trim(list(num))) - 1
-    deg_w = len(field_ecc._trim(list(den))) - 1
-    if deg_w < 0:
-        return deg_n, "N"
-    return max(deg_n, deg_w + k - 1), "W" if deg_w + k - 1 >= deg_n else "N"
-
-
-def monic(element, k, q):
-    """The pair (N, W) of ``element``, trimmed and scaled so that its
-    leading coefficient is 1."""
-    num = field_ecc._trim(list(element[1]))
-    den = field_ecc._trim(list(element[2]))
-    top = (den if lead(element, k)[1] == "W" else num)[-1]
-    inv = pow(top, -1, q)
-    return [c * inv % q for c in num], [c * inv % q for c in den]
-
-
-@pytest.mark.parametrize("n,t,bits", [(13, 4, 1024), (31, 10, 1024),
-                                      (49, 16, 256)])
-def test_oec_carried_key_basis_invariants(n, t, bits, monkeypatch):
-    """After every lazy fold, the accumulator's lead-chunk basis solves the
-    key equation at every stored share, its two leading positions differ, its
-    key is its weighted degree and position, and its minimal element is,
-    up to a scalar, that of a fresh fold of the same shares in shuffled
-    order."""
-    params = params_for_message_bits(n, t, bits)
-    k, q, c = params.k, params.q, ref_lead_chunk(params)
-    assert c == params.lead_chunk
-    lead_basis = OecAccumulator._lead_basis
-    rng = random.Random(n + 1)
-    steps = set()                 # shares folded in by one call
-
-    def checked(acc):
-        before = acc._folded
-        basis = lead_basis(acc)
-        shares = list(acc.shares.items())
-        for element in basis:
-            _, num, den = element
-            for x, elems in shares:
-                assert (field_ecc._poly_eval(num, x, q)
-                        - elems[c] * field_ecc._poly_eval(den, x, q)) % q == 0
-            wdeg, pos = lead(element, k)
-            assert element[0] == 2 * wdeg + (pos == "W")
-        assert lead(basis[0], k)[1] != lead(basis[1], k)[1]
-        fresh = _key_basis(k)
-        for x, elems in rng.sample(shares, len(shares)):
-            _fold(fresh, x, elems[c], q)
-        assert monic(min(basis), k, q) == monic(min(fresh), k, q)
-        steps.add(len(shares) - before)
-        return basis
-
-    monkeypatch.setattr(OecAccumulator, "_lead_basis", checked)
-    for trial in range(2 * OEC_KINDS):
-        run_oec(params, oec_arrivals(rng, params, trial % OEC_KINDS))
-    assert 1 in steps and max(steps) > 1   # one share, and several at once
 
 
 @pytest.mark.parametrize("padding", ["low bit", "element above 2^b"])

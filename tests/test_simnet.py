@@ -11,7 +11,8 @@ import pytest
 
 from acool import field_ecc, simnet
 from acool.field_ecc import (
-    CodeParams, ResilienceViolation, params_for_message_bits,
+    CodeParams, DecodeFailure, OecAccumulator, ResilienceViolation,
+    params_for_message_bits,
 )
 from acool.messages import AbbaIn, AbbaOut, payload_bits, tag_of
 from acool.simnet import (
@@ -445,6 +446,66 @@ def test_two_camp_clean_run_encodes_each_input_once(monkeypatch):
     rep = run(SimConfig(n=49, t=16, seed=0, msg_len_bits=256, inputs=camps))
     assert rep.reason == "ok" and all(rep.checks.values())
     assert calls["encode_elements"] == 2
+
+
+@pytest.mark.parametrize("cfg,attempts,decodes", [
+    (SimConfig(n=31, t=10, seed=0, msg_len_bits=1024,
+               adversary="garbage_shares", scheduler="adversary"), 660, 358),
+    (SimConfig(n=31, t=2, seed=0, msg_len_bits=1024, protocol="small_t",
+               adversary="garbage_shares"), 82, 82),
+], ids=["n31-t10", "small-t"])
+def test_oec_attempts_decode_once_unless_certified_hopeless(
+        cfg, attempts, decodes, monkeypatch):
+    """Every OEC attempt of a run calls `ecc_decode` once, except the
+    attempts inside an earlier failure's ``rules_out`` window, which call
+    it never; the honest nodes' attempts sum to the reported count (the
+    Byzantine replicas run accumulators of their own).  At n = 31, t = 10
+    the memo certificate skips 302 of the 660 attempts; the committee of
+    the small-t run (n = 7, k = 1) never certifies a skip."""
+    calls = {}                    # accumulator -> {attempt: ecc_decode calls}
+    windows = {}                  # accumulator -> attempts ruled out
+    byzantine = set()
+    current = []
+    submit, decode = OecAccumulator.submit, field_ecc.ecc_decode
+    replica_init = simnet._Replica.__init__
+
+    def tracked(acc, *args):
+        calls.setdefault(acc, {})
+        current.append(acc)
+        try:
+            return submit(acc, *args)
+        finally:
+            current.pop()
+
+    def recorded(*args, **kwargs):
+        acc = current[-1]
+        attempt = acc.attempts
+        calls[acc][attempt] = calls[acc].get(attempt, 0) + 1
+        try:
+            return decode(*args, **kwargs)
+        except DecodeFailure as failure:
+            windows.setdefault(acc, set()).update(
+                range(attempt + 1, attempt + 1 + failure.rules_out))
+            raise
+
+    def replica(self, ctx):
+        replica_init(self, ctx)
+        byzantine.update(acc for node in self.nodes for acc in node.accumulators)
+
+    monkeypatch.setattr(OecAccumulator, "submit", tracked)
+    monkeypatch.setattr(field_ecc, "ecc_decode", recorded)
+    monkeypatch.setattr(simnet._Replica, "__init__", replica)
+    rep = run(cfg)
+    assert rep.ok
+    for acc, made in calls.items():
+        ruled_out = windows.get(acc, set())
+        for attempt in range(1, acc.attempts + 1):
+            assert made.get(attempt, 0) == (attempt not in ruled_out)
+        assert set(made) <= set(range(1, acc.attempts + 1))
+    assert sum(acc.attempts for acc in calls) == attempts
+    assert sum(sum(made.values()) for made in calls.values()) == decodes
+    assert rep.metrics.decode_attempts == sum(
+        acc.attempts for acc in calls if acc not in byzantine) > 0
 
 
 def test_decode_heavy_runs_leave_no_reference_cycles():
