@@ -24,7 +24,8 @@ from typing import Callable, List, Optional, Tuple
 
 from .field_ecc import (
     CodeParams, DecodeFailure, OecAccumulator, decode_elements,
-    derive_params, encode_elements, pack_message, params_for_message_bits,
+    derive_params, ecc_encode, encode_elements, pack_message,
+    params_for_message_bits,
 )
 from .simnet import (
     ADVERSARIES, SCHEDULERS, SimConfig, run, scenario_split_input, sweep,
@@ -245,15 +246,17 @@ def crit6_codec_oracle(quick: bool, workers: int):
             if production(word) != oracle(word):
                 mismatches += 1
 
-    # online error correction: random arrival orders with t garbage shares
+    # online error correction: random arrival orders with t garbage shares,
+    # over rows outside `ecc_encode`'s memo, so every attempt decodes in
+    # full, and over its rows, as the protocols send them
     oec_params = params_for_message_bits(7, 2, 8)
     message = b"z"
-    # rows outside `ecc_encode`'s memo, so every attempt decodes in full
-    rows = encode_elements(oec_params, pack_message(oec_params, message))
     rng = random.Random(77)
     trials = 1_000 if quick else 10_000
     oec_bad = 0
-    for _ in range(trials):
+    both = (encode_elements(oec_params, pack_message(oec_params, message)),
+            ecc_encode(oec_params, message))
+    for rows in both * trials:
         order = list(range(1, 8))
         rng.shuffle(order)
         garbage = set(rng.sample(order, 2))
@@ -272,7 +275,7 @@ def crit6_codec_oracle(quick: bool, workers: int):
             oec_bad += 1
     ok = mismatches == 0 and oec_bad == 0
     return ok, (f"{cases} decoder-vs-oracle cases, {mismatches} disagreements; "
-                f"{trials} online-correction schedules, {oec_bad} out of "
+                f"{2 * trials} online-correction schedules, {oec_bad} out of "
                 f"bounds")
 
 

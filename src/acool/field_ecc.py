@@ -6,13 +6,12 @@ and split into ``chunks`` independent (n, k) codewords that share the
 evaluation points x = 1..n.  Share j concatenates the j-th evaluation of
 every chunk, so comparing two shares compares all chunks at once.
 
-`ecc_encode` encodes (once per message per run), `ecc_decode` answers
-a share map that holds m - e rows of one memoised message from that
-memo, fails one whose lead chunk that message's codeword rules out, and
-corrects any other through `decode_elements` and `_decode_chunk`, and
+`ecc_encode` encodes (once per message per run), `ecc_decode` corrects a
+share map through `decode_elements` and `_decode_chunk`, and
 `OecAccumulator` is the accumulate-and-retry loop of the agreement
-protocols; it skips only the attempts such a failure's ``rules_out``
-counts.  Encoding and the clean decode path pack one lane per chunk
+protocols; it tallies its shares against the encode memo as they come,
+so an attempt the memo settles, accepted or failed, makes no decode.
+Encoding and the clean decode path pack one lane per chunk
 into one int (Kronecker substitution, see `CodeParams.lane_code`).
 Lagrange interpolation only fits chunks on an index set known to be
 clean (`_fit`); the key-equation fold does every correction.
@@ -22,6 +21,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
@@ -43,16 +43,7 @@ class MessageTooLong(ValueError):
 
 
 class DecodeFailure(Exception):
-    """Raised when no codeword lies within the correctable radius.
-
-    ``rules_out`` counts the attempts after this one that must fail too,
-    when each adds one share and raises the radius by at most 1 (see the
-    memo certificate of `ecc_decode`); it is 0 when nothing is known.
-    """
-
-    def __init__(self, reason: str = "", rules_out: int = 0):
-        super().__init__(reason)
-        self.rules_out = rules_out
+    """Raised when no codeword lies within the correctable radius."""
 
 
 def _is_prime(x: int) -> bool:
@@ -109,7 +100,7 @@ class CodeParams:
     def oec_threshold(self) -> int:
         return self.k + self.t
 
-    @property
+    @cached_property
     def lead_chunk(self) -> int:
         """The first chunk that holds a message bit (the last if none does).
 
@@ -569,68 +560,9 @@ def ecc_decode(params: CodeParams, shares: Mapping[int, Sequence[int]],
     holds the indices whose share equals ``ecc_encode(params, message)``
     at that index.
 
-    The encode memo (see `ecc_encode`) answers first when m >= k, every
-    index is an int in 1..n and every share that is not a memo row passes
-    `CodeParams.valid_elems`.  Its candidate M is the message whose rows,
-    matched by identity at their own index, make up the most shares; M's
-    support is every x with ``shares[x] is rows[x - 1]`` or ``rows[x - 1]
-    == tuple(shares[x])``.  If it holds m - e or more indices, ``(M,
-    support)`` is the full decoder's answer: on every chunk M's codeword
-    equals the received word on the support, so it lies within e of it,
-    and 2e + k <= m makes it the unique such codeword, which
-    `decode_elements` returns chunk by chunk; M's frame is canonical, and
-    the full decoder's support is the indices equal on every chunk.
-
-    Otherwise the same pass has counted a, the shares whose lead-chunk
-    element equals M's row there, and a - e >= k with a < m - e is a
-    certificate that the full decoder fails on the lead chunk, so
-    DecodeFailure is raised with no fold.  A codeword within e of the
-    lead chunk agrees with the received word on m - e or more shares, so
-    with M's lead codeword on a - e >= k of the a where M's does; two
-    polynomials of degree below k that agree on k points are equal, so it
-    is M's, which matches only a < m - e shares.  The failure's
-    ``rules_out`` is min(m - e - a - 1, a - e - k): j shares later, a has
-    not fallen, a and e have each grown by at most j, and m - e has not
-    fallen, so the certificate still holds for j up to that count.  Any
-    other map is decoded in full.
+    Every call runs the full decoder; `OecAccumulator` settles the maps
+    it can from the encode memo first.
     """
-    m, k = len(shares), params.k
-    e = (m - k) // 2
-    if max_errors is not None:
-        e = max(0, min(e, max_errors))
-    if m >= k:
-        memo, n, valid = params.encoded_rows, params.n, params.valid_elems
-        found = []                # (message, rows) of each memo row
-        for x, s in shares.items():
-            if type(x) is not int or not 0 < x <= n:
-                break
-            hit = memo.get(id(s))
-            if hit is not None and hit[1][x - 1] is s:
-                found.append(hit)
-            elif not valid(s):
-                break
-        else:
-            if found:
-                hit = found[0]
-                if found.count(hit) < len(found):   # rows of several messages
-                    hit = max(found, key=found.count)
-                elif len(found) == m:
-                    return hit[0], set(shares)
-                message, rows = hit
-                lead = params.lead_chunk
-                support = set()
-                agree = 0         # a: shares equal to M's row on the lead chunk
-                for x, s in shares.items():
-                    row = rows[x - 1]
-                    if s is row or row == tuple(s):
-                        support.add(x)
-                    agree += row[lead] == s[lead]
-                if len(support) >= m - e:
-                    return message, support
-                if agree - e >= k and agree < m - e:
-                    raise DecodeFailure("the memoised lead codeword is the only "
-                                        "one in reach, and it is too far",
-                                        min(m - e - agree - 1, agree - e - k))
     for idx, elems in shares.items():
         if len(elems) != params.chunks:
             raise DecodeFailure(f"share {idx} has wrong chunk count")
@@ -658,19 +590,36 @@ class OecAccumulator:
     at least k + t of the stored shares (its support, see `ecc_decode`) and
     any extra ``accept`` predicate passes; the adversary holds at most t
     slots, so an accepted message is pinned down by >= k honest shares.
+    An attempt over m shares corrects e = min((m - k) // 2, m - threshold)
+    errors, as more could never pass the match check.
 
-    A failed attempt may also tell how many later attempts must fail:
-    its ``rules_out``, which the memo certificate of `ecc_decode` sets
-    when a memoised message's lead codeword (see `CodeParams.lead_chunk`)
-    is the only one in reach and too far.  That many attempts are then
-    counted and fail without a decode.  The certificate holds while each
-    attempt adds one share and raises the radius e = min((m - k) // 2,
-    m - threshold) by at most 1, which every submission does.  Any other
-    attempt decodes the stored shares afresh.
+    Each share is looked up in the encode memo (see `ecc_encode`) as it
+    is stored: a memo row needs no `CodeParams.valid_elems` check, and
+    ``hits`` counts per message the shares that are its memo row at their
+    own index.  From the first attempt on, a candidate M with the most
+    hits is kept too, with ``support``, the shares equal to M's row, and
+    ``agree`` (a), those equal to it on `CodeParams.lead_chunk`.  One pass
+    counts them when M is chosen (at the first attempt with a hit, or
+    when another message overtakes M); any other share adds to them in
+    O(1).  Each attempt then tests two facts exactly:
+
+    * support >= m - e: M is the full decoder's answer.  On every chunk
+      M's codeword equals the received word on the support, so it lies
+      within e of it, and 2e + k <= m makes it the unique such codeword,
+      which `decode_elements` returns chunk by chunk; M's frame is
+      canonical, and the full decoder's support is the shares equal on
+      every chunk.
+    * a - e >= k and a < m - e: the full decoder fails on the lead chunk.
+      A codeword within e of it agrees with the received word on m - e or
+      more shares, so with M's lead codeword on a - e >= k of the a where
+      M's does; two polynomials of degree below k that agree on k points
+      are equal, so it is M's, which matches only a < m - e shares.
+
+    Only an attempt that neither settles calls `ecc_decode`.
     """
 
     __slots__ = ("params", "threshold", "accept", "shares", "decoded", "done",
-                 "attempts", "_hopeless")
+                 "attempts", "hits", "candidate", "support", "agree")
 
     def __init__(self, params: CodeParams,
                  accept: Optional[Callable[[bytes], bool]] = None):
@@ -681,35 +630,78 @@ class OecAccumulator:
         self.decoded: Optional[bytes] = None
         self.done = False
         self.attempts = 0
-        self._hopeless = 0                  # attempts certain to fail
+        self.hits = defaultdict(int)        # message -> its rows held
+        self.candidate: Optional[tuple] = None      # (M, M's rows)
+        self.support = 0
+        self.agree = 0
 
     def submit(self, index: int, elems: Sequence[int]) -> Optional[bytes]:
         """Store one share; returns the message on the accepting attempt.
 
-        A duplicate, and any share once the accumulator is done, is ignored.
+        A share that fails `CodeParams.valid_elems`, an index that is not
+        an int in 1..n, a duplicate, and any share once the accumulator is
+        done, is ignored.
         """
-        if self.done or index in self.shares:
+        if self.done:
             return None
-        self.shares[index] = tuple(elems)
-        if len(self.shares) < self.threshold:
+        params, shares = self.params, self.shares
+        hit = params.encoded_rows.get(id(elems))      # a memo row is valid
+        if hit is None and isinstance(elems, tuple):
+            elems = tuple(elems)            # check the very share that is kept
+        if (type(index) is not int or not 0 < index <= params.n
+                or index in shares or hit is None and not params.valid_elems(elems)):
+            return None
+        shares[index] = elems
+        if hit is not None and hit[1][index - 1] is elems:
+            self.hits[hit[0]] += 1
+        else:
+            hit = None                          # not a row of its own index
+        m, threshold = len(shares), self.threshold
+        if m < threshold:
             return None
         self.attempts += 1
-        if self._hopeless:
-            self._hopeless -= 1
+        hits, candidate = self.hits, self.candidate
+        if candidate is None or hit is not None and hits[hit[0]] > hits[candidate[0]]:
+            if hits:
+                self._elect(max(hits, key=hits.get))
+        else:
+            self._count(candidate[1][index - 1], elems)
+        e = min((m - params.k) // 2, m - threshold)
+        if self.support >= m - e:
+            message = self.candidate[0]
+        elif self.agree - e >= params.k and self.agree < m - e:
             return None
-        m = len(self.shares)
-        try:
-            # errors beyond m - threshold could never pass the match check
-            message, support = ecc_decode(
-                self.params, self.shares, max_errors=m - self.threshold)
-        except DecodeFailure as failure:
-            # so do the next rules_out (see the class docstring)
-            self._hopeless = failure.rules_out
-            return None
-        if len(support) < self.threshold:
-            return None
+        else:
+            try:
+                message, support = ecc_decode(params, shares,
+                                              max_errors=m - threshold)
+            except DecodeFailure:
+                return None
+            if len(support) < threshold:
+                return None
         if self.accept is not None and not self.accept(message):
             return None
         self.decoded = message
         self.done = True
         return message
+
+    def _elect(self, message: bytes) -> None:
+        """Make ``message`` the candidate and count its support and a."""
+        rows = self.params.encodings[message]
+        self.candidate = message, rows
+        shares = self.shares
+        if self.hits[message] == len(shares):       # every share is M's row
+            self.support = self.agree = len(shares)
+            return
+        self.support = self.agree = 0
+        for x, s in shares.items():
+            self._count(rows[x - 1], s)
+
+    def _count(self, row: tuple, s: tuple) -> None:
+        """Count the share ``s`` against the candidate's ``row``."""
+        if s is row or row == s:
+            self.support += 1
+            self.agree += 1
+        else:
+            lead = self.params.lead_chunk
+            self.agree += row[lead] == s[lead]

@@ -192,8 +192,7 @@ class ProtocolBase:
                           or size == 2 * t + 1 and self.v_out is None) else 0
 
     def _on_correct_symbol(self, frm: int, msg, sends) -> int:
-        if (not self.params.valid_elems(msg.elems)
-                or self.oec_final.submit(frm, msg.elems) is None):
+        if self.oec_final.submit(frm, msg.elems) is None:
             return 0
         return _FINAL_DECODE
 
@@ -327,8 +326,7 @@ class AcoolNode(ProtocolBase):
         if self.legacy or frm in self.newsym_seen:
             return 0
         self.newsym_seen.add(frm)
-        if (not self.params.valid_elems(msg.elems)
-                or self.oec_new.submit(frm, msg.elems) is None):
+        if self.oec_new.submit(frm, msg.elems) is None:
             return 0
         return _SECOND_INPUT
 

@@ -110,7 +110,7 @@ class RbcNode(RbaNode):
         return 0
 
     def _on_initial(self, frm: int, msg, sends) -> int:
-        if self.balanced and self.params.valid_elems(msg.elems):
+        if self.balanced:
             got = self.initial_acc.submit(frm, msg.elems)
             if got is not None:
                 sends += ProtocolBase.input(self, got)

@@ -91,7 +91,7 @@ class SmallTOutsider(ProtocolBase):
             self.bottom_votes.add(frm)
             if len(self.bottom_votes) >= self.params.t + 1:
                 self._terminate(BOTTOM)
-        elif self.params.valid_elems(msg.elems):
+        else:
             got = self.oec_final.submit(frm, msg.elems)
             if got is not None:
                 self._terminate(got)

@@ -217,6 +217,30 @@ def test_oec_duplicate_ignored():
     assert acc.shares == {1: rows[0]}
 
 
+def test_oec_ignores_invalid_shares_and_indices():
+    """An ill-typed share, one outside [0, q) or of the wrong length, and an
+    index that is not an int in 1..n are ignored, so the accumulator still
+    accepts at the threshold.  A stored ``("x",) * chunks`` share once
+    made every later attempt raise TypeError."""
+    params = params_for_message_bits(7, 2, 64)
+    n, q, chunks = params.n, params.q, params.chunks
+    rows = ecc_encode(params, b"payload!")
+    acc = OecAccumulator(params)
+    invalid = [(2, ("x",) * chunks), (2, list(rows[1])), (3, rows[2][:-1]),
+               (3, (q,) + rows[2][1:]), (4, None), (0, rows[0]),
+               (n + 1, rows[0]), (True, rows[0]), (2.0, rows[1]),
+               ("3", rows[2]), ([4], rows[3])]
+    for index, elems in invalid:
+        assert acc.submit(index, elems) is None
+    assert acc.shares == {} and acc.attempts == 0
+    # a tuple subclass is kept as the plain tuple its check iterated
+    acc.submit(1, _FlakyShare(rows[0]))
+    assert acc.shares == {1: rows[0]} and type(acc.shares[1]) is tuple
+    got = [acc.submit(x, tuple(list(row)) if x % 2 else row)
+           for x, row in enumerate(rows[1:], 2)]
+    assert got[params.oec_threshold - 2] == b"payload!" and acc.attempts == 1
+
+
 def test_oec_with_garbage_recovers_within_t_retries():
     rng = random.Random(5)
     params = params_for_message_bits(7, 2, 64)
@@ -434,7 +458,8 @@ def ref_matches(params, shares, data):
 
 
 def ref_oec(params, arrivals):
-    """Accumulate-and-retry with acceptance by re-encoding.
+    """Accumulate-and-retry with acceptance by re-encoding; a share that
+    fails the share check is ignored.
 
     Returns (message, arrival position of the accepting submit, attempts),
     with None for the first two when nothing is accepted.
@@ -443,7 +468,7 @@ def ref_oec(params, arrivals):
     shares = {}
     attempts = 0
     for pos, (idx, elems) in enumerate(arrivals):
-        if idx in shares:
+        if idx in shares or not ref_valid_elems(params, elems):
             continue
         shares[idx] = tuple(elems)
         if len(shares) < threshold:
@@ -675,9 +700,10 @@ def oec_arrivals(rng, params, kind):
     ``kind``, with re-submissions of earlier indices mixed in.
 
     Kinds 0-3: garbage, one element off by one, one element outside
-    [0, q), and a second codeword equal to the message on chunk 0.  Kind
-    4, "garbage first", sends the t garbage shares before any honest one,
-    so an accumulator makes all t + 1 attempts.  Kind 5 splits the honest
+    [0, q) (a share the accumulator ignores), and a second codeword equal
+    to the message on chunk 0.  Kind 4, "garbage first", sends the t
+    garbage shares before any honest one, so an accumulator makes all
+    t + 1 attempts.  Kind 5 splits the honest
     indices between the memoised rows of two messages of one length, as
     an equivocating leader does, and the Byzantine ones send garbage.
     Kind 6 forges shares that equal the message on the lead chunk only,
@@ -730,47 +756,105 @@ def oec_arrivals(rng, params, kind):
     return arrivals
 
 
+def memo_tallies(acc):
+    """An accumulator's memo tallies recomputed from its stored shares.
+
+    Returns ``(hits, support, agree)``: per memoised message, the shares
+    that are its row at their own index, and the shares equal to the
+    candidate's row in whole and on the lead chunk (0 and 0 while there
+    is no candidate).
+    """
+    params, shares = acc.params, acc.shares
+    hits = {}
+    for message, rows in params.encodings.items():
+        count = sum(s is rows[x - 1] for x, s in shares.items())
+        if count:
+            hits[message] = count
+    if acc.candidate is None:
+        return hits, 0, 0
+    rows, lead = params.encodings[acc.candidate[0]], ref_lead_chunk(params)
+    return (hits, sum(rows[x - 1] == s for x, s in shares.items()),
+            sum(rows[x - 1][lead] == s[lead] for x, s in shares.items()))
+
+
+def settled_by(acc):
+    """What settles an accumulator's last attempt from the recomputed
+    tallies: "memo" when support >= m - e, "certificate" when a - e >= k
+    and a < m - e, else None (the full decoder must run)."""
+    m, k = len(acc.shares), acc.params.k
+    e = min((m - k) // 2, m - acc.threshold)
+    _, support, agree = memo_tallies(acc)
+    if support >= m - e:
+        return "memo"
+    if agree - e >= k and agree < m - e:
+        return "certificate"
+    return None
+
+
+def audit(monkeypatch):
+    """Check every `OecAccumulator.submit` of the test as it returns.
+
+    The tallies must equal `memo_tallies`, and once an attempt is made the
+    candidate must hold the most hits.  An attempt calls `ecc_decode`
+    exactly once unless `settled_by` names what settles it, and then
+    never; a memo answer is the candidate, and a certificate a failure.
+    Returns the list of ``(accumulator, settled_by, returned)`` that
+    collects every attempt.
+    """
+    attempts, calls = [], []
+    submit, decode = OecAccumulator.submit, field_ecc.ecc_decode
+
+    def audited(acc, *args):
+        before, made = acc.attempts, len(calls)
+        got = submit(acc, *args)
+        hits, support, agree = memo_tallies(acc)
+        assert acc.hits == hits
+        assert (acc.support, acc.agree) == (support, agree)
+        if acc.attempts and hits:
+            assert hits[acc.candidate[0]] == max(hits.values())
+        if acc.attempts == before:
+            assert len(calls) == made and got is None
+            return got
+        by = settled_by(acc)
+        assert len(calls) - made == (by is None)
+        if by == "memo" and acc.accept is None:
+            assert got == acc.candidate[0]
+        elif by == "certificate":
+            assert got is None
+        attempts.append((acc, by, got))
+        return got
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(OecAccumulator, "submit", audited)
+    monkeypatch.setattr(field_ecc, "ecc_decode", counted)
+    return attempts
+
+
+def oec_reference(params, shares, threshold):
+    """What an attempt over ``shares`` returns by the full decoder on
+    copies: its message when at least ``threshold`` shares match it."""
+    m = len(shares)
+    try:
+        message, support = full_decode(params, shares, m - threshold)
+    except DecodeFailure:
+        return None
+    return message if len(support) >= threshold else None
+
+
 @pytest.mark.parametrize("n,t,bits", [(7, 2, 64), (13, 4, 1024), (19, 6, 512),
                                       (31, 10, 1024), (49, 16, 256)])
 def test_oec_matches_reference(n, t, bits, monkeypatch):
     """The accumulator against `ref_oec` on every arrival kind, garbage
-    first making all t + 1 attempts.  A failure that the memo certifies
-    (with no full decode, as on the memo rows of kind 5) rules out its
-    ``rules_out`` next attempts, which are counted but skip `ecc_decode`;
-    that is the only skip, so every other attempt calls `ecc_decode`
-    exactly once."""
+    first making all t + 1 attempts.  Every attempt calls `ecc_decode`
+    exactly once unless its memo tallies settle it (see `audit`), and
+    the certificate settles some, as on the memo rows of kind 5."""
     params = params_for_message_bits(n, t, bits)
     assert params.lead_chunk == ref_lead_chunk(params)
     rng = random.Random(n)
-    current = []                  # the accumulator whose submit is running
-    accumulators = {}             # every accumulator, in order of first submit
-    decodes = {}                  # accumulator -> attempts that decoded
-    certified = {}                # accumulator -> [(attempt, rules_out)]
-    decode, submit = field_ecc.ecc_decode, OecAccumulator.submit
-    full = counting(monkeypatch, "decode_elements")
-
-    def tracked(acc, *args):
-        accumulators[acc] = None
-        current.append(acc)
-        try:
-            return submit(acc, *args)
-        finally:
-            current.pop()
-
-    def recorded(*args, **kwargs):
-        acc = current[-1]
-        decodes.setdefault(acc, []).append(acc.attempts)
-        before = len(full)
-        try:
-            return decode(*args, **kwargs)
-        except DecodeFailure as failure:
-            if len(full) == before:
-                certified.setdefault(acc, []).append(
-                    (acc.attempts, failure.rules_out))
-            raise
-
-    monkeypatch.setattr(OecAccumulator, "submit", tracked)
-    monkeypatch.setattr(field_ecc, "ecc_decode", recorded)
+    attempts = audit(monkeypatch)
     accepted = 0
     for trial in range(4 * OEC_KINDS):
         kind = trial % OEC_KINDS
@@ -781,21 +865,7 @@ def test_oec_matches_reference(n, t, bits, monkeypatch):
         if kind == 4:             # garbage first: every attempt is made
             assert got[2] == t + 1
     assert accepted > 0           # some submits came after acceptance
-    skipped = 0
-    for acc in accumulators:
-        made = decodes.get(acc, [])
-        assert made == sorted(set(made))          # one decode per attempt
-        ruled_out = 0
-        for attempt, rules_out in certified.get(acc, ()):
-            # a certificate's rules_out attempts make no ecc_decode call
-            later = [a for a in made if a > attempt]
-            assert not later or later[0] > attempt + rules_out
-            ruled_out += min(rules_out, acc.attempts - attempt)
-            skipped += rules_out
-        assert len(made) == acc.attempts - ruled_out
-    assert certified
-    if t >= 4:                    # at n = 7 every certificate rules out 0
-        assert skipped > 0
+    assert any(by == "certificate" for _, by, _ in attempts)
 
 
 @pytest.mark.parametrize("padding", ["low bit", "element above 2^b"])
@@ -928,15 +998,38 @@ def counting(monkeypatch, name):
 
 
 def full_decode(params, shares, max_errors=None):
-    """`ecc_decode`'s answer computed on copies: they hold no memo row, so
-    the full decoder gives it."""
+    """`ecc_decode` on copies of the shares, which hold no memo row, so an
+    accumulator fed them never answers from its memo tallies."""
     copies = {x: tuple(list(s)) for x, s in shares.items()}
     assert not any(id(c) in params.encoded_rows for c in copies.values())
     return ecc_decode(params, copies, max_errors)
 
 
+def first_attempt(monkeypatch, params, shares, threshold):
+    """Submit ``shares`` in order to a fresh accumulator that makes its
+    first attempt on the last one, with ``threshold``, so the attempt
+    corrects e = min((m - k) // 2, m - threshold) errors.
+
+    Returns what that submit returned and its `ecc_decode` calls.
+    """
+    acc = OecAccumulator(params)
+    items = list(shares.items())
+    acc.threshold = len(items) + 1        # no attempt before the last share
+    for x, s in items[:-1]:
+        acc.submit(x, s)
+    acc.threshold = threshold
+    with monkeypatch.context() as patch:
+        calls = counting(patch, "ecc_decode")
+        got = acc.submit(*items[-1])
+    assert acc.attempts == 1
+    return got, len(calls)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_recognised_decode_equals_full_decode(k, monkeypatch):
+    """An accumulator holding memo rows of one message alone accepts it
+    from its tallies, with no `ecc_decode` call, at any error radius; the
+    full decoder on copies gives the same message, every index matching."""
     rng = random.Random(k)
     t = 3 * k
     n = 3 * t + 1
@@ -949,13 +1042,12 @@ def test_recognised_decode_equals_full_decode(k, monkeypatch):
             for m in range(k, n + 1):
                 xs = rng.sample(range(1, n + 1), m)   # shuffled insertion
                 shares = {x: rows[x - 1] for x in xs}
-                max_errors = rng.choice((None, 0, max(0, m - params.oec_threshold)))
-                expect = full_decode(params, shares, max_errors)
-                decodes = counting(monkeypatch, "decode_elements")
-                got = ecc_decode(params, shares, max_errors)
-                monkeypatch.undo()
-                assert decodes == []
-                assert got == expect == (msg, set(xs))
+                e = rng.choice((0, (m - k) // 2, min((m - k) // 2,
+                                                    max(0, m - k - t))))
+                assert full_decode(params, shares, e) == (msg, set(xs))
+                got = first_attempt(monkeypatch, params, shares, m - e)
+                assert got == (msg, 0)
+                assert oec_reference(params, shares, m - e) == msg
 
 
 class _TupleSub(tuple):
@@ -964,35 +1056,23 @@ class _TupleSub(tuple):
 
 def test_share_maps_within_the_radius_take_the_memo_path(monkeypatch):
     params = params_for_message_bits(19, 6, 256)      # k = 2
-    n = params.n
+    n, k = params.n, params.k
     rows = ecc_encode(params, b"first")
     other = ecc_encode(params, b"second")
     whole = {x: rows[x - 1] for x in range(1, n + 1)}
-    cases = {   # name -> (shares, decode_elements calls)
-        "wrong index": ({**whole, 1: rows[1], 2: rows[0]}, []),
-        "two messages": ({**whole, **{x: other[x - 1] for x in range(1, 8)}},
-                         []),
-        "equal but distinct": ({**whole, 5: tuple(list(rows[4]))}, []),
-        "tuple subclass": ({**whole, 5: _TupleSub(rows[4])}, []),
-        "index 0": ({0: rows[n - 1], 1: rows[0], 2: rows[1]}, [1]),
-        "index n + 1": ({1: rows[0], 2: rows[1], n + 1: rows[0]}, [1]),
-        "fewer than k": ({3: rows[2]}, [1]),
+    cases = {
+        "wrong index": {**whole, 1: rows[1], 2: rows[0]},
+        "two messages": {**whole, **{x: other[x - 1] for x in range(1, 8)}},
+        "equal but distinct": {**whole, 5: tuple(list(rows[4]))},
+        "tuple subclass": {**whole, 5: _TupleSub(rows[4])},
     }
-    for name, (shares, path) in cases.items():
-        try:
-            expect = full_decode(params, shares)
-        except DecodeFailure:
-            expect = DecodeFailure
-        decodes = counting(monkeypatch, "decode_elements")
-        try:
-            got = ecc_decode(params, shares)
-        except DecodeFailure:
-            got = DecodeFailure
-        monkeypatch.undo()
-        assert decodes == path, name
-        assert got == expect, name
+    for name, shares in cases.items():
+        threshold = n - (n - k) // 2
+        assert oec_reference(params, shares, threshold) == b"first", name
+        got = first_attempt(monkeypatch, params, shares, threshold)
+        assert got == (b"first", 0), name
     # the mix is within the radius: the majority message, on its own rows
-    assert full_decode(params, cases["two messages"][0]) == (
+    assert full_decode(params, cases["two messages"]) == (
         b"first", set(range(8, n + 1)))
 
 
@@ -1021,38 +1101,43 @@ def mixed_share(rng, params, x, first, second):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_memo_path_matches_full_decoder_on_mixed_maps(k, monkeypatch):
     """Seeded differential test: on share maps mixing the rows of one or
-    two memoised messages with equal copies, tuple subclasses, valid
-    random shares, elements >= q, wrong chunk counts and indices 0 or
-    n+1, `ecc_decode` gives exactly the full decoder's outcome on copies,
-    whichever path answers."""
+    two memoised messages, or copies of the first's rows, with equal
+    copies, tuple subclasses, valid random shares, elements >= q, wrong
+    chunk counts and indices 0 or n+1, an accumulator's attempt gives exactly the full decoder's outcome
+    on copies of the shares it keeps, whether its tallies settle it or
+    `ecc_decode` runs."""
     rng = random.Random(100 + k)
     t = 3 * k
     n = 3 * t + 1
     params = params_for_message_bits(n, t, 64 * k)
-    seen = set()                  # (memo path answered, outcome succeeded)
-    for trial in range(4):
+    seen = set()                  # (tallies settled it, accepted)
+    for trial in range(8):
         first = ecc_encode(params, bytes([trial]) * rng.randrange(1, 8 * k))
         second = ecc_encode(params, bytes([trial + 100, trial]))
-        for m in range(k - 1, n + 1):
-            for max_errors in (None, 0, m - (k + t)):
-                xs = rng.sample(range(1, n + 1), m)
-                if xs and rng.random() < 0.1:
-                    xs[rng.randrange(m)] = rng.choice((0, n + 1))
-                noise = rng.choice((0, 0.1, 0.3, 1))
-                shares = {x: mixed_share(rng, params, x, first, second)
-                          if rng.random() < noise or not 0 < x <= n
-                          else first[x - 1] for x in xs}
-                expect = decode_outcome(full_decode, params, shares,
-                                        max_errors)
-                decodes = counting(monkeypatch, "decode_elements")
-                got = decode_outcome(ecc_decode, params, shares, max_errors)
-                monkeypatch.undo()
-                assert got == expect, (m, max_errors, shares)
-                if got is not DecodeFailure:
-                    assert type(got[0]) is bytes
-                seen.add((not decodes, got is not DecodeFailure))
-    # the memo path answered and failed, the full decoder succeeded, and
-    # it failed
+        for m in range(k, n + 1):
+            xs = rng.sample(range(1, n + 1), m)
+            if rng.random() < 0.1:
+                xs[rng.randrange(m)] = rng.choice((0, n + 1))
+            noise = rng.choice((0, 0.1, 0.3, 1))
+            base = rng.choice((first, first, [tuple(list(r)) for r in first]))
+            shares = {x: mixed_share(rng, params, x, first, second)
+                      if rng.random() < noise or not 0 < x <= n
+                      else base[x - 1] for x in xs}
+            kept = {x: s for x, s in shares.items()
+                    if 0 < x <= n and ref_valid_elems(params, s)}
+            if len(kept) < k:
+                continue
+            m = len(kept)
+            ignored = {x: s for x, s in shares.items() if x not in kept}
+            for e in {0, (m - k) // 2, min((m - k) // 2, max(0, m - k - t))}:
+                expect = oec_reference(params, kept, m - e)
+                got, calls = first_attempt(monkeypatch, params,
+                                           {**ignored, **kept}, m - e)
+                assert got == expect, (m, e, shares)
+                if got is not None:
+                    assert type(got) is bytes
+                seen.add((calls == 0, got is not None))
+    # the tallies accepted and failed, the full decoder accepted and failed
     assert {(True, True), (True, False), (False, True), (False, False)} <= seen
 
 
@@ -1078,19 +1163,18 @@ def test_memo_certificate_at_its_boundaries(n, t, bits, monkeypatch):
     of M's rows that differ past the lead chunk, and m - a shares whose
     lead element differs from M's, so M's whole-row support is r and its
     lead agreement a.  At a - e = k and a = m - e - 1 (with a - e >= k)
-    `ecc_decode` fails with no `decode_elements` call and ``rules_out`` =
-    min(m - e - a - 1, a - e - k); at a - e = k - 1 and a = m - e it
-    reaches the full decoder.  Every outcome equals the full decoder's on
-    copies."""
+    an accumulator's attempt fails with no `ecc_decode` call; at a - e =
+    k - 1 and a = m - e it calls `ecc_decode`.  Every outcome equals the
+    full decoder's on copies."""
     params = params_for_message_bits(n, t, bits)
     k, threshold = params.k, params.oec_threshold
     rng = random.Random(n)
     rows = ecc_encode(params, bytes(range(bits // 16)))
     seen = set()                  # (boundary, certified)
     for m in range(k + 1, n + 1):
-        for max_errors in (None, 0, m - threshold):
-            e = (m - k) // 2 if max_errors is None else max(
-                0, min((m - k) // 2, max_errors))
+        # the radii of the full decoder, of none, and of an accumulator
+        for e in sorted({(m - k) // 2, 0, max(0, min((m - k) // 2,
+                                                     m - threshold))}):
             for name, a in (("a - e = k", e + k), ("a - e = k - 1", e + k - 1),
                             ("a = m - e - 1", m - e - 1), ("a = m - e", m - e)):
                 if not 1 <= a <= m:
@@ -1104,21 +1188,13 @@ def test_memo_certificate_at_its_boundaries(n, t, bits, monkeypatch):
                                  lead_only_share(rng, params, row) if i < a
                                  else off_lead_share(rng, params, row))
                 shares = dict(rng.sample(list(shares.items()), m))
-                expect = decode_outcome(full_decode, params, shares, max_errors)
-                decodes = counting(monkeypatch, "decode_elements")
-                try:
-                    got = ecc_decode(params, shares, max_errors)
-                    rules_out = None
-                except DecodeFailure as failure:
-                    got, rules_out = DecodeFailure, failure.rules_out
-                monkeypatch.undo()
-                assert got == expect, (name, m, max_errors)
+                expect = oec_reference(params, shares, m - e)
+                got, calls = first_attempt(monkeypatch, params, shares, m - e)
+                assert got == expect, (name, m, e)
                 certified = a - e >= k and a < m - e
-                assert (decodes == []) == certified, (name, m, max_errors)
+                assert calls == (not certified), (name, m, e)
                 if certified:
-                    assert rules_out == min(m - e - a - 1, a - e - k)
-                elif rules_out is not None:
-                    assert rules_out == 0
+                    assert got is None
                 seen.add((name, certified))
     assert seen >= {("a - e = k", True), ("a - e = k - 1", False),
                     ("a = m - e - 1", True), ("a = m - e", False)}
@@ -1133,13 +1209,12 @@ def test_same_length_messages_fail_on_the_lead_chunk(n, t, bits, monkeypatch):
     neither's and fed by arrival as an accumulator sees them, hold no
     memo row, so the full decoder answers: every attempt that fails does
     so on the lead chunk, before `_fit` compares any chunk.  The memo
-    rows themselves give the same outcomes, some failures certified with
-    no `decode_elements` call."""
+    rows themselves give the same outcomes in an accumulator, some
+    failures certified with no `ecc_decode` call."""
     params = params_for_message_bits(n, t, bits)
     q, lead, threshold = params.q, params.lead_chunk, params.oec_threshold
     rng = random.Random(n + t)
     fits = counting(monkeypatch, "_fit")
-    decodes = counting(monkeypatch, "decode_elements")
     lead_failures = certified = 0
     for trial in range(6):
         msg = bytes(rng.randrange(256) for _ in range(bits // 16))
@@ -1159,17 +1234,16 @@ def test_same_length_messages_fail_on_the_lead_chunk(n, t, bits, monkeypatch):
                 arrivals.append((x, (first if x in camp else second)[x - 1]))
         for m in range(threshold, n + 1):
             shares = dict(arrivals[:m])
-            max_errors = m - threshold
-            before = len(decodes)
-            got = decode_outcome(ecc_decode, params, shares, max_errors)
-            in_full = len(decodes) - before
             fitted = len(fits)
-            expect = decode_outcome(full_decode, params, shares, max_errors)
-            assert got == expect
+            expect = decode_outcome(full_decode, params, shares, m - threshold)
             if expect is DecodeFailure:
                 assert len(fits) == fitted
                 lead_failures += 1
-                certified += in_full == 0
+            got, calls = first_attempt(monkeypatch, params, shares, threshold)
+            assert got == oec_reference(params, shares, threshold)
+            if expect is DecodeFailure:
+                assert got is None
+                certified += calls == 0
     assert lead_failures > 0 and certified > 0
 
 
@@ -1177,19 +1251,11 @@ def test_accumulator_on_memo_rows_matches_copies(monkeypatch):
     """An accumulator fed honest memo rows and t valid garbage shares
     accepts on the same submit, with the same message, support size and
     attempt count, as one fed equal copies of the same shares; only the
-    copies reach a successful full decode."""
+    copies reach a successful full decode, and the memo rows none."""
     params = params_for_message_bits(31, 10, 1024)
     n, t, q = params.n, params.t, params.q
     rng = random.Random(31)
-    supports = []
-    decode = field_ecc.ecc_decode
-
-    def recorded(*args, **kwargs):
-        message, support = decode(*args, **kwargs)
-        supports.append(len(support))
-        return message, support
-
-    monkeypatch.setattr(field_ecc, "ecc_decode", recorded)
+    attempts = audit(monkeypatch)
     full = []                     # successful decode_elements calls
     decode_in_full = field_ecc.decode_elements
 
@@ -1200,7 +1266,8 @@ def test_accumulator_on_memo_rows_matches_copies(monkeypatch):
 
     monkeypatch.setattr(field_ecc, "decode_elements", counted)
     for trial in range(10):
-        rows = ecc_encode(params, bytes([trial]) * (1 + trial))
+        message = bytes([trial]) * (1 + trial)
+        rows = ecc_encode(params, message)
         bad = set(rng.sample(range(1, n + 1), t))
         arrivals = [(x, tuple(rng.randrange(q) for _ in range(params.chunks))
                      if x in bad else rows[x - 1])
@@ -1208,16 +1275,73 @@ def test_accumulator_on_memo_rows_matches_copies(monkeypatch):
         outcomes = []
         for shares in (arrivals, [(x, tuple(list(s))) for x, s in arrivals]):
             acc = OecAccumulator(params)
-            supports.clear()
+            attempts.clear()
             full.clear()
             accepting = [pos for pos, (x, s) in enumerate(shares)
                          if acc.submit(x, s) is not None]
-            outcomes.append((accepting, acc.decoded, supports[-1:],
-                             acc.attempts, len(full)))
+            support = ref_matches(params, acc.shares, pack_message(params, message))
+            outcomes.append((accepting, acc.decoded, len(support), acc.attempts,
+                             len(full), [by for _, by, _ in attempts]))
+            if shares is arrivals:
+                assert acc.support == len(support)
         memo, copies = outcomes
         assert memo[:4] == copies[:4] and len(memo[0]) == 1
-        assert memo[1] == bytes([trial]) * (1 + trial)
+        assert memo[1] == message
         assert memo[4] == 0 and copies[4] == 1
+        assert memo[5][-1] == "memo" and set(copies[5]) == {None}
+
+
+def tally_arrival(rng, params, first, second):
+    """One arrival of the tally property test: an index in 0..n+1 and a
+    memo row of either message at its own index or another, an equal
+    copy, garbage, or an invalid share."""
+    n, q, chunks = params.n, params.q, params.chunks
+    x = rng.randrange(n + 2)
+    rows = rng.choice((first, first, second))
+    kind = rng.choice(("row", "row", "row", "wrong index", "copy", "garbage",
+                       "invalid"))
+    row = rows[(x - 1) % n]
+    if kind == "wrong index":
+        return x, rows[x % n]
+    if kind == "copy":
+        return x, tuple(list(row))
+    if kind == "garbage":
+        return x, tuple(rng.randrange(q) for _ in range(chunks))
+    if kind == "invalid":
+        return x, rng.choice((row[:-1], list(row), (q,) + row[1:]))
+    return x, row
+
+
+@pytest.mark.parametrize("n,t,bits", [(7, 2, 64), (13, 4, 256), (19, 6, 512)])
+def test_oec_tallies_match_a_scan_from_scratch(n, t, bits, monkeypatch):
+    """Property test of the memo tallies: over random arrival orders that
+    mix the memo rows of two messages of one length, at their own index
+    or another, equal copies, garbage, invalid shares and indices outside
+    1..n, the tallies equal a scan from scratch after every submit and
+    each attempt calls `ecc_decode` only when they do not settle it (see
+    `audit`); every attempt returns what the full decoder gives on
+    copies.  Some attempts are settled each way, and some change the
+    candidate."""
+    params = params_for_message_bits(n, t, bits)
+    threshold = params.oec_threshold
+    rng = random.Random(1000 + n)
+    attempts = audit(monkeypatch)
+    seen = set()                  # what settled an attempt
+    switched = 0
+    for _ in range(40):
+        msg = bytes(rng.randrange(256) for _ in range(bits // 16))
+        first = ecc_encode(params, msg)
+        second = ecc_encode(params, bytes(rng.randrange(256) for _ in msg))
+        acc = OecAccumulator(params)
+        while not acc.done and len(acc.shares) < n:
+            before, made = acc.candidate, len(attempts)
+            got = acc.submit(*tally_arrival(rng, params, first, second))
+            if len(attempts) > made:
+                assert got == oec_reference(params, acc.shares, threshold)
+                seen.add(attempts[-1][1])
+                switched += before is not None and acc.candidate is not before
+    assert seen == {"memo", "certificate", None}
+    assert switched > 0
 
 
 def test_encode_memo_is_per_params_and_returns_the_same_rows(monkeypatch):
@@ -1233,11 +1357,12 @@ def test_encode_memo_is_per_params_and_returns_the_same_rows(monkeypatch):
     assert len(encodes) == 2 and c == b
     assert all(x is not y for x, y in zip(b, c))
     assert list(p1.encodings) == list(p2.encodings) == [b"memo"]
-    # one params' rows are not recognised by another's decoder
-    decodes = counting(monkeypatch, "decode_elements")
-    shares = dict(enumerate(b, 1))
-    assert ecc_decode(p2, shares) == (b"memo", set(shares))
-    assert decodes == [1]
+    # one params' rows are not recognised by another's accumulator
+    decodes = counting(monkeypatch, "ecc_decode")
+    acc = OecAccumulator(p2)
+    got = [acc.submit(x, row) for x, row in enumerate(b, 1)]
+    assert got[p2.oec_threshold - 1] == b"memo"
+    assert acc.hits == {} and decodes == [1]
 
 
 def test_bytearray_message_encodes_without_the_memo(monkeypatch):
@@ -1247,7 +1372,8 @@ def test_bytearray_message_encodes_without_the_memo(monkeypatch):
     assert list(params.encodings) == [b"mutable"]
     assert len(params.encoded_rows) == params.n
     assert not any(id(row) in params.encoded_rows for row in shares)
-    decodes = counting(monkeypatch, "decode_elements")
-    got = ecc_decode(params, dict(enumerate(shares, 1)))
-    assert got == (b"mutable", set(range(1, params.n + 1)))
-    assert type(got[0]) is bytes and decodes == [1]
+    decodes = counting(monkeypatch, "ecc_decode")
+    acc = OecAccumulator(params)
+    got = [acc.submit(x, row) for x, row in enumerate(shares, 1)]
+    assert got[params.oec_threshold - 1] == b"mutable"
+    assert type(acc.decoded) is bytes and acc.hits == {} and decodes == [1]

@@ -219,9 +219,9 @@ def test_replay_digest(name):
 
 def test_k3_garbage_run_makes_no_successful_full_decode(monkeypatch):
     """Every decode that succeeds in this run holds m - e rows of one
-    memoised message, so `ecc_decode` answers it from the encode memo and
-    no `decode_elements` call returns.  Most failures are certified from
-    the memo as well, with no full decode.  When only maps made wholly of
+    memoised message, so the accumulator answers it from its memo tallies
+    and no `decode_elements` call returns.  Most failures are certified
+    from the tallies as well, with no full decode.  When only maps made wholly of
     memo rows were answered from the memo, 62 of 670 calls returned;
     before an accumulator skipped the attempts its last failure rules
     out, 608 calls were made, and before the memo certified failures,
@@ -247,34 +247,41 @@ def test_byzantine_leader_decode_failures_stop_at_the_lead_chunk(monkeypatch):
     """An equivocating leader's two messages have one length, so they agree
     on every chunk before the lead chunk, which holds only the length
     prefix.  Every honest share here is a memo row of one of the two, so
-    every decode that fails in this run is certified on the lead chunk by
-    `ecc_decode` from the encode memo, with no `decode_elements` call.
-    When chunk 0 went first, all 58 failing `decode_elements` calls
-    reached `_fit`; `test_same_length_messages_fail_on_the_lead_chunk`
-    keeps that order covered on copies."""
+    every attempt that fails in this run is certified on the lead chunk
+    by the accumulator's memo tallies, with no `ecc_decode` call.  When
+    chunk 0 went first, all 58 failing `decode_elements` calls reached
+    `_fit`; `test_same_length_messages_fail_on_the_lead_chunk` keeps that
+    order covered on copies."""
     from acool import field_ecc
 
     decode_elements, ecc_decode = field_ecc.decode_elements, field_ecc.ecc_decode
-    full, failures = [], []
+    submit = field_ecc.OecAccumulator.submit
+    full, decodes, failures = [], [], []
 
     def counted(*args, **kwargs):
         full.append(1)
         return decode_elements(*args, **kwargs)
 
-    def failing(*args, **kwargs):
-        try:
-            return ecc_decode(*args, **kwargs)
-        except field_ecc.DecodeFailure:
+    def decoded(*args, **kwargs):
+        decodes.append(1)
+        return ecc_decode(*args, **kwargs)
+
+    def failing(acc, *args):
+        attempts = acc.attempts
+        got = submit(acc, *args)
+        if acc.attempts > attempts and got is None:
             failures.append(1)
-            raise
+        return got
 
     monkeypatch.setattr(field_ecc, "decode_elements", counted)
-    monkeypatch.setattr(field_ecc, "ecc_decode", failing)
+    monkeypatch.setattr(field_ecc, "ecc_decode", decoded)
+    monkeypatch.setattr(field_ecc.OecAccumulator, "submit", failing)
     report = run(SimConfig(n=13, t=4, seed=0, msg_len_bits=1024,
                            protocol="rbc", leader=13,
                            adversary="equivocate_symbols"))
     assert report.ok
-    assert full == [] and failures
+    assert full == [] and decodes == [] and failures
+
 
 if __name__ == "__main__":
     # print the digest table, e.g. after a deliberate change of run bytes:
