@@ -116,7 +116,7 @@ class CoinAbba:
         self.est_sent: set = set()      # (round, bit)
         self.bin_values: dict = {}      # round -> set of accepted bits
         self.aux_sent: set = set()      # rounds
-        self.aux_recv: dict = {}        # round -> {sender: bit}
+        self.aux_recv: dict = {}        # round -> (senders of 0, senders of 1)
         self.decide_sent = False
         self.decide_seen: set = set()
         self.decide_recv = {0: set(), 1: set()}
@@ -170,7 +170,11 @@ class CoinAbba:
     def _on_aux(self, frm: int, rnd: int, bit: int):
         if not _is_bit(bit) or type(rnd) is not int or rnd < 0:
             return []
-        self.aux_recv.setdefault(rnd, {}).setdefault(frm, bit)
+        aux = self.aux_recv.get(rnd)
+        if aux is None:
+            aux = self.aux_recv[rnd] = (set(), set())
+        if frm not in aux[0] and frm not in aux[1]:
+            aux[bit].add(frm)
         return self._advance()
 
     def _on_decide(self, frm: int, bit: int):
@@ -194,14 +198,16 @@ class CoinAbba:
             accepted = self.bin_values.get(rnd)
             if not accepted:
                 break
-            aux = self.aux_recv.get(rnd, {})
-            vals = {b for b in aux.values() if b in accepted}
-            support = sum(1 for b in aux.values() if b in accepted)
-            if support < self.n - self.t:
+            aux = self.aux_recv.get(rnd)
+            if aux is None:
+                break
+            # accepted bit -> its AUX senders, for the bits that have any
+            support = {b: len(aux[b]) for b in accepted if aux[b]}
+            if sum(support.values()) < self.n - self.t:
                 break
             s = self.coin.bit(rnd)
-            if len(vals) == 1:
-                (v,) = vals
+            if len(support) == 1:
+                (v,) = support
                 self.est = v
                 if v == s and not self.decide_sent:
                     self.decide_sent = True

@@ -115,14 +115,18 @@ class CodeParams:
 
         A run hands the same share object to this check many times: a
         sender's own share goes to every node, and every encode of a
-        message returns the same rows (see `ecc_encode`).  Every accepted
-        object whose type is exactly ``tuple`` is therefore kept in
-        `accepted_shares` under its id, and a later call on that very
-        object returns at once.  The entry keeps
-        the object alive, so its id cannot pass to another object.  A
-        tuple subclass is never kept, because it could iterate differently
-        next time; an equal but distinct object is checked in full.
+        message returns the same rows (see `ecc_encode`).  A memo row is
+        valid by construction, so a share whose id `encoded_rows` holds
+        returns at once; the memo keeps every row alive, so that id cannot
+        pass to another object.  Any other accepted object whose type is
+        exactly ``tuple`` is kept in `accepted_shares` under its id, and a
+        later call on that very object returns at once; the entry keeps
+        it alive too.  A tuple subclass is never kept, because it could
+        iterate differently next time; an equal but distinct object is
+        checked in full.
         """
+        if id(elems) in self.encoded_rows:
+            return True
         accepted = self.accepted_shares
         if accepted.get(id(elems), accepted) is elems:
             return True
@@ -138,7 +142,8 @@ class CodeParams:
 
     @cached_property
     def accepted_shares(self) -> dict:
-        """id -> share object, for every exact tuple `valid_elems` accepted."""
+        """id -> share object, for every exact tuple outside the encode memo
+        that `valid_elems` accepted."""
         return {}
 
     @cached_property

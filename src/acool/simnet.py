@@ -768,9 +768,12 @@ def sweep(base: SimConfig, cells, seeds: int = 3) -> list:
 
     ``cells`` is a list of override dicts.  Each row reports mean/max
     totals and the ratio of measured bits to max(n*len, n*t*log q).
+    Raises ValueError when ``seeds`` is below 1, which leaves no mean.
     """
     from dataclasses import replace
 
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     rows = []
     for cell in cells:
         bits, ideals, rounds = [], [], []

