@@ -115,10 +115,8 @@ class CoinAbba:
         self.est_recv: dict = {}        # (round, bit) -> senders
         self.est_sent: set = set()      # (round, bit)
         self.bin_values: dict = {}      # round -> set of accepted bits
-        self.aux_sent: set = set()      # rounds
         self.aux_recv: dict = {}        # round -> (senders of 0, senders of 1)
         self.decide_sent = False
-        self.decide_seen: set = set()
         self.decide_recv = {0: set(), 1: set()}
         self.output: Optional[int] = None
 
@@ -160,10 +158,10 @@ class CoinAbba:
         if len(got) >= 2 * self.t + 1:
             accepted = self.bin_values.setdefault(rnd, set())
             if bit not in accepted:
-                accepted.add(bit)
-                if rnd not in self.aux_sent:
-                    self.aux_sent.add(rnd)
+                # AUX goes out with the round's first accepted bit
+                if not accepted:
                     sends += self._broadcast(Aux(rnd, bit))
+                accepted.add(bit)
         sends += self._advance()
         return sends
 
@@ -178,15 +176,16 @@ class CoinAbba:
         return self._advance()
 
     def _on_decide(self, frm: int, bit: int):
-        if not _is_bit(bit) or frm in self.decide_seen:
+        recv = self.decide_recv
+        if not _is_bit(bit) or frm in recv[0] or frm in recv[1]:
             return []
-        self.decide_seen.add(frm)
-        self.decide_recv[bit].add(frm)
+        got = recv[bit]
+        got.add(frm)
         sends = []
-        if len(self.decide_recv[bit]) >= self.t + 1 and not self.decide_sent:
+        if len(got) >= self.t + 1 and not self.decide_sent:
             self.decide_sent = True
             sends += self._broadcast(Decide(bit))
-        if len(self.decide_recv[bit]) >= 2 * self.t + 1:
+        if len(got) >= 2 * self.t + 1:
             self.output = bit
         return sends
 

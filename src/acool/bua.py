@@ -51,7 +51,7 @@ class Bua:
         self.s1: Optional[int] = None
         self.s2: Optional[int] = None
         self.vote: Optional[int] = None
-        self.delivered: dict = {}                # sender -> well-formed pair
+        self.delivered: dict = {}     # sender -> pair whose pair[0] is a share
         self.symbol_seen: set = set()
         self.pending: list = []
 
@@ -79,37 +79,41 @@ class Bua:
     def on_symbol(self, frm: int, pair, sends: list) -> int:
         """First SYMBOL from ``frm``; returns 0, 1 or 2 as the class says.
 
-        The pair is delivered upward immediately: the enclosing protocol
-        consumes received symbol halves and set memberships only, so a
-        node without an input can still calibrate and decode (its peers
-        may already have terminated and will not resend).  Only the
-        link-set classification waits for the local encode.
+        A pair is delivered upward immediately if it is exactly a 2-tuple
+        whose recipient half ``pair[0]``, the half this node reads, is a
+        share (`CodeParams.valid_elems`); the `OecAccumulator` that stores
+        the forwarded half ``pair[1]`` checks that one.  The enclosing
+        protocol consumes symbol halves and set memberships only, so a node
+        without an input can still calibrate and decode (its peers may
+        already have terminated and will not resend).  Only the link-set
+        classification waits for the local encode.
         """
         if frm in self.symbol_seen:
             return 0
         self.symbol_seen.add(frm)
-        valid = self.params.valid_elems
-        ok = (isinstance(pair, tuple) and len(pair) == 2
-              and valid(pair[0]) and valid(pair[1]))
+        ok = (type(pair) is tuple and len(pair) == 2
+              and self.params.valid_elems(pair[0]))
         if ok:
             self.delivered[frm] = pair
         if self.own_shares is None:
             self.pending.append((frm, pair, ok))
             return 1
-        flags = self.s1, self.s2, self.vote
+        flags = self.s1, self.s2
         self._classify(frm, pair, ok)
         self._guards(sends)
-        return 1 + (flags != (self.s1, self.s2, self.vote))
+        return 1 + (flags != (self.s1, self.s2))
 
     def on_si(self, phase: int, frm: int, bit: int, sends: list) -> int:
         """First SI of phase 1 or 2 from ``frm`` joins the indicator sets;
         returns 0, 1 or 2 as the class says.
 
-        Only the one guard that reads the grown set is checked: phase-1
-        one feeds phase-2 one, phase-1 zero phase-2 zero, and the phase-2
-        sets their votes.  None of those flags is read by another guard.
+        A phase or bit that is not exactly such an int is dropped.  Only
+        the one guard that reads the grown set is checked: phase-1 one
+        feeds phase-2 one, phase-1 zero phase-2 zero, and the phase-2 sets
+        their votes.  None of those flags is read by another guard.
         """
-        if type(phase) is not int or phase not in (1, 2):
+        if (type(phase) is not int or phase not in (1, 2)
+                or type(bit) is not int or bit not in (0, 1)):
             return 0
         ones, zeros = ((self.S1p1, self.S0p1) if phase == 1
                        else (self.S1p2, self.S0p2))
@@ -141,10 +145,13 @@ class Bua:
 
     # -- internals -------------------------------------------------------
 
-    def _classify(self, frm: int, pair, well_formed: bool):
+    def _classify(self, frm: int, pair, ok: bool):
+        # L1 only if both halves are shares equal to the expected ones
         shares = self.own_shares
-        expected = (shares[self.self_id - 1], shares[frm - 1])
-        if well_formed and pair == expected:
+        mine, theirs = shares[self.self_id - 1], shares[frm - 1]
+        if ok and (pair[0] is mine or pair[0] == mine) and (
+                pair[1] is theirs
+                or self.params.valid_elems(pair[1]) and pair[1] == theirs):
             self.L1.add(frm)
         else:
             # any non-equal (or malformed) pair is a mismatch
@@ -153,11 +160,11 @@ class Bua:
     def _guards(self, sends: list):
         """Evaluate all standing guards in fixed order after a mutation.
 
-        Order: phase-1 one, phase-1 zero, phase-2 zero, phase-2 one,
-        vote one, vote zero.  Every flag is write-once and the sets only
-        grow, so delivery order cannot change which guards eventually fire.
-        A link-set change can fix ``s1`` and then ``s2`` in one pass, so
-        `input` and `on_symbol` run them all.
+        Order: phase-1 one, phase-1 zero, phase-2 zero, phase-2 one.
+        Every flag is write-once and the sets only grow, so delivery order
+        cannot change which guards eventually fire.  A link-set change can
+        fix ``s1`` and then ``s2`` in one pass, so `input` and `on_symbol`
+        run them all.  The vote is fixed in `on_si`, where its sets grow.
         """
         n, t = self.params.n, self.params.t
         if self.s1 is None and len(self.L1) >= n - t:
@@ -168,10 +175,6 @@ class Bua:
             self._set_s(2, 0, sends)
         if self.s2 is None and self._phase2_one():
             self._set_s(2, 1, sends)
-        if self.vote is None and len(self.S1p2) >= n - t:
-            self.vote = 1
-        if self.vote is None and len(self.S0p2) >= t + 1:
-            self.vote = 0
 
     def _phase2_zero(self) -> bool:
         """The phase-2 zero threshold; a union is built only when the set

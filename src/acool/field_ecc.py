@@ -113,38 +113,22 @@ class CodeParams:
     def valid_elems(self, elems) -> bool:
         """True when ``elems`` is one share: a tuple of ``chunks`` ints in [0, q).
 
-        A run hands the same share object to this check many times: a
-        sender's own share goes to every node, and every encode of a
-        message returns the same rows (see `ecc_encode`).  A memo row is
-        valid by construction, so a share whose id `encoded_rows` holds
-        returns at once; the memo keeps every row alive, so that id cannot
-        pass to another object.  Any other accepted object whose type is
-        exactly ``tuple`` is kept in `accepted_shares` under its id, and a
-        later call on that very object returns at once; the entry keeps
-        it alive too.  A tuple subclass is never kept, because it could
-        iterate differently next time; an equal but distinct object is
-        checked in full.
+        A memo row is valid by construction, so a share whose id
+        `encoded_rows` holds returns at once; the memo keeps every row
+        alive, so that id cannot pass to another object.  Any other share
+        must be exactly a ``tuple`` of exactly ``int`` elements: the check
+        reads only ``type``, so it runs no method a sender defined, and a
+        subclass of either is not a share.
         """
         if id(elems) in self.encoded_rows:
             return True
-        accepted = self.accepted_shares
-        if accepted.get(id(elems), accepted) is elems:
-            return True
-        if not isinstance(elems, tuple) or len(elems) != self.chunks:
+        if type(elems) is not tuple or len(elems) != self.chunks:
             return False
         q = self.q
         for e in elems:
-            if not isinstance(e, int) or not 0 <= e < q:
+            if type(e) is not int or not 0 <= e < q:
                 return False
-        if type(elems) is tuple:
-            accepted[id(elems)] = elems
         return True
-
-    @cached_property
-    def accepted_shares(self) -> dict:
-        """id -> share object, for every exact tuple outside the encode memo
-        that `valid_elems` accepted."""
-        return {}
 
     @cached_property
     def encodings(self) -> dict:
@@ -157,8 +141,8 @@ class CodeParams:
         return {}
 
     def valid_message(self, message) -> bool:
-        """True when ``message`` is bytes that fits the code after framing."""
-        return (isinstance(message, bytes)
+        """True when ``message`` is exact bytes that fit after framing."""
+        return (type(message) is bytes
                 and LENGTH_PREFIX_BITS + 8 * len(message) <= self.capacity_bits)
 
     @cached_property
@@ -201,6 +185,8 @@ def derive_params(n: int, t: int, msg_len_bits: int) -> CodeParams:
 
 def params_for_message_bits(n: int, t: int, payload_bits: int) -> CodeParams:
     """Params sized so a ``payload_bits``-bit message fits after framing."""
+    if payload_bits < 1:
+        raise ValueError("message length must be >= 1 bit")
     return derive_params(n, t, payload_bits + LENGTH_PREFIX_BITS)
 
 
@@ -643,16 +629,16 @@ class OecAccumulator:
     def submit(self, index: int, elems: Sequence[int]) -> Optional[bytes]:
         """Store one share; returns the message on the accepting attempt.
 
-        A share that fails `CodeParams.valid_elems`, an index that is not
-        an int in 1..n, a duplicate, and any share once the accumulator is
-        done, is ignored.
+        The share is checked here, where it is kept (`Bua` hands on a
+        SYMBOL pair's forwarded half unchecked).  A share that fails
+        `CodeParams.valid_elems`, a tuple subclass among them, an index
+        that is not an int in 1..n, a duplicate, and any share once the
+        accumulator is done, is ignored.
         """
         if self.done:
             return None
         params, shares = self.params, self.shares
         hit = params.encoded_rows.get(id(elems))      # a memo row is valid
-        if hit is None and isinstance(elems, tuple):
-            elems = tuple(elems)            # check the very share that is kept
         if (type(index) is not int or not 0 < index <= params.n
                 or index in shares or hit is None and not params.valid_elems(elems)):
             return None

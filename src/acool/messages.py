@@ -103,7 +103,8 @@ class AbbaOut(NamedTuple):
 def tag_of(msg) -> str:
     """Spec-facing tag used in metrics and event logs."""
     if isinstance(msg, Si):
-        return f"SI{msg.phase}"
+        # only an exact int is formatted: a sender's subclass could raise
+        return f"SI{msg.phase}" if type(msg.phase) is int else "SI"
     return type(msg).__name__.upper()
 
 
@@ -113,8 +114,8 @@ def payload_bits(msg, sym):
     ``sym`` is `CodeParams.symbol_bits` for the raw accounting, or the
     fractional analytical width for the idealized one.  An ill-typed
     object a Byzantine node may send, a `LeaderMessage` whose payload is
-    not bytes or anything that is no message at all, counts 0 bits:
-    honest nodes drop it.
+    not exactly bytes or anything that is no message at all, counts 0
+    bits: honest nodes drop it.
     """
     if isinstance(msg, Symbol):
         return 2 * sym
@@ -125,7 +126,7 @@ def payload_bits(msg, sym):
     if isinstance(msg, Shmdm):
         return sym if msg.elems is not None else 1
     if isinstance(msg, LeaderMessage):
-        return 8 * len(msg.payload) if isinstance(msg.payload, bytes) else 0
+        return 8 * len(msg.payload) if type(msg.payload) is bytes else 0
     if isinstance(msg, (Est, Aux, Decide)):
         return 8
     if isinstance(msg, (AbbaIn, AbbaOut)):

@@ -183,7 +183,8 @@ class ProtocolBase:
         decide guard only when one reaches 2t+1 before ``v_out`` is set."""
         bit = msg.bit
         ready_from = self.ready_from
-        if frm in ready_from[0] or frm in ready_from[1] or bit not in (0, 1):
+        if (type(bit) is not int or bit not in (0, 1)
+                or frm in ready_from[0] or frm in ready_from[1]):
             return 0
         grown = ready_from[bit]
         grown.add(frm)

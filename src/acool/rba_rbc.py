@@ -119,7 +119,8 @@ class RbcNode(RbaNode):
     def _on_leader_message(self, frm: int, msg, sends) -> int:
         if not self.balanced and frm == self.leader and not self.leader_seen:
             self.leader_seen = True
-            if msg.payload and self.params.valid_message(msg.payload):
+            # the type check comes first: a bytes subclass's len could raise
+            if self.params.valid_message(msg.payload) and msg.payload:
                 sends += ProtocolBase.input(self, msg.payload)
         return 0
 

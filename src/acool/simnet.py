@@ -776,15 +776,14 @@ def sweep(base: SimConfig, cells, seeds: int = 3) -> list:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     rows = []
     for cell in cells:
-        bits, ideals, rounds = [], [], []
-        reports = []
+        bits, ideals, rounds, ok = [], [], [], True
         for s in range(seeds):
-            cfg = replace(base, seed=base.seed + s, **cell)
-            rep = run(cfg)
-            reports.append(rep)
+            rep = run(replace(base, seed=base.seed + s, **cell))
             bits.append(rep.metrics.total_bits)
             ideals.append(rep.metrics.ideal_total_bits)
             rounds.append(rep.metrics.max_causal_round)
+            ok = ok and rep.ok
+            del rep           # a report holds its whole event log
         cfg0 = replace(base, **cell)
         params = _make_params(cfg0)
         denom = max(cfg0.n * cfg0.msg_len_bits,
@@ -798,6 +797,6 @@ def sweep(base: SimConfig, cells, seeds: int = 3) -> list:
             "max_rounds": max(rounds),
             "ratio": (sum(bits) / len(bits)) / denom,
             "ideal_ratio": (sum(ideals) / len(ideals)) / denom,
-            "ok": all(r.ok for r in reports),
+            "ok": ok,
         })
     return rows

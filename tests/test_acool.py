@@ -5,7 +5,7 @@ import random
 import pytest
 
 from acool.aba import OracleAbba, ORACLE_ID
-from acool.field_ecc import ecc_encode, params_for_message_bits
+from acool.field_ecc import CodeParams, ecc_encode, params_for_message_bits
 from acool.messages import (
     AbbaIn, AbbaOut, CorrectSymbol, NewSymbol, Ready, Si, Symbol,
 )
@@ -314,6 +314,47 @@ def test_harvest_from_phase2_success_peers_feeds_final_decode():
     assert 2 not in node.oec_final.shares
     node.handle(2, Si(2, 2, 1))                  # peer 2 joins phase-2 ones
     assert node.oec_final.shares.get(2) == rows[1]
+
+
+def test_invalid_forwarded_half_is_stored_by_no_accumulator():
+    """A pair whose recipient half is a share is delivered, but an invalid
+    forwarded half is ignored by the accumulator each harvest feeds; a
+    valid one from another peer on the same path is stored."""
+    node = fresh()
+    node.input(W)
+    rows = rows_for(W)
+    node.handle(2, NewSymbol(rows[1]))
+    node.handle(3, NewSymbol(rows[2]))           # instance 2 gains an input
+    bad = (float(rows[3][0]),) + rows[3][1:]
+    for inst, phase in ((1, 1), (2, 2)):
+        node.handle(4, Symbol(inst, (rows[0], bad)))
+        node.handle(4, Si(inst, phase, 1))
+        node.handle(2, Symbol(inst, (rows[0], rows[1])))
+        node.handle(2, Si(inst, phase, 1))
+    for bua in (node.bua1, node.bua2):
+        assert bua.delivered[4] == (rows[0], bad) and 4 in bua.L0
+    assert node.oec_final.shares.get(2) == rows[1]
+    assert all(4 not in acc.shares for acc in node.accumulators)
+
+
+def test_no_share_object_is_checked_in_full_twice(monkeypatch):
+    """Each share is checked once, by the part that keeps it: on the
+    n=31, t=10 garbage-shares run no object outside the encode memo
+    reaches `valid_elems` twice."""
+    checked = {}              # id -> [object, calls]; the object pins its id
+    valid = CodeParams.valid_elems
+
+    def counted(self, elems):
+        if id(elems) not in self.encoded_rows:
+            checked.setdefault(id(elems), [elems, 0])[1] += 1
+        return valid(self, elems)
+
+    monkeypatch.setattr(CodeParams, "valid_elems", counted)
+    report = run(SimConfig(n=31, t=10, seed=0, msg_len_bits=1024,
+                           adversary="garbage_shares", scheduler="adversary"))
+    assert report.reason == "ok" and all(report.checks.values())
+    assert len(checked) > 1000
+    assert max(calls for _, calls in checked.values()) == 1
 
 
 # -- end-to-end over the simulator ------------------------------------------

@@ -97,6 +97,28 @@ def test_float_pair_equal_to_expected_counts_as_mismatch():
         assert b.L0 == {2} and b.L1 == set() and 2 not in b.delivered
 
 
+def test_invalid_forwarded_half_is_delivered_and_counts_as_mismatch():
+    """Only the recipient half is checked on delivery: the forwarded half
+    is checked by the accumulator that would store it.  A forwarded half
+    that is no share joins L0, also one of floats equal to the expected."""
+    expected = pair_for(P41, b"m1", 2, 1)
+    floats = tuple(float(e) for e in expected[1])
+    assert floats == expected[1]
+    bad_halves = (floats, None, [1], expected[1][:-1],
+                  (P41.q,) + expected[1][1:], (True,) + expected[1][1:],
+                  type("Sub", (tuple,), {})(expected[1]))
+    for bad in bad_halves:
+        pair = (expected[0], bad)
+        direct = fresh()
+        direct.input(b"m1", [])
+        assert direct.on_symbol(2, pair, [])
+        queued = fresh()
+        queued.on_symbol(2, pair, [])
+        queued.input(b"m1", [])
+        for b in (direct, queued):
+            assert b.L0 == {2} and b.L1 == set() and b.delivered == {2: pair}
+
+
 def test_symbol_before_input_is_queued():
     b = fresh()
     b.on_symbol(2, pair_for(P41, b"m1", 2, 1), [])
@@ -300,10 +322,25 @@ def _recorded(b):
             len(b.S0p2))
 
 
+def _enabled_rules(b):
+    """The six flag rules of the two phases and the vote, written from
+    their thresholds: those that hold while their flag is unset."""
+    n, t = b.params.n, b.params.t
+    rules = {
+        ("s1", 1): b.s1 is None and len(b.L1) >= n - t,
+        ("s1", 0): b.s1 is None and len(b.L0) >= t + 1,
+        ("s2", 0): b.s2 is None and (b.s1 == 0 or len(b.S0p1 | b.L0) >= t + 1),
+        ("s2", 1): b.s2 is None and b.s1 == 1 and len(b.S1p1 & b.L1) >= n - t,
+        ("vote", 1): b.vote is None and len(b.S1p2) >= n - t,
+        ("vote", 0): b.vote is None and len(b.S0p2) >= t + 1,
+    }
+    return [rule for rule, holds in rules.items() if holds]
+
+
 def test_handlers_leave_the_instance_quiescent_and_report_fixes():
-    """After every handler call a full guard pass fires nothing, and the
-    return value is falsy exactly when nothing was recorded and 2 exactly
-    when ``s1``, ``s2`` or ``vote`` changed."""
+    """After every handler call no flag rule is enabled, and the return
+    value is falsy exactly when nothing was recorded and 2 exactly when
+    ``s1``, ``s2`` or ``vote`` changed."""
     rng = random.Random(14)
     reached = set()
     for params in (P41, P196):
@@ -323,9 +360,7 @@ def test_handlers_leave_the_instance_quiescent_and_report_fixes():
                 recorded = seen != _recorded(b)
                 assert bool(got) == recorded
                 assert (got == 2) == (flags != (b.s1, b.s2, b.vote))
-                flags, extra = (b.s1, b.s2, b.vote), []
-                b._guards(extra)
-                assert extra == [] and (b.s1, b.s2, b.vote) == flags
+                assert _enabled_rules(b) == []
             reached |= {(params.n, "s1", b.s1), (params.n, "s2", b.s2),
                         (params.n, "vote", b.vote)}
     assert reached == {(n, flag, bit) for n in (4, 19)

@@ -28,6 +28,14 @@ def test_run_resilience_violation_exits_1(capsys):
     assert code == 1 and "3t+1" in err
 
 
+def test_message_length_below_one_bit_exits_1(capsys):
+    for length in ("0", "-5"):
+        code = main(["run", "--n", "4", "--t", "1", "--len", length])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: message length must be >= 1 bit\n"
+
+
 def test_bad_flag_exits_1(capsys):
     assert main(["run", "--no-such-flag"]) == 1
 

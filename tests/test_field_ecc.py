@@ -233,9 +233,11 @@ def test_oec_ignores_invalid_shares_and_indices():
     for index, elems in invalid:
         assert acc.submit(index, elems) is None
     assert acc.shares == {} and acc.attempts == 0
-    # a tuple subclass is kept as the plain tuple its check iterated
-    acc.submit(1, _FlakyShare(rows[0]))
-    assert acc.shares == {1: rows[0]} and type(acc.shares[1]) is tuple
+    # a tuple subclass is no share, and its methods are never run
+    flaky = _FlakyShare(rows[0])
+    assert acc.submit(1, flaky) is None and acc.shares == {}
+    assert not hasattr(flaky, "calls")
+    acc.submit(1, rows[0])
     got = [acc.submit(x, tuple(list(row)) if x % 2 else row)
            for x, row in enumerate(rows[1:], 2)]
     assert got[params.oec_threshold - 2] == b"payload!" and acc.attempts == 1
@@ -834,8 +836,10 @@ def audit(monkeypatch):
 
 
 def oec_reference(params, shares, threshold):
-    """What an attempt over ``shares`` returns by the full decoder on
-    copies: its message when at least ``threshold`` shares match it."""
+    """What an attempt over the shares of ``shares`` that pass
+    `ref_valid_elems` returns by the full decoder on copies: its message
+    when at least ``threshold`` of them match it."""
+    shares = {x: s for x, s in shares.items() if ref_valid_elems(params, s)}
     m = len(shares)
     try:
         message, support = full_decode(params, shares, m - threshold)
@@ -929,10 +933,11 @@ def test_canonical_flag_is_pack_of_unpack():
 
 
 def ref_valid_elems(params, elems):
-    """The share check as a plain loop, without the accepted-object cache."""
-    if not isinstance(elems, tuple) or len(elems) != params.chunks:
+    """The share check as a plain loop over exact types, without the memo
+    index: a bool or a subclass is no field element or share."""
+    if type(elems) is not tuple or len(elems) != params.chunks:
         return False
-    return all(isinstance(e, int) and 0 <= e < params.q for e in elems)
+    return all(type(e) is int and 0 <= e < params.q for e in elems)
 
 
 class _FlakyShare(tuple):
@@ -958,9 +963,9 @@ def test_valid_elems_cache_matches_plain_loop():
     for _ in range(2):           # before the cache holds them, then after
         for elems in inputs:
             assert params.valid_elems(elems) == ref_valid_elems(params, elems)
-    # a memo row is valid by the memo index and never enters the cache
-    accepted = params.accepted_shares
-    assert id(share) not in accepted and accepted[id(with_bool)] is with_bool
+    # a memo row is valid by the memo index; a bool is no field element
+    assert id(share) in params.encoded_rows and params.valid_elems(share)
+    assert not params.valid_elems(with_bool)
 
 
 def test_valid_elems_checks_an_equal_copy_of_a_memo_row_in_full():
@@ -968,12 +973,12 @@ def test_valid_elems_checks_an_equal_copy_of_a_memo_row_in_full():
     equal to it is checked element by element."""
     params = params_for_message_bits(7, 2, 64)
     row = ecc_encode(params, b"memo row")[2]
-    assert params.valid_elems(row) and id(row) not in params.accepted_shares
+    assert params.valid_elems(row) and id(row) in params.encoded_rows
     floats = tuple(float(e) for e in row)
     assert floats == row and not params.valid_elems(floats)
     copy = tuple(list(row))
     assert copy == row and copy is not row
-    assert params.valid_elems(copy) and params.accepted_shares[id(copy)] is copy
+    assert params.valid_elems(copy) and id(copy) not in params.encoded_rows
 
 
 def test_valid_elems_cache_never_hits_other_objects():
@@ -987,10 +992,10 @@ def test_valid_elems_cache_never_hits_other_objects():
     float_copy = (1.0,) + share[1:]
     assert float_copy == share and not params.valid_elems(float_copy)
     flaky = _FlakyShare(share)
-    assert params.valid_elems(flaky)          # first iteration: valid
-    assert not params.valid_elems(flaky)      # checked again, not cached
-    assert id(flaky) not in params.accepted_shares
-    assert list(params.accepted_shares.values()) == [share]
+    assert not params.valid_elems(flaky)      # a subclass is no share
+    assert not params.valid_elems(flaky)
+    assert not hasattr(flaky, "calls")        # its __iter__ never ran
+    assert params.valid_elems(share)
 
 
 # ---------------------------------------------------------------------------

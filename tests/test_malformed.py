@@ -2,7 +2,11 @@
 
 Every message type is sent to every honest node kind, first well-typed
 and then with one field at a time replaced by an ill-typed or
-out-of-range value, from every sender id of the simulated network.  For
+out-of-range value, from every sender id of the simulated network.  The
+values include hostile objects whose comparisons, hash, format, length
+or iteration raise; each also stands in for one element of a share and
+for each half of a SYMBOL pair, so a node that calls a method a sender
+defined fails the test.  For
 the committee variant that network is larger than the committee, so
 members also hear from ids outside their peer range.  A node must not
 raise, and must not send a message whose ``inst``, ``phase``, ``bit`` or
@@ -29,8 +33,52 @@ P = params_for_message_bits(N, T, 64)
 P_COMMITTEE = params_for_message_bits(committee_size(T), T, 64)
 W = bytes(range(8))
 SHARE = ecc_encode(P, W)[0]
+MINE = ecc_encode(P, W)[1]                 # what node 2 expects from peers
 
-BAD = (1.0, True, None, [1], -1, 2 ** 70, "1")
+
+def _raise(self, *args):
+    raise RuntimeError(f"a {type(self).__name__} method ran")
+
+
+class HostileInt(int):
+    """An int whose comparisons, hash and format raise."""
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _raise
+    __hash__ = __format__ = _raise
+
+    def __repr__(self):
+        return "HostileInt()"
+
+
+class HostileObject:
+    """An object whose equality and hash raise."""
+
+    __eq__ = __hash__ = _raise
+
+    def __repr__(self):
+        return "HostileObject()"
+
+
+class HostileTuple(tuple):
+    """A tuple holding a valid share, whose length and iteration raise."""
+
+    __len__ = __iter__ = __getitem__ = _raise
+
+    def __repr__(self):
+        return "HostileTuple()"
+
+
+class HostileBytes(bytes):
+    """Bytes whose length raises."""
+
+    __len__ = _raise
+
+    def __repr__(self):
+        return "HostileBytes()"
+
+
+HOSTILE = (HostileInt(1), HostileObject(), HostileTuple(SHARE), HostileBytes(W))
+BAD = (1.0, True, None, [1], -1, 2 ** 70, "1") + HOSTILE
 INT_FIELDS = ("inst", "phase", "bit", "round")
 
 TEMPLATES = (
@@ -49,6 +97,15 @@ def _cases():
             for bad in BAD:
                 yield msg._replace(**{name: bad})
     yield LeaderMessage(bytes(100))        # more than the code can carry
+    for bad in HOSTILE:
+        share = (bad,) + SHARE[1:]         # one hostile element
+        for msg in TEMPLATES:
+            if "elems" in msg._fields:
+                yield msg._replace(elems=share)
+            if "pair" in msg._fields:
+                for half in (bad, share):
+                    yield msg._replace(pair=(half, MINE))
+                    yield msg._replace(pair=(MINE, half))
 
 
 def _with_input(node):
@@ -95,8 +152,9 @@ def test_node_survives_malformed_messages(kind):
 
 
 class IllTypedSender(simnet.Strategy):
-    """Sends every node ``None``, a non-bytes `LeaderMessage` and a bare
-    `object()`, at start and on its first few deliveries."""
+    """Sends every node ``None``, a non-bytes `LeaderMessage`, a bare
+    `object()`, and an SI and a READY with hostile fields, at start and on
+    its first few deliveries."""
 
     budget = 3
 
@@ -104,8 +162,10 @@ class IllTypedSender(simnet.Strategy):
         if self.budget <= 0:
             return []
         self.budget -= 1
+        hostile = HostileInt(1)
         return [(dst, msg) for dst in range(1, self.ctx.n + 1)
-                for msg in (None, LeaderMessage(1.0), object())]
+                for msg in (None, LeaderMessage(1.0), object(),
+                            Si(hostile, hostile, hostile), Ready(hostile))]
 
     def on_start(self, w):
         return self._spray()
@@ -127,5 +187,7 @@ def test_run_survives_ill_typed_sends(protocol, extra, monkeypatch):
     rep = simnet.run(cfg)
     assert rep.reason == "ok" and all(rep.checks.values()), rep.to_json()
     byz, = cfg.byzantine_ids()
+    sent = IllTypedSender.budget * n       # one bit per SI and READY copy
     assert rep.metrics.egress_by_tag[byz] == {
-        "LEADERMESSAGE": 0, "NONETYPE": 0, "OBJECT": 0}
+        "LEADERMESSAGE": 0, "NONETYPE": 0, "OBJECT": 0, "SI": sent,
+        "READY": sent}

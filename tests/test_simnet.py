@@ -175,6 +175,26 @@ def test_sweep_rows_have_ratio_and_flags():
         assert row["ok"] and row["ratio"] > 0 and row["max_rounds"] > 0
 
 
+def test_sweep_drops_each_report_before_the_next_run(monkeypatch):
+    """A report holds its whole event log, so a sweep keeps only the
+    numbers its row needs: every earlier report is collected before the
+    next run starts, and ``ok`` still folds every run of the cell."""
+    refs = []
+
+    def tracked(cfg):
+        assert all(ref() is None for ref in refs), "an earlier report is alive"
+        rep = run(cfg)
+        refs.append(weakref.ref(rep))
+        return rep
+
+    monkeypatch.setattr(simnet, "run", tracked)
+    stalls = {"legacy_cool": True, "event_cap": 2000}     # ends at the cap
+    base = scenario_split_input(4, 1, msg_len_bits=64, abba="coin")
+    rows = sweep(base, [{}, stalls], seeds=3)
+    assert len(refs) == 6 and all(ref() is None for ref in refs)
+    assert [row["ok"] for row in rows] == [True, False]
+
+
 def test_bits_grow_linearly_in_message_length():
     # once n*len dominates, successive per-bit increments agree
     totals = {}
