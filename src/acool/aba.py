@@ -49,7 +49,7 @@ class OracleAbba:
         return [(ORACLE_ID, AbbaIn(bit))]
 
     def handle(self, frm: int, msg):
-        if isinstance(msg, AbbaOut) and frm == ORACLE_ID and self.output is None:
+        if type(msg) is AbbaOut and frm == ORACLE_ID and self.output is None:
             self.output = msg.bit
         return []
 
@@ -135,11 +135,12 @@ class CoinAbba:
     def handle(self, frm: int, msg):
         if self.output is not None:
             return []
-        if isinstance(msg, Est):
+        cls = type(msg)
+        if cls is Est:
             return self._on_est(frm, msg.round, msg.bit)
-        if isinstance(msg, Aux):
+        if cls is Aux:
             return self._on_aux(frm, msg.round, msg.bit)
-        if isinstance(msg, Decide):
+        if cls is Decide:
             return self._on_decide(frm, msg.bit)
         return []
 

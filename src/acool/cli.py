@@ -16,7 +16,6 @@ import json
 import os
 import sys
 
-from .field_ecc import ResilienceViolation
 from .simnet import (
     ADVERSARIES, PROTOCOLS, SCHEDULERS, SCENARIOS, SimConfig, run, sweep,
 )
@@ -165,7 +164,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 1
     try:
         return args.func(args)
-    except (ResilienceViolation, ValueError) as e:
+    except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
 

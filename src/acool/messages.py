@@ -5,9 +5,13 @@ Coded symbols travel as tuples of field elements (one per chunk); a
 SYMBOL message carries the pair (value for the recipient, value for the
 sender) from the sender's own encoding.
 
-Metric bit widths count protocol payload only: symbol-bearing messages
-cost ``symbol_bits`` per symbol, indicator and READY messages cost one
-bit, and the coin-based binary agreement messages cost a flat byte.
+An object is a message only if its class is exactly one of these, by
+identity: that rule decides dispatch, tag, bit width and the simulator's
+side-channel test, and runs no code a sender defined.  Metric bit widths
+count protocol payload only: symbol-bearing messages cost ``symbol_bits``
+per symbol, indicator and READY messages cost one bit, the coin-based
+binary agreement messages a flat byte, and any other object, a subclass
+too, 0 bits.
 """
 
 from __future__ import annotations
@@ -101,11 +105,15 @@ class AbbaOut(NamedTuple):
 
 
 def tag_of(msg) -> str:
-    """Spec-facing tag used in metrics and event logs."""
-    if isinstance(msg, Si):
-        # only an exact int is formatted: a sender's subclass could raise
-        return f"SI{msg.phase}" if type(msg.phase) is int else "SI"
-    return type(msg).__name__.upper()
+    """Spec-facing tag used in metrics and event logs: UNNAMED, a tag no
+    message class has, when the class's metaclass is not exactly ``type``."""
+    cls = type(msg)
+    if cls is Si:
+        # only the exact int 1 or 2 is a phase: a huge int cannot format
+        phase = msg.phase
+        return f"SI{phase}" if type(phase) is int and phase in (1, 2) else "SI"
+    # a class's name may be a str subclass, whose own `upper` could raise
+    return str.upper(cls.__name__) if type(cls) is type else "UNNAMED"
 
 
 def payload_bits(msg, sym):
@@ -114,21 +122,23 @@ def payload_bits(msg, sym):
     ``sym`` is `CodeParams.symbol_bits` for the raw accounting, or the
     fractional analytical width for the idealized one.  An ill-typed
     object a Byzantine node may send, a `LeaderMessage` whose payload is
-    not exactly bytes or anything that is no message at all, counts 0
-    bits: honest nodes drop it.
+    not exactly bytes or anything whose class is not exactly a message
+    class, counts 0 bits: honest nodes drop it.
     """
-    if isinstance(msg, Symbol):
+    cls = type(msg)
+    if cls is Symbol:
         return 2 * sym
-    if isinstance(msg, (Si, Ready)):
+    if cls is Si or cls is Ready:
         return 1
-    if isinstance(msg, (NewSymbol, CorrectSymbol, Leader, Initial)):
+    if (cls is NewSymbol or cls is CorrectSymbol or cls is Leader
+            or cls is Initial):
         return sym
-    if isinstance(msg, Shmdm):
+    if cls is Shmdm:
         return sym if msg.elems is not None else 1
-    if isinstance(msg, LeaderMessage):
+    if cls is LeaderMessage:
         return 8 * len(msg.payload) if type(msg.payload) is bytes else 0
-    if isinstance(msg, (Est, Aux, Decide)):
+    if cls is Est or cls is Aux or cls is Decide:
         return 8
-    if isinstance(msg, (AbbaIn, AbbaOut)):
+    if cls is AbbaIn or cls is AbbaOut:
         return 1
     return 0

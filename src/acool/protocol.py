@@ -91,12 +91,13 @@ class ProtocolBase:
     A handler appends its sends and returns the guards it can newly fire
     as a bit set, 0 for none; `handle` pumps only on a nonzero wake.  A
     guard takes ``(self, sends)`` and returns True on a state change.
-    After a run the simulator reads ``buas``, ``accumulators`` and the
-    flag below.
+    After a run the simulator reads ``buas``, ``accumulators``, ``abba``
+    (set on binary-agreement participants) and the flag below.
     """
 
     quorum_collision = False      # both READY quorums reached n-t
     skip_brba = False             # bypass the READY stage
+    abba = None                   # the binary-agreement handle, if any
 
     def __init__(self, node_id: int, params: CodeParams):
         self.node_id = node_id
@@ -130,9 +131,10 @@ class ProtocolBase:
         sends: list = []
         if self.terminated:
             return sends
-        on = self._HANDLERS.get(type(msg))
+        cls = type(msg)         # only a `type` metaclass hashes by identity
+        on = self._HANDLERS.get(cls) if type(cls) is type else None
         if on is None:
-            log.debug("node %d: dropping %r", self.node_id, msg)
+            log.debug("node %d: dropping a message from %d", self.node_id, frm)
             return sends
         wake = on(self, frm, msg, sends)
         if wake:

@@ -27,11 +27,11 @@ import json
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple, Optional
 
 from .aba import CoinAbba, CoinOracle, OracleAbba, OracleAdjudicator, ORACLE_ID
-from .field_ecc import CodeParams, params_for_message_bits
+from .field_ecc import CodeParams, ResilienceViolation, params_for_message_bits
 from .messages import (
     AbbaIn, AbbaOut, Aux, CorrectSymbol, Decide, Est, NewSymbol, Ready, Si,
     Symbol, payload_bits, tag_of,
@@ -76,8 +76,6 @@ class SimConfig:
 
     def validate(self):
         if self.n < 3 * self.t + 1:
-            from .field_ecc import ResilienceViolation
-
             raise ResilienceViolation(f"need n >= 3t+1, got n={self.n}, t={self.t}")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
@@ -87,6 +85,8 @@ class SimConfig:
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
         if self.abba not in ("oracle", "coin"):
             raise ValueError(f"unknown abba kind {self.abba!r}")
+        if type(self.abba_hint) is not int or self.abba_hint not in (0, 1):
+            raise ValueError(f"abba_hint must be 0 or 1, got {self.abba_hint!r}")
         byz = self.byzantine_ids()
         if len(byz) > self.t:
             raise ValueError("more Byzantine nodes than the fault bound")
@@ -244,6 +244,8 @@ class _AdvCtx(NamedTuple):
 class Strategy:
     """Controls one Byzantine node's outbound traffic."""
 
+    terminated = False            # a Byzantine node never stops
+
     def __init__(self, ctx: _AdvCtx):
         self.ctx = ctx
 
@@ -298,7 +300,7 @@ class GarbageShares(_Replica):
     def _rewrite(self, sends):
         out = []
         for dst, msg in sends:
-            if isinstance(msg, Symbol):
+            if type(msg) is Symbol:
                 msg = Symbol(msg.inst, (self._rand_elems(), self._rand_elems()))
             elif getattr(msg, "elems", None) is not None:
                 msg = type(msg)(self._rand_elems())
@@ -333,7 +335,7 @@ class _TwoFaced(_Replica):
         out += [(dst, msg) for dst, msg in sb if not self._side_a(dst)]
         if self.drop_phase2:
             out = [(d, m) for d, m in out
-                   if not (isinstance(m, Si) and m.phase == 2)]
+                   if not (type(m) is Si and m.phase == 2)]
         return out
 
 
@@ -372,30 +374,26 @@ class RandomByzantine(Strategy):
         super().__init__(ctx)
         self.budget = 8 * ctx.n
 
+    # one maker per message kind, drawing its fields in argument order
+    _KINDS = (
+        lambda s, r: Symbol(r.randrange(3), (s._rand_elems(), s._rand_elems())),
+        lambda s, r: Si(r.randrange(3), r.randrange(1, 3), r.randrange(2)),
+        lambda s, r: Ready(r.randrange(2)),
+        lambda s, r: NewSymbol(s._rand_elems()),
+        lambda s, r: CorrectSymbol(s._rand_elems()),
+        lambda s, r: Est(r.randrange(3), r.randrange(2)),
+        lambda s, r: Aux(r.randrange(3), r.randrange(2)),
+        lambda s, r: Decide(r.randrange(2)),
+    )
+
     def _spray(self):
         rng = self.ctx.rng
         out = []
         for _ in range(min(2, self.budget)):
             self.budget -= 1
             dst = rng.randrange(1, self.ctx.n + 1)
-            kind = rng.randrange(8)
-            if kind == 0:
-                msg = Symbol(rng.randrange(3), (self._rand_elems(), self._rand_elems()))
-            elif kind == 1:
-                msg = Si(rng.randrange(3), rng.randrange(1, 3), rng.randrange(2))
-            elif kind == 2:
-                msg = Ready(rng.randrange(2))
-            elif kind == 3:
-                msg = NewSymbol(self._rand_elems())
-            elif kind == 4:
-                msg = CorrectSymbol(self._rand_elems())
-            elif kind == 5:
-                msg = Est(rng.randrange(3), rng.randrange(2))
-            elif kind == 6:
-                msg = Aux(rng.randrange(3), rng.randrange(2))
-            else:
-                msg = Decide(rng.randrange(2))
-            out.append((dst, msg))
+            make = self._KINDS[rng.randrange(len(self._KINDS))]
+            out.append((dst, make(self, rng)))
         return out
 
     def on_start(self, w):
@@ -545,8 +543,7 @@ def run(config: SimConfig) -> RunReport:
         strategies[b] = _STRATEGIES[config.adversary](ctx)
 
     # the binary-agreement members: honest nodes that run the composition
-    participants = [i for i, node in nodes.items()
-                    if isinstance(node, AcoolNode)]
+    participants = [i for i, node in nodes.items() if node.abba is not None]
     adjudicator = (OracleAdjudicator(participants, config.abba_hint)
                    if config.abba == "oracle" else None)
 
@@ -584,7 +581,7 @@ def run(config: SimConfig) -> RunReport:
                 bits = payload_bits(msg, sym_bits)
                 counted = counted_frm and (
                     config.count_abba_bits
-                    or not isinstance(msg, (AbbaIn, AbbaOut)))
+                    or type(msg) is not AbbaIn and type(msg) is not AbbaOut)
                 if counted:
                     ideal = payload_bits(msg, ideal_cb)
                     if egress is None:
@@ -608,6 +605,9 @@ def run(config: SimConfig) -> RunReport:
         elif i in strategies:
             enqueue(i, strategies[i].on_start(w))
 
+    # one delivery branch: honest ids' bound `handle`, Byzantine `on_deliver`
+    deliver = {i: node.handle for i, node in nodes.items()}
+    deliver.update((b, s.on_deliver) for b, s in strategies.items())
     live = sum(not node.terminated for node in nodes.values())
     delivered = suppressed = 0
     reason = "cap"
@@ -621,7 +621,7 @@ def run(config: SimConfig) -> RunReport:
         enq_step, frm, dst, msg, rnd, tag, bits = queue.pop(step)
         step += 1
         if dst == ORACLE_ID:
-            if adjudicator is not None and isinstance(msg, AbbaIn):
+            if adjudicator is not None and type(msg) is AbbaIn:
                 depth[ORACLE_ID] = max(depth[ORACLE_ID], rnd)
                 decided = adjudicator.on_input(frm, msg.bit)
                 delivered += 1
@@ -629,28 +629,22 @@ def run(config: SimConfig) -> RunReport:
                     enqueue(ORACLE_ID,
                             [(p, AbbaOut(decided)) for p in participants])
             continue
-        node = nodes.get(dst)
-        if node is not None:
-            if node.terminated:
-                suppressed += 1
-                continue
-            if rnd > depth[dst]:
-                depth[dst] = rnd
-            sends = node.handle(frm, msg)
-            delivered += 1
-            event_log.extend((step, frm, dst, tag, bits, rnd))
-            if sends:
-                enqueue(dst, sends)
-            if node.terminated:
-                live -= 1
-        elif dst in strategies:
-            if rnd > depth[dst]:
-                depth[dst] = rnd
-            delivered += 1
-            event_log.extend((step, frm, dst, tag, bits, rnd))
-            sends = strategies[dst].on_deliver(frm, msg)
-            if sends:
-                enqueue(dst, sends)
+        handle = deliver.get(dst)
+        if handle is None:
+            continue
+        actor = handle.__self__
+        if actor.terminated:
+            suppressed += 1
+            continue
+        if rnd > depth[dst]:
+            depth[dst] = rnd
+        sends = handle(frm, msg)
+        delivered += 1
+        event_log.extend((step, frm, dst, tag, bits, rnd))
+        if sends:
+            enqueue(dst, sends)
+        if actor.terminated:
+            live -= 1
     metrics.events_delivered, metrics.events_suppressed = delivered, suppressed
     if not live:
         reason = "ok"
@@ -672,7 +666,7 @@ def run(config: SimConfig) -> RunReport:
         out = nodes[i].output
         outputs[i] = {
             "terminated": nodes[i].terminated,
-            "output": out.hex() if isinstance(out, bytes) else None,
+            "output": out.hex() if type(out) is bytes else None,
             "bottom": out is BOTTOM,
         }
 
@@ -693,20 +687,12 @@ def _run_checks(config, nodes, inputs, reason) -> dict:
     consistency = len(set(outs)) <= 1
 
     honest_inputs = {inputs.get(i) for i in nodes}
-    validity = True
-    validity_applicable = False
-    expected = None
+    expected = None                       # the output validity demands
     if config.protocol == "rbc":
         if config.leader in nodes and inputs.get(config.leader):
-            validity_applicable = True
             expected = inputs[config.leader]
-    elif len(honest_inputs) == 1 and None not in honest_inputs:
-        validity_applicable = True
-        (expected,) = honest_inputs
-    if validity_applicable:
-        validity = all(o == expected for o in outs)
-        if reason == "ok":
-            validity = validity and len(outs) == len(nodes)
+    elif len(honest_inputs) == 1:
+        (expected,) = honest_inputs       # None: no honest node has input
 
     # unique agreement per instance: at most one input value among phase-2
     # successes, at most two among phase-1 successes
@@ -732,8 +718,9 @@ def _run_checks(config, nodes, inputs, reason) -> dict:
         "gamma1_at_most_2": gamma1,
         "totality": totality,
     }
-    if validity_applicable:
-        checks["validity"] = validity
+    if expected is not None:
+        checks["validity"] = (all(o == expected for o in outs) and (
+            reason != "ok" or len(outs) == len(nodes)))
     return checks
 
 
@@ -770,8 +757,6 @@ def sweep(base: SimConfig, cells, seeds: int = 3) -> list:
     totals and the ratio of measured bits to max(n*len, n*t*log q).
     Raises ValueError when ``seeds`` is below 1, which leaves no mean.
     """
-    from dataclasses import replace
-
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     rows = []

@@ -2,17 +2,23 @@
 
 Every message type is sent to every honest node kind, first well-typed
 and then with one field at a time replaced by an ill-typed or
-out-of-range value, from every sender id of the simulated network.  The
-values include hostile objects whose comparisons, hash, format, length
-or iteration raise; each also stands in for one element of a share and
+out-of-range value, from every sender id of the simulated network; each
+such value is also sent as the whole message.  The values include
+hostile objects whose comparisons, hash, format, length, iteration or
+``__class__`` raise, an instance of a class whose metaclass's hash,
+equality and ``__name__`` raise, and one of a class whose name's
+``upper`` raises; each also stands in for one element of a share and
 for each half of a SYMBOL pair, so a node that calls a method a sender
-defined fails the test.  For
-the committee variant that network is larger than the committee, so
-members also hear from ids outside their peer range.  A node must not
-raise, and must not send a message whose ``inst``, ``phase``, ``bit`` or
-``round`` is anything but an int.  Whole runs with a Byzantine node that
-sends objects of no message type must end like fault-free ones.
+defined fails the test.  For the committee variant that network is
+larger than the committee, so members also hear from ids outside their
+peer range.  A node must not raise, and must not send a message whose
+``inst``, ``phase``, ``bit`` or ``round`` is anything but an int.  Whole
+runs with a Byzantine node that sends objects of no message type must
+end like fault-free ones.
 """
+
+import ast
+import pathlib
 
 import pytest
 
@@ -77,8 +83,53 @@ class HostileBytes(bytes):
         return "HostileBytes()"
 
 
-HOSTILE = (HostileInt(1), HostileObject(), HostileTuple(SHARE), HostileBytes(W))
-BAD = (1.0, True, None, [1], -1, 2 ** 70, "1") + HOSTILE
+class HostileClassAttr:
+    """An object whose ``__class__`` property raises, as `isinstance` reads it."""
+
+    @property
+    def __class__(self):
+        raise RuntimeError("a __class__ property ran")
+
+    def __repr__(self):
+        return "HostileClassAttr()"
+
+
+class HostileMeta(type):
+    """A metaclass whose hash, equality and ``__name__`` raise."""
+
+    __eq__ = __hash__ = _raise
+
+    @property
+    def __name__(cls):
+        raise RuntimeError("a metaclass __name__ ran")
+
+
+class HostileMetaInstance(metaclass=HostileMeta):
+    """An instance of a class whose metaclass's hash, equality and name raise."""
+
+    def __repr__(self):
+        return "HostileMetaInstance()"
+
+
+class HostileStr(str):
+    """A str whose ``upper`` raises."""
+
+    upper = _raise
+
+
+class HostileNamed:
+    """An object whose class's ``__name__`` is a `HostileStr`."""
+
+    def __repr__(self):
+        return "HostileNamed()"
+
+
+HostileNamed.__name__ = HostileStr("HostileNamed")
+
+HOSTILE = (HostileInt(1), HostileObject(), HostileTuple(SHARE), HostileBytes(W),
+           HostileClassAttr(), HostileMetaInstance(), HostileNamed())
+# 10 ** 5000 has more digits than an int may format to
+BAD = (1.0, True, None, [1], -1, 2 ** 70, 10 ** 5000, "1") + HOSTILE
 INT_FIELDS = ("inst", "phase", "bit", "round")
 
 TEMPLATES = (
@@ -91,6 +142,7 @@ TEMPLATES = (
 
 
 def _cases():
+    yield from BAD
     for msg in TEMPLATES:
         yield msg
         for name in msg._fields:
@@ -152,9 +204,11 @@ def test_node_survives_malformed_messages(kind):
 
 
 class IllTypedSender(simnet.Strategy):
-    """Sends every node ``None``, a non-bytes `LeaderMessage`, a bare
-    `object()`, and an SI and a READY with hostile fields, at start and on
-    its first few deliveries."""
+    """Sends every node and the oracle (id 0) ``None``, a non-bytes
+    `LeaderMessage`, a bare `object()`, an SI and a READY with hostile
+    fields, an SI whose phase cannot format, an object whose ``__class__``
+    raises, one whose metaclass raises and one whose class name's ``upper``
+    raises, at start and on its first few deliveries."""
 
     budget = 3
 
@@ -163,9 +217,11 @@ class IllTypedSender(simnet.Strategy):
             return []
         self.budget -= 1
         hostile = HostileInt(1)
-        return [(dst, msg) for dst in range(1, self.ctx.n + 1)
+        return [(dst, msg) for dst in range(0, self.ctx.n + 1)
                 for msg in (None, LeaderMessage(1.0), object(),
-                            Si(hostile, hostile, hostile), Ready(hostile))]
+                            Si(hostile, hostile, hostile), Ready(hostile),
+                            Si(0, 10 ** 5000, 1), HostileClassAttr(),
+                            HostileMetaInstance(), HostileNamed())]
 
     def on_start(self, w):
         return self._spray()
@@ -187,7 +243,20 @@ def test_run_survives_ill_typed_sends(protocol, extra, monkeypatch):
     rep = simnet.run(cfg)
     assert rep.reason == "ok" and all(rep.checks.values()), rep.to_json()
     byz, = cfg.byzantine_ids()
-    sent = IllTypedSender.budget * n       # one bit per SI and READY copy
+    sent = IllTypedSender.budget * (n + 1)   # one bit per SI and READY copy
     assert rep.metrics.egress_by_tag[byz] == {
-        "LEADERMESSAGE": 0, "NONETYPE": 0, "OBJECT": 0, "SI": sent,
-        "READY": sent}
+        "LEADERMESSAGE": 0, "NONETYPE": 0, "OBJECT": 0, "SI": 2 * sent,
+        "READY": sent, "HOSTILECLASSATTR": 0, "UNNAMED": 0,
+        "HOSTILENAMED": 0}
+
+
+def test_core_has_no_isinstance_call():
+    """`isinstance` reads a sender's ``__class__`` and accepts subclasses;
+    outside the command line, the core tests exact classes by identity."""
+    src = pathlib.Path(simnet.__file__).parent
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py")) if path.name != "cli.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "isinstance"]
+    assert not calls, calls

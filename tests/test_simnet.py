@@ -1,6 +1,7 @@
 """Simulator harness tests: determinism, fairness, accounting, config."""
 
 import gc
+import itertools
 import json
 import math
 import random
@@ -14,7 +15,10 @@ from acool.field_ecc import (
     CodeParams, DecodeFailure, OecAccumulator, ResilienceViolation,
     params_for_message_bits,
 )
-from acool.messages import AbbaIn, AbbaOut, payload_bits, tag_of
+from acool.messages import (
+    AbbaIn, AbbaOut, Aux, CorrectSymbol, Decide, Est, Initial, Leader,
+    LeaderMessage, NewSymbol, Ready, Shmdm, Si, Symbol,
+)
 from acool.simnet import (
     ADVERSARIES, SCHEDULERS, SimConfig, Strategy, _AdvCtx, _Queue, run,
     scenario_split_input, sweep,
@@ -59,6 +63,14 @@ def test_unknown_names_rejected():
         run(SimConfig(n=4, t=1, protocol="nope"))
     with pytest.raises(ValueError):
         run(SimConfig(n=4, t=1, abba="nope"))
+
+
+@pytest.mark.parametrize("hint", [2, -1, True, 1.0, None, "0"])
+def test_abba_hint_must_be_the_int_0_or_1(hint):
+    # the adjudicator decides the hint or a unanimous other bit, so a hint
+    # that is no bit would let it decide the last participant's proposal
+    with pytest.raises(ValueError, match="abba_hint"):
+        run(SimConfig(n=4, t=1, abba_hint=hint))
 
 
 def test_byzantine_bound_enforced():
@@ -369,34 +381,74 @@ def test_pending_delivery_keeps_one_tracked_object(policy):
     assert grown <= len(queue.ids) + 20
 
 
+# README "Message accounting", per exact message class: the coded symbols
+# a message carries, each ``symbol_bits`` wide, and its flat bits.  SHMDM
+# and LEADERMESSAGE widths depend on the payload (`_reference_bits`); any
+# other class, a subclass of a message class too, counts 0 bits.
+SYMBOLS = {Symbol: 2, NewSymbol: 1, CorrectSymbol: 1, Leader: 1, Initial: 1}
+FLAT = {Si: 1, Ready: 1, AbbaIn: 1, AbbaOut: 1, Est: 8, Aux: 8, Decide: 8}
+
+
+def _class_bits(cls, sym):
+    return SYMBOLS.get(cls, 0) * sym + FLAT.get(cls, 0)
+
+
+def _reference_bits(msg, sym):
+    cls = type(msg)
+    if cls is Shmdm:
+        return 1 if msg.elems is None else sym        # the bottom marker
+    if cls is LeaderMessage:
+        payload = msg.payload
+        return 8 * len(payload) if type(payload) is bytes else 0
+    return _class_bits(cls, sym)
+
+
+def _reference_tag(msg):
+    if type(msg) is Si:
+        return f"SI{msg.phase}" if msg.phase in (1, 2) else "SI"
+    return type(msg).__name__.upper()
+
+
+class _SymbolCopy(Symbol):
+    """A subclass of a message class: no message, so 0 bits."""
+
+
+class _SiCopy(Si):
+    """A subclass of a message class: no message, so 0 bits."""
+
+
 class _IllTypedBroadcaster(Strategy):
-    """Broadcasts one ill-typed object to every node, then a second one."""
+    """Broadcasts one ill-typed object to every node, then a second one,
+    then a `Symbol` subclass and an `Si` subclass."""
 
     def on_start(self, w):
-        first, second = object(), _Payload()
-        n = self.ctx.n
-        return ([(dst, first) for dst in range(1, n + 1)]
-                + [(dst, second) for dst in range(1, n + 1)])
+        sends = []
+        for msg in (object(), _Payload(), _SymbolCopy(1, ((0,), (0,))),
+                    _SiCopy(1, 1, 1)):
+            sends += [(dst, msg) for dst in range(1, self.ctx.n + 1)]
+        return sends
 
 
 def _recount(cfg, pushes):
-    """Bit accounting redone per pushed copy, in push order."""
+    """Bit accounting redone per pushed copy, in push order, with tags and
+    widths from the reference above."""
     params = simnet._make_params(cfg)
     k_ideal = cfg.t / 3 if cfg.t >= 1 else 1.0
     ideal_cb = max(cfg.msg_len_bits / k_ideal, math.log2(params.q))
     byz = set(cfg.byzantine_ids())
     by_tag, egress, total, ideal_total = {}, {}, 0, 0.0
     for frm, msg, tag, bits in pushes:
-        assert (tag, bits) == (tag_of(msg), payload_bits(msg, params.symbol_bits))
+        assert (tag, bits) == (_reference_tag(msg),
+                               _reference_bits(msg, params.symbol_bits))
         if frm in byz and not cfg.count_byzantine_bits:
             continue
-        if isinstance(msg, (AbbaIn, AbbaOut)) and not cfg.count_abba_bits:
+        if type(msg) in (AbbaIn, AbbaOut) and not cfg.count_abba_bits:
             continue
         by_tag[tag] = by_tag.get(tag, 0) + bits
         row = egress.setdefault(frm, {})
         row[tag] = row.get(tag, 0) + bits
         total += bits
-        ideal_total += payload_bits(msg, ideal_cb)
+        ideal_total += _reference_bits(msg, ideal_cb)
     return by_tag, egress, total, ideal_total
 
 
@@ -429,7 +481,8 @@ def test_accounting_equals_a_per_copy_recount(overrides, monkeypatch):
     if cfg.count_byzantine_bits:
         assert 7 in egress
     if cfg.adversary == "crash_silent":
-        assert egress[7] == {"OBJECT": 0, "_PAYLOAD": 0}
+        assert egress[7] == {"OBJECT": 0, "_PAYLOAD": 0, "_SYMBOLCOPY": 0,
+                             "_SICOPY": 0}
     if cfg.count_abba_bits:
         assert "ABBAIN" in by_tag
 
@@ -567,3 +620,34 @@ def test_decode_heavy_runs_leave_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+
+
+# Per-destination caps on an honest node's sends, by tag, as (class, cap):
+# one SYMBOL and one SI per phase for each of the two unique-agreement
+# instances, and one READY, NEWSYMBOL and CORRECTSYMBOL per node.
+BUDGET = {"SYMBOL": (Symbol, 2), "SI1": (Si, 2), "SI2": (Si, 2),
+          "READY": (Ready, 1), "NEWSYMBOL": (NewSymbol, 1),
+          "CORRECTSYMBOL": (CorrectSymbol, 1)}
+
+
+@pytest.mark.parametrize("n,t", [(4, 1), (7, 2), (10, 3)])
+def test_honest_egress_stays_within_the_message_budget(n, t):
+    """Every honest node's egress per tag is at most cap x n x width, over
+    the acceptance grid cell's strategies, schedulers and input styles."""
+    sym = params_for_message_bits(n, t, 64).symbol_bits
+    mixed = {i: b"va-%02d" % n if i <= n // 2 else b"vb-%02d" % n
+             for i in range(1, n + 1)}
+    over = []
+    for adv, sched, inputs, seed in itertools.product(
+            ADVERSARIES, SCHEDULERS, (None, mixed), range(2)):
+        cfg = SimConfig(n=n, t=t, seed=seed, msg_len_bits=64, inputs=inputs,
+                        adversary=adv, scheduler=sched, abba_hint=seed % 2)
+        byz = cfg.byzantine_ids()
+        for node, row in run(cfg).metrics.egress_by_tag.items():
+            assert 1 <= node <= n and node not in byz
+            for tag, bits in row.items():
+                cls, cap = BUDGET.get(tag, (None, 0))
+                if bits > cap * n * _class_bits(cls, sym):
+                    over.append((adv, sched, inputs is None, seed, node, tag,
+                                 bits))
+    assert not over, over[:10]
