@@ -24,12 +24,9 @@ Validity contract.  Two interchangeable implementations are provided:
 from __future__ import annotations
 
 import hashlib
-import logging
 from typing import Optional
 
 from .messages import AbbaIn, AbbaOut, Aux, Decide, Est
-
-log = logging.getLogger(__name__)
 
 ORACLE_ID = 0
 

@@ -6,12 +6,10 @@ SYMBOL message carries the pair (value for the recipient, value for the
 sender) from the sender's own encoding.
 
 An object is a message only if its class is exactly one of these, by
-identity: that rule decides dispatch, tag, bit width and the simulator's
-side-channel test, and runs no code a sender defined.  Metric bit widths
-count protocol payload only: symbol-bearing messages cost ``symbol_bits``
-per symbol, indicator and READY messages cost one bit, the coin-based
-binary agreement messages a flat byte, and any other object, a subclass
-too, 0 bits.
+identity: that rule decides dispatch, tag and bit width, and runs no code
+a sender defined.  Metric bit widths count protocol payload only: symbol
+messages cost ``symbol_bits`` per symbol, indicator and READY messages
+one bit, coin-based agreement messages a byte, any other object 0 bits.
 """
 
 from __future__ import annotations
@@ -105,12 +103,10 @@ class AbbaOut(NamedTuple):
 
 
 def tag_of(msg) -> str:
-    """Spec-facing tag used in metrics and event logs: UNNAMED, a tag no
-    message class has, when the class's metaclass is not exactly ``type``."""
+    """Metric and event-log tag; UNNAMED unless the metaclass is ``type``."""
     cls = type(msg)
     if cls is Si:
-        # only the exact int 1 or 2 is a phase: a huge int cannot format
-        phase = msg.phase
+        phase = msg.phase       # only the exact int 1 or 2 names a phase
         return f"SI{phase}" if type(phase) is int and phase in (1, 2) else "SI"
     # a class's name may be a str subclass, whose own `upper` could raise
     return str.upper(cls.__name__) if type(cls) is type else "UNNAMED"
@@ -120,10 +116,8 @@ def payload_bits(msg, sym):
     """Accounted payload width of a message whose coded symbol is ``sym`` bits.
 
     ``sym`` is `CodeParams.symbol_bits` for the raw accounting, or the
-    fractional analytical width for the idealized one.  An ill-typed
-    object a Byzantine node may send, a `LeaderMessage` whose payload is
-    not exactly bytes or anything whose class is not exactly a message
-    class, counts 0 bits: honest nodes drop it.
+    fractional analytical width for the idealized one.  A `LeaderMessage`
+    whose payload is not exactly bytes counts 0 bits: honest nodes drop it.
     """
     cls = type(msg)
     if cls is Symbol:

@@ -133,8 +133,7 @@ class ProtocolBase:
             return sends
         cls = type(msg)         # only a `type` metaclass hashes by identity
         on = self._HANDLERS.get(cls) if type(cls) is type else None
-        if on is None:
-            log.debug("node %d: dropping a message from %d", self.node_id, frm)
+        if on is None:          # not a message this node takes: dropped
             return sends
         wake = on(self, frm, msg, sends)
         if wake:

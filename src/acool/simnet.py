@@ -27,7 +27,7 @@ import json
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
 from .aba import CoinAbba, CoinOracle, OracleAbba, OracleAdjudicator, ORACLE_ID
@@ -374,26 +374,30 @@ class RandomByzantine(Strategy):
         super().__init__(ctx)
         self.budget = 8 * ctx.n
 
-    # one maker per message kind, drawing its fields in argument order
-    _KINDS = (
-        lambda s, r: Symbol(r.randrange(3), (s._rand_elems(), s._rand_elems())),
-        lambda s, r: Si(r.randrange(3), r.randrange(1, 3), r.randrange(2)),
-        lambda s, r: Ready(r.randrange(2)),
-        lambda s, r: NewSymbol(s._rand_elems()),
-        lambda s, r: CorrectSymbol(s._rand_elems()),
-        lambda s, r: Est(r.randrange(3), r.randrange(2)),
-        lambda s, r: Aux(r.randrange(3), r.randrange(2)),
-        lambda s, r: Decide(r.randrange(2)),
-    )
-
     def _spray(self):
         rng = self.ctx.rng
         out = []
         for _ in range(min(2, self.budget)):
             self.budget -= 1
             dst = rng.randrange(1, self.ctx.n + 1)
-            make = self._KINDS[rng.randrange(len(self._KINDS))]
-            out.append((dst, make(self, rng)))
+            kind = rng.randrange(8)
+            if kind == 0:
+                msg = Symbol(rng.randrange(3), (self._rand_elems(), self._rand_elems()))
+            elif kind == 1:
+                msg = Si(rng.randrange(3), rng.randrange(1, 3), rng.randrange(2))
+            elif kind == 2:
+                msg = Ready(rng.randrange(2))
+            elif kind == 3:
+                msg = NewSymbol(self._rand_elems())
+            elif kind == 4:
+                msg = CorrectSymbol(self._rand_elems())
+            elif kind == 5:
+                msg = Est(rng.randrange(3), rng.randrange(2))
+            elif kind == 6:
+                msg = Aux(rng.randrange(3), rng.randrange(2))
+            else:
+                msg = Decide(rng.randrange(2))
+            out.append((dst, msg))
         return out
 
     def on_start(self, w):
@@ -605,9 +609,9 @@ def run(config: SimConfig) -> RunReport:
         elif i in strategies:
             enqueue(i, strategies[i].on_start(w))
 
-    # one delivery branch: honest ids' bound `handle`, Byzantine `on_deliver`
-    deliver = {i: node.handle for i, node in nodes.items()}
-    deliver.update((b, s.on_deliver) for b, s in strategies.items())
+    # one delivery branch: each id's actor and its `handle` or `on_deliver`
+    deliver = {i: (node, node.handle) for i, node in nodes.items()}
+    deliver.update((b, (s, s.on_deliver)) for b, s in strategies.items())
     live = sum(not node.terminated for node in nodes.values())
     delivered = suppressed = 0
     reason = "cap"
@@ -629,10 +633,10 @@ def run(config: SimConfig) -> RunReport:
                     enqueue(ORACLE_ID,
                             [(p, AbbaOut(decided)) for p in participants])
             continue
-        handle = deliver.get(dst)
-        if handle is None:
+        entry = deliver.get(dst)
+        if entry is None:
             continue
-        actor = handle.__self__
+        actor, handle = entry
         if actor.terminated:
             suppressed += 1
             continue
@@ -687,12 +691,20 @@ def _run_checks(config, nodes, inputs, reason) -> dict:
     consistency = len(set(outs)) <= 1
 
     honest_inputs = {inputs.get(i) for i in nodes}
-    expected = None                       # the output validity demands
+    validity = True
+    validity_applicable = False
+    expected = None
     if config.protocol == "rbc":
         if config.leader in nodes and inputs.get(config.leader):
+            validity_applicable = True
             expected = inputs[config.leader]
-    elif len(honest_inputs) == 1:
-        (expected,) = honest_inputs       # None: no honest node has input
+    elif len(honest_inputs) == 1 and None not in honest_inputs:
+        validity_applicable = True
+        (expected,) = honest_inputs
+    if validity_applicable:
+        validity = all(o == expected for o in outs)
+        if reason == "ok":
+            validity = validity and len(outs) == len(nodes)
 
     # unique agreement per instance: at most one input value among phase-2
     # successes, at most two among phase-1 successes
@@ -718,9 +730,8 @@ def _run_checks(config, nodes, inputs, reason) -> dict:
         "gamma1_at_most_2": gamma1,
         "totality": totality,
     }
-    if expected is not None:
-        checks["validity"] = (all(o == expected for o in outs) and (
-            reason != "ok" or len(outs) == len(nodes)))
+    if validity_applicable:
+        checks["validity"] = validity
     return checks
 
 
@@ -757,6 +768,8 @@ def sweep(base: SimConfig, cells, seeds: int = 3) -> list:
     totals and the ratio of measured bits to max(n*len, n*t*log q).
     Raises ValueError when ``seeds`` is below 1, which leaves no mean.
     """
+    from dataclasses import replace
+
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     rows = []

@@ -405,7 +405,8 @@ def _reference_bits(msg, sym):
 
 def _reference_tag(msg):
     if type(msg) is Si:
-        return f"SI{msg.phase}" if msg.phase in (1, 2) else "SI"
+        phase = msg.phase          # named only when the exact int 1 or 2
+        return f"SI{phase}" if type(phase) is int and phase in (1, 2) else "SI"
     return type(msg).__name__.upper()
 
 
@@ -419,12 +420,13 @@ class _SiCopy(Si):
 
 class _IllTypedBroadcaster(Strategy):
     """Broadcasts one ill-typed object to every node, then a second one,
-    then a `Symbol` subclass and an `Si` subclass."""
+    a `Symbol` subclass, an `Si` subclass and an `Si` whose phase is
+    True, equal to 1 but not the int 1."""
 
     def on_start(self, w):
         sends = []
         for msg in (object(), _Payload(), _SymbolCopy(1, ((0,), (0,))),
-                    _SiCopy(1, 1, 1)):
+                    _SiCopy(1, 1, 1), Si(0, True, 1)):
             sends += [(dst, msg) for dst in range(1, self.ctx.n + 1)]
         return sends
 
@@ -442,7 +444,8 @@ def _recount(cfg, pushes):
                                _reference_bits(msg, params.symbol_bits))
         if frm in byz and not cfg.count_byzantine_bits:
             continue
-        if type(msg) in (AbbaIn, AbbaOut) and not cfg.count_abba_bits:
+        abba = type(msg) is AbbaIn or type(msg) is AbbaOut
+        if abba and not cfg.count_abba_bits:
             continue
         by_tag[tag] = by_tag.get(tag, 0) + bits
         row = egress.setdefault(frm, {})
@@ -482,7 +485,7 @@ def test_accounting_equals_a_per_copy_recount(overrides, monkeypatch):
         assert 7 in egress
     if cfg.adversary == "crash_silent":
         assert egress[7] == {"OBJECT": 0, "_PAYLOAD": 0, "_SYMBOLCOPY": 0,
-                             "_SICOPY": 0}
+                             "_SICOPY": 0, "SI": 7}
     if cfg.count_abba_bits:
         assert "ABBAIN" in by_tag
 
