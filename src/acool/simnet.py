@@ -244,10 +244,9 @@ class _AdvCtx(NamedTuple):
 class Strategy:
     """Controls one Byzantine node's outbound traffic."""
 
-    terminated = False            # a Byzantine node never stops
-
     def __init__(self, ctx: _AdvCtx):
         self.ctx = ctx
+        self.terminated = False       # a Byzantine node never stops
 
     def on_start(self, w: Optional[bytes]):
         return []
