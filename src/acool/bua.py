@@ -13,13 +13,10 @@ reach a phase-1 success, and at most one can reach phase-2.
 
 from __future__ import annotations
 
-import logging
 from typing import Optional
 
 from .field_ecc import CodeParams, ecc_encode
 from .messages import Si, Symbol
-
-log = logging.getLogger(__name__)
 
 
 class Bua:
@@ -58,13 +55,8 @@ class Bua:
     # -- input and message handlers ------------------------------------
 
     def input(self, w: bytes, sends: list):
-        """Set the initial value; encodes and fans out one pair per node."""
-        if self.w is not None:
-            log.debug("duplicate input ignored")
-            return
-        if not w:
-            log.debug("empty input rejected")
-            return
+        """Set the initial value; encodes and fans out one pair per node.
+        The caller has checked it: a first input that is a message."""
         self.w = w
         self.own_shares = ecc_encode(self.params, w)
         inst = self.instance

@@ -25,7 +25,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 # Bits consumed by the length prefix that makes decoded output unambiguous.
 # `derive_params` is a pure function of its bit-length argument; callers that
@@ -141,8 +141,9 @@ class CodeParams:
         return {}
 
     def valid_message(self, message) -> bool:
-        """True when ``message`` is exact bytes that fit after framing."""
-        return (type(message) is bytes
+        """True when a node takes ``message``: exact bytes, not empty, that
+        fit after framing (the type first: a subclass's len could raise)."""
+        return (type(message) is bytes and 0 < len(message)
                 and LENGTH_PREFIX_BITS + 8 * len(message) <= self.capacity_bits)
 
     @cached_property
@@ -289,18 +290,16 @@ def encode_elements(params: CodeParams, data: Sequence[int]) -> list:
 def ecc_encode(params: CodeParams, message: bytes) -> tuple:
     """Encode a byte message into the tuple of its n rows (node j's is row j-1).
 
-    A ``bytes`` message is encoded once per `CodeParams`: each call returns
-    the same tuple of the same row objects, which the memo keeps alive (so
-    an id cannot pass to another object) and indexes by id for
-    `ecc_decode`.  Any other message type is encoded afresh on each call.
+    A message is encoded once per `CodeParams`: each call returns the same
+    tuple of the same row objects, which the memo keeps alive (so an id
+    cannot pass to another object) and indexes by id for
+    `CodeParams.valid_elems` and `OecAccumulator`.
     """
-    memoise = type(message) is bytes
-    rows = params.encodings.get(message) if memoise else None
+    rows = params.encodings.get(message)
     if rows is None:
         rows = tuple(encode_elements(params, pack_message(params, message)))
-        if memoise:
-            params.encodings[message] = rows
-            params.encoded_rows.update(dict.fromkeys(map(id, rows), (message, rows)))
+        params.encodings[message] = rows
+        params.encoded_rows.update(dict.fromkeys(map(id, rows), (message, rows)))
     return rows
 
 
@@ -579,8 +578,9 @@ class OecAccumulator:
     Each submission past the k + t threshold triggers a decode attempt.
     A decode is accepted only when the decoded message's codeword matches
     at least k + t of the stored shares (its support, see `ecc_decode`) and
-    any extra ``accept`` predicate passes; the adversary holds at most t
-    slots, so an accepted message is pinned down by >= k honest shares.
+    the message is one a node takes (`CodeParams.valid_message`), so never
+    the empty one; the adversary holds at most t slots, so an accepted
+    message is pinned down by >= k honest shares.
     An attempt over m shares corrects e = min((m - k) // 2, m - threshold)
     errors, as more could never pass the match check.
 
@@ -609,14 +609,12 @@ class OecAccumulator:
     Only an attempt that neither settles calls `ecc_decode`.
     """
 
-    __slots__ = ("params", "threshold", "accept", "shares", "decoded", "done",
+    __slots__ = ("params", "threshold", "shares", "decoded", "done",
                  "attempts", "hits", "candidate", "support", "agree")
 
-    def __init__(self, params: CodeParams,
-                 accept: Optional[Callable[[bytes], bool]] = None):
+    def __init__(self, params: CodeParams):
         self.params = params
         self.threshold = params.oec_threshold
-        self.accept = accept
         self.shares: dict = {}
         self.decoded: Optional[bytes] = None
         self.done = False
@@ -670,7 +668,7 @@ class OecAccumulator:
                 return None
             if len(support) < threshold:
                 return None
-        if self.accept is not None and not self.accept(message):
+        if not params.valid_message(message):
             return None
         self.decoded = message
         self.done = True

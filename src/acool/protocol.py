@@ -43,7 +43,6 @@ after every event would give.  All cross-node effects travel as returned
 
 from __future__ import annotations
 
-import logging
 from typing import Optional
 
 from .bua import Bua
@@ -51,8 +50,6 @@ from .field_ecc import CodeParams, OecAccumulator
 from .messages import (
     AbbaOut, Aux, CorrectSymbol, Decide, Est, NewSymbol, Ready, Si, Symbol,
 )
-
-log = logging.getLogger(__name__)
 
 
 class _Bottom:
@@ -115,13 +112,12 @@ class ProtocolBase:
     # -- lifecycle -------------------------------------------------------
 
     def input(self, w: bytes):
-        """Start the first instance on ``w``, then run every guard."""
+        """Start the first instance on ``w``, then run every guard; a second
+        input or one `CodeParams.valid_message` rejects is dropped."""
         sends: list = []
         first = next(iter(self.buas.values()))
-        if self.terminated or first.w is not None:
-            return sends
-        if not w:
-            log.debug("node %d: empty input ignored", self.node_id)
+        if (self.terminated or first.w is not None
+                or not self.params.valid_message(w)):
             return sends
         first.input(w, sends)
         self._pump(sends)

@@ -81,16 +81,17 @@ class RbcNode(RbaNode):
         super().__init__(node_id, params)
         self.leader = leader
         self.balanced = balanced
-        self.initial_acc = OecAccumulator(params, accept=lambda m: len(m) > 0)
+        self.initial_acc = OecAccumulator(params)
         self.accumulators = (self.initial_acc, self.oec_final)
         self.leader_seen = False
 
     handle = ProtocolBase.handle
 
     def input(self, w: bytes):
+        """Disperse ``w`` if this node leads and `CodeParams.valid_message`
+        takes it; any other input is dropped."""
         sends: list = []
-        if self.node_id != self.leader or not w:
-            log.debug("node %d: input rejected", self.node_id)
+        if self.node_id != self.leader or not self.params.valid_message(w):
             return sends
         if self.balanced:
             rows = ecc_encode(self.params, w)
@@ -119,9 +120,7 @@ class RbcNode(RbaNode):
     def _on_leader_message(self, frm: int, msg, sends) -> int:
         if not self.balanced and frm == self.leader and not self.leader_seen:
             self.leader_seen = True
-            # the type check comes first: a bytes subclass's len could raise
-            if self.params.valid_message(msg.payload) and msg.payload:
-                sends += ProtocolBase.input(self, msg.payload)
+            sends += ProtocolBase.input(self, msg.payload)
         return 0
 
     _HANDLERS = {

@@ -75,8 +75,9 @@ class SimConfig:
     fairness_window: Optional[int] = None
 
     def validate(self):
-        if self.n < 3 * self.t + 1:
-            raise ResilienceViolation(f"need n >= 3t+1, got n={self.n}, t={self.t}")
+        if self.t < 0 or self.n < 3 * self.t + 1:
+            raise ResilienceViolation(
+                f"need t >= 0 and n >= 3t+1, got n={self.n}, t={self.t}")
         if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.adversary != "none" and self.adversary not in ADVERSARIES:
@@ -96,6 +97,8 @@ class SimConfig:
             raise ValueError("leader outside 1..n")
         if self.fairness_window is not None and self.fairness_window < 0:
             raise ValueError("negative fairness window")
+        if self.event_cap < 0:
+            raise ValueError("negative event cap")
 
     def byzantine_ids(self) -> tuple:
         if self.byzantine is not None:
@@ -509,9 +512,16 @@ def _make_params(config: SimConfig) -> CodeParams:
 
 
 def run(config: SimConfig) -> RunReport:
-    """Execute one seeded run to termination, deadlock, or the event cap."""
+    """Execute one seeded run to termination, deadlock, or the event cap.
+
+    Raises ValueError, before any delivery, for a configured input that
+    `CodeParams.valid_message` rejects."""
     config.validate()
     params = _make_params(config)
+    inputs = config.effective_inputs()
+    for i, w in inputs.items():
+        if w is not None and not params.valid_message(w):
+            raise ValueError(f"node {i}: input must be non-empty bytes that fit")
     byz = frozenset(config.byzantine_ids())
     honest = [i for i in range(1, config.n + 1) if i not in byz]
     coin = CoinOracle(_subseed(config.seed, "coin"))
@@ -599,7 +609,6 @@ def run(config: SimConfig) -> RunReport:
         metrics.ideal_total_bits = ideal_total
 
     # feed inputs in id order to the code's n nodes; outsiders never input
-    inputs = config.effective_inputs()
     for i in range(1, params.n + 1):
         w = inputs.get(i)
         if i in nodes:

@@ -5,12 +5,15 @@ import random
 import pytest
 
 from acool.aba import OracleAbba, ORACLE_ID
-from acool.field_ecc import CodeParams, ecc_encode, params_for_message_bits
+from acool.field_ecc import (
+    CodeParams, OecAccumulator, ecc_encode, params_for_message_bits,
+)
 from acool.messages import (
-    AbbaIn, AbbaOut, CorrectSymbol, NewSymbol, Ready, Si, Symbol,
+    AbbaIn, AbbaOut, CorrectSymbol, NewSymbol, Ready, Shmdm, Si, Symbol,
 )
 from acool.protocol import BOTTOM, AcoolNode
 from acool.simnet import SimConfig, run, scenario_split_input
+from acool.small_t import SmallTOutsider
 
 P41 = params_for_message_bits(4, 1, 64)
 W = b"m1-value"
@@ -44,9 +47,43 @@ def test_duplicate_input_ignored():
 
 
 def test_empty_input_ignored():
+    """A node takes only non-empty exact bytes that fit after framing."""
+    too_long = bytes(P41.capacity_bits // 8)
+    for w in (b"", bytearray(W), too_long, None, 7):
+        node = fresh()
+        assert node.input(w) == []
+        assert node.bua1.w is None
+
+
+def test_rows_of_the_empty_message_are_never_accepted():
+    """The k + t memo rows of b"" decode to b"", which no accumulator
+    accepts.  Fed as NEWSYMBOLs, they once set the shared-input decoder
+    to b"", which `Bua.input` dropped, so `_second_input_guard` reported
+    a change on every pass and `handle` never returned.  Through
+    CORRECTSYMBOL in phase three and through SHMDM to a committee
+    outsider, no node terminates with b""."""
+    empty = rows_for(b"")
+    acc = OecAccumulator(P41)
+    for x in range(1, P41.oec_threshold + 1):
+        assert acc.submit(x, empty[x - 1]) is None
+    assert acc.attempts == 1 and acc.decoded is None and not acc.done
+
     node = fresh()
-    assert node.input(b"") == []
-    assert node.bua1.w is None
+    node.input(W)
+    for j in (2, 3):
+        node.handle(j, NewSymbol(empty[j - 1]))
+    assert node.oec_new.decoded is None and node.bua2.w is None
+
+    node = fresh()
+    node.v_out, node.calibrated = 1, True         # phase three, calibrated
+    for j in (2, 3, 4):
+        node.handle(j, CorrectSymbol(empty[j - 1]))
+    assert node.oec_final.decoded is None and not node.terminated
+
+    outsider = SmallTOutsider(7, P41)             # committee 1..4 for t = 1
+    for j in (1, 2, 3):
+        outsider.handle(j, Shmdm(empty[j - 1]))
+    assert outsider.oec_final.decoded is None and not outsider.terminated
 
 
 def test_malformed_symbols_that_fix_indicators_keep_their_sends():

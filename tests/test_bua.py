@@ -37,21 +37,6 @@ def test_input_fans_out_one_symbol_per_node():
         assert msg.pair == pair_for(P41, b"m1", 1, dst)
 
 
-def test_empty_input_rejected():
-    b = fresh()
-    sends = []
-    b.input(b"", sends)
-    assert sends == [] and b.w is None
-
-
-def test_duplicate_input_ignored():
-    b = fresh()
-    b.input(b"m1", [])
-    sends = []
-    b.input(b"zz", sends)
-    assert sends == [] and b.w == b"m1"
-
-
 def test_matching_symbols_set_phase1_one():
     b = fresh()
     b.input(b"m1", [])

@@ -28,6 +28,21 @@ def test_run_resilience_violation_exits_1(capsys):
     assert code == 1 and "3t+1" in err
 
 
+def test_negative_fault_bound_or_event_cap_exits_1(capsys):
+    """t = -1, given or derived from n = 0, and a negative event cap are
+    configuration errors, not a Byzantine count or a liveness failure."""
+    cases = (
+        (["--n", "4", "--t", "-1"], "need t >= 0 and n >= 3t+1, got n=4, t=-1"),
+        (["--n", "0"], "need t >= 0 and n >= 3t+1, got n=0, t=-1"),
+        (["--n", "4", "--event-cap", "-5"], "negative event cap"),
+    )
+    for args, message in cases:
+        code = main(["run"] + args)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_message_length_below_one_bit_exits_1(capsys):
     for length in ("0", "-5"):
         code = main(["run", "--n", "4", "--t", "1", "--len", length])

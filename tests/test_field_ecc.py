@@ -16,8 +16,8 @@ import pytest
 
 from acool import field_ecc
 from acool.field_ecc import (
-    CodeParams, DecodeFailure, MessageTooLong, OecAccumulator,
-    ResilienceViolation, _decode_chunk, _unframe,
+    LENGTH_PREFIX_BITS, CodeParams, DecodeFailure, MessageTooLong,
+    OecAccumulator, ResilienceViolation, _decode_chunk, _unframe,
     decode_elements, derive_params, ecc_decode, ecc_encode, encode_elements,
     pack_message, params_for_message_bits,
 )
@@ -461,7 +461,7 @@ def ref_matches(params, shares, data):
 
 def ref_oec(params, arrivals):
     """Accumulate-and-retry with acceptance by re-encoding; a share that
-    fails the share check is ignored.
+    fails the share check is ignored, and b"" is never accepted.
 
     Returns (message, arrival position of the accepting submit, attempts),
     with None for the first two when nothing is accepted.
@@ -482,7 +482,7 @@ def ref_oec(params, arrivals):
         except DecodeFailure:
             continue
         framed = pack_message(params, message)
-        if len(ref_matches(params, shares, framed)) >= threshold:
+        if message and len(ref_matches(params, shares, framed)) >= threshold:
             return message, pos, attempts
     return None, None, attempts
 
@@ -799,7 +799,8 @@ def audit(monkeypatch):
     The tallies must equal `memo_tallies`, and once an attempt is made the
     candidate must hold the most hits.  An attempt calls `ecc_decode`
     exactly once unless `settled_by` names what settles it, and then
-    never; a memo answer is the candidate, and a certificate a failure.
+    never; a memo answer is the candidate (None for b"", which is never
+    accepted), and a certificate a failure.
     Returns the list of ``(accumulator, settled_by, returned)`` that
     collects every attempt.
     """
@@ -819,8 +820,8 @@ def audit(monkeypatch):
             return got
         by = settled_by(acc)
         assert len(calls) - made == (by is None)
-        if by == "memo" and acc.accept is None:
-            assert got == acc.candidate[0]
+        if by == "memo":
+            assert got == (acc.candidate[0] or None)
         elif by == "certificate":
             assert got is None
         attempts.append((acc, by, got))
@@ -838,14 +839,14 @@ def audit(monkeypatch):
 def oec_reference(params, shares, threshold):
     """What an attempt over the shares of ``shares`` that pass
     `ref_valid_elems` returns by the full decoder on copies: its message
-    when at least ``threshold`` of them match it."""
+    when it is not empty and at least ``threshold`` of them match it."""
     shares = {x: s for x, s in shares.items() if ref_valid_elems(params, s)}
     m = len(shares)
     try:
         message, support = full_decode(params, shares, m - threshold)
     except DecodeFailure:
         return None
-    return message if len(support) >= threshold else None
+    return message if message and len(support) >= threshold else None
 
 
 @pytest.mark.parametrize("n,t,bits", [(7, 2, 64), (13, 4, 1024), (19, 6, 512),
@@ -981,6 +982,20 @@ def test_valid_elems_checks_an_equal_copy_of_a_memo_row_in_full():
     assert params.valid_elems(copy) and id(copy) not in params.encoded_rows
 
 
+class _RaisingBytes(bytes):
+    def __len__(self):
+        raise RuntimeError("len ran")
+
+
+def test_valid_message_takes_non_empty_exact_bytes_that_fit():
+    params = params_for_message_bits(7, 2, 64)
+    room = (params.capacity_bits - LENGTH_PREFIX_BITS) // 8
+    assert params.valid_message(b"x") and params.valid_message(bytes(room))
+    for message in (b"", bytes(room + 1), bytearray(b"x"), _RaisingBytes(b"x"),
+                    "x", None, 7):
+        assert not params.valid_message(message)
+
+
 def test_valid_elems_cache_never_hits_other_objects():
     params = params_for_message_bits(4, 1, 64)
     share = tuple([1] * params.chunks)
@@ -1046,9 +1061,10 @@ def first_attempt(monkeypatch, params, shares, threshold):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_recognised_decode_equals_full_decode(k, monkeypatch):
-    """An accumulator holding memo rows of one message alone accepts it
-    from its tallies, with no `ecc_decode` call, at any error radius; the
-    full decoder on copies gives the same message, every index matching."""
+    """An accumulator holding memo rows of one message alone settles it
+    from its tallies, with no `ecc_decode` call, at any error radius, and
+    accepts it unless it is b""; the full decoder on copies gives the same
+    message, every index matching."""
     rng = random.Random(k)
     t = 3 * k
     n = 3 * t + 1
@@ -1065,8 +1081,8 @@ def test_recognised_decode_equals_full_decode(k, monkeypatch):
                                                     max(0, m - k - t))))
                 assert full_decode(params, shares, e) == (msg, set(xs))
                 got = first_attempt(monkeypatch, params, shares, m - e)
-                assert got == (msg, 0)
-                assert oec_reference(params, shares, m - e) == msg
+                assert got == (msg or None, 0)
+                assert oec_reference(params, shares, m - e) == (msg or None)
 
 
 class _TupleSub(tuple):
@@ -1383,16 +1399,3 @@ def test_encode_memo_is_per_params_and_returns_the_same_rows(monkeypatch):
     assert got[p2.oec_threshold - 1] == b"memo"
     assert acc.hits == {} and decodes == [1]
 
-
-def test_bytearray_message_encodes_without_the_memo(monkeypatch):
-    params = params_for_message_bits(7, 2, 64)
-    shares = ecc_encode(params, bytearray(b"mutable"))
-    assert shares == ecc_encode(params, b"mutable")
-    assert list(params.encodings) == [b"mutable"]
-    assert len(params.encoded_rows) == params.n
-    assert not any(id(row) in params.encoded_rows for row in shares)
-    decodes = counting(monkeypatch, "ecc_decode")
-    acc = OecAccumulator(params)
-    got = [acc.submit(x, row) for x, row in enumerate(shares, 1)]
-    assert got[params.oec_threshold - 1] == b"mutable"
-    assert type(acc.decoded) is bytes and acc.hits == {} and decodes == [1]

@@ -1,12 +1,14 @@
 """Reliable agreement and leader broadcast tests."""
 
+import itertools
+
 import pytest
 
 from acool.field_ecc import ecc_encode, params_for_message_bits
 from acool.messages import Initial, Leader, LeaderMessage, Ready, Si, Symbol
 from acool.protocol import BOTTOM
 from acool.rba_rbc import RbaNode, RbcNode
-from acool.simnet import SimConfig, run
+from acool.simnet import ADVERSARIES, SCHEDULERS, SimConfig, run
 
 P72 = params_for_message_bits(7, 2, 64)
 W = b"w-value!"
@@ -103,6 +105,24 @@ def test_rba_ready_then_opposite_quorum_sets_quorum_collision():
     assert node.quorum_collision
 
 
+def test_quorum_collision_never_fires_in_a_run():
+    """Over criterion 7's RBA and RBC configs, no honest node sets
+    ``quorum_collision``, as it never can.  An honest node sends one
+    phase-2 SI bit, the same to every node.  The first honest READY for a
+    bit comes from an n-t phase-2 quorum for that bit, and READY
+    amplification at t+1 always includes an honest READY.  A quorum for
+    the other bit as well needs 2(n-t-f) distinct honest senders among
+    the n-f honest nodes, f <= t the Byzantine count; so n <= 2t + f <=
+    3t, against n >= 3t + 1.  The scripted test above feeds one node
+    such a second quorum by hand."""
+    for adv, sched, seed in itertools.product(ADVERSARIES, SCHEDULERS, range(2)):
+        for protocol, leader in (("rba", 1), ("rbc", 1), ("rbc", 7)):
+            rep = run(SimConfig(n=7, t=2, seed=seed, msg_len_bits=64,
+                                protocol=protocol, leader=leader,
+                                adversary=adv, scheduler=sched))
+            assert rep.flags["quorum_collisions"] == 0, (adv, sched, seed)
+
+
 def test_rba_fault_free_all_output_within_flat_rounds():
     for seed in range(5):
         rep = run(SimConfig(n=7, t=2, seed=seed, msg_len_bits=64,
@@ -155,8 +175,12 @@ def test_rbc_non_leader_input_rejected():
 
 
 def test_rbc_empty_input_rejected():
-    node = RbcNode(1, P72, leader=1)
-    assert node.input(b"") == []
+    """The leader disperses only non-empty exact bytes that fit."""
+    too_long = bytes(P72.capacity_bits // 8)
+    for balanced in (True, False):
+        node = RbcNode(1, P72, leader=1, balanced=balanced)
+        for w in (b"", bytearray(W), too_long):
+            assert node.input(w) == []
 
 
 def test_rbc_follower_echoes_leader_share():

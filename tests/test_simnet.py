@@ -7,6 +7,7 @@ import math
 import random
 import weakref
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +24,7 @@ from acool.simnet import (
     ADVERSARIES, SCHEDULERS, SimConfig, Strategy, _AdvCtx, _Queue, run,
     scenario_split_input, sweep,
 )
+from acool.small_t import committee_size
 
 
 def test_identical_config_replays_byte_identically():
@@ -52,6 +54,31 @@ def test_seeds_change_schedules_not_outcomes():
 def test_resilience_rejected():
     with pytest.raises(ResilienceViolation):
         run(SimConfig(n=3, t=1))
+    for n in (4, 0):
+        with pytest.raises(ResilienceViolation, match="t >= 0"):
+            run(SimConfig(n=n, t=-1))
+
+
+def test_negative_event_cap_rejected():
+    with pytest.raises(ValueError, match="negative event cap"):
+        run(SimConfig(n=4, t=1, event_cap=-5))
+
+
+def test_run_rejects_an_input_that_fails_the_message_rule(monkeypatch):
+    """`run` checks every configured input, a Byzantine id's too, before
+    any message is queued: a bytearray, b"" and an input too long to
+    frame raise a `ValueError` that names the node."""
+    def queued(*args):
+        raise AssertionError("a message was queued")
+
+    monkeypatch.setattr(_Queue, "push", queued)
+    cfg = SimConfig(n=4, t=1, msg_len_bits=64, adversary="garbage_shares")
+    too_long = bytes(simnet._make_params(cfg).capacity_bits // 8)
+    w = cfg.default_message()
+    for node, bad in ((1, bytearray(w)), (2, b""), (4, too_long)):
+        inputs = {**dict.fromkeys(range(1, 5), w), node: bad}
+        with pytest.raises(ValueError, match=f"node {node}: input"):
+            run(replace(cfg, inputs=inputs))
 
 
 def test_unknown_names_rejected():
@@ -627,17 +654,55 @@ def test_decode_heavy_runs_leave_no_reference_cycles():
 
 # Per-destination caps on an honest node's sends, by tag, as (class, cap):
 # one SYMBOL and one SI per phase for each of the two unique-agreement
-# instances, and one READY, NEWSYMBOL and CORRECTSYMBOL per node.
+# instances, and one READY, NEWSYMBOL and CORRECTSYMBOL per node.  RBA and
+# RBC run one instance and no shared-input decode.
 BUDGET = {"SYMBOL": (Symbol, 2), "SI1": (Si, 2), "SI2": (Si, 2),
           "READY": (Ready, 1), "NEWSYMBOL": (NewSymbol, 1),
           "CORRECTSYMBOL": (CorrectSymbol, 1)}
+RBA_BUDGET = {"SYMBOL": (Symbol, 1), "SI1": (Si, 1), "SI2": (Si, 1),
+              "READY": (Ready, 1), "CORRECTSYMBOL": (CorrectSymbol, 1)}
+
+
+def _budget(cfg, node, sym):
+    """tag -> the most bits honest ``node`` may send in a run of ``cfg``.
+
+    A committee member keeps `BUDGET` over the 3t+1 members and sends one
+    SHMDM to each outsider.  In balanced RBC every node echoes one
+    INITIAL to each node and the leader sends each one LEADER share; an
+    unbalanced leader sends each one LEADERMESSAGE of its payload.
+    """
+    n = committee_size(cfg.t) if cfg.protocol == "small_t" else cfg.n
+    budget = RBA_BUDGET if cfg.protocol in ("rba", "rbc") else BUDGET
+    caps = {tag: cap * n * _class_bits(cls, sym)
+            for tag, (cls, cap) in budget.items()}
+    if cfg.protocol == "small_t":
+        caps["SHMDM"] = (cfg.n - n) * sym
+    elif cfg.protocol == "rbc" and cfg.balanced:
+        caps["INITIAL"] = n * sym
+        if node == cfg.leader:
+            caps["LEADER"] = n * sym
+    elif cfg.protocol == "rbc" and node == cfg.leader:
+        caps["LEADERMESSAGE"] = n * 8 * len(cfg.effective_inputs()[node])
+    return caps
+
+
+def _over_budget(cfg):
+    """The ``(node, tag, bits)`` of a run's honest egress above `_budget`."""
+    sym = simnet._make_params(cfg).symbol_bits
+    byz = cfg.byzantine_ids()
+    over = []
+    for node, row in run(cfg).metrics.egress_by_tag.items():
+        assert 1 <= node <= cfg.n and node not in byz
+        caps = _budget(cfg, node, sym)
+        over += [(node, tag, bits) for tag, bits in row.items()
+                 if bits > caps.get(tag, 0)]
+    return over
 
 
 @pytest.mark.parametrize("n,t", [(4, 1), (7, 2), (10, 3)])
 def test_honest_egress_stays_within_the_message_budget(n, t):
     """Every honest node's egress per tag is at most cap x n x width, over
     the acceptance grid cell's strategies, schedulers and input styles."""
-    sym = params_for_message_bits(n, t, 64).symbol_bits
     mixed = {i: b"va-%02d" % n if i <= n // 2 else b"vb-%02d" % n
              for i in range(1, n + 1)}
     over = []
@@ -645,12 +710,30 @@ def test_honest_egress_stays_within_the_message_budget(n, t):
             ADVERSARIES, SCHEDULERS, (None, mixed), range(2)):
         cfg = SimConfig(n=n, t=t, seed=seed, msg_len_bits=64, inputs=inputs,
                         adversary=adv, scheduler=sched, abba_hint=seed % 2)
-        byz = cfg.byzantine_ids()
-        for node, row in run(cfg).metrics.egress_by_tag.items():
-            assert 1 <= node <= n and node not in byz
-            for tag, bits in row.items():
-                cls, cap = BUDGET.get(tag, (None, 0))
-                if bits > cap * n * _class_bits(cls, sym):
-                    over.append((adv, sched, inputs is None, seed, node, tag,
-                                 bits))
+        over += [(adv, sched, inputs is None, seed, *row)
+                 for row in _over_budget(cfg)]
+    assert not over, over[:10]
+
+
+PROTOCOL_KINDS = {"rba": {"protocol": "rba"}, "rbc": {"protocol": "rbc"},
+                  "rbc-unbalanced": {"protocol": "rbc", "balanced": False},
+                  "small_t": {"protocol": "small_t"}}
+
+
+@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize("kind", sorted(PROTOCOL_KINDS))
+def test_other_protocols_stay_within_the_message_budget(kind, t):
+    """The budget of RBA, of RBC in both dispersal modes with leader 1 and
+    with leader n (Byzantine under every adversary but none), and of the
+    committee at n = 3(3t+1), over every strategy, scheduler and seeds
+    0-1.  The per-round caps of coin agreement are not checked: the
+    report does not carry the round count."""
+    n = 3 * committee_size(t) if kind == "small_t" else 3 * t + 1
+    leaders = (1, n) if kind.startswith("rbc") else (1,)
+    over = []
+    for adv, sched, seed, leader in itertools.product(
+            ADVERSARIES, SCHEDULERS, range(2), leaders):
+        cfg = SimConfig(n=n, t=t, seed=seed, msg_len_bits=64, leader=leader,
+                        adversary=adv, scheduler=sched, **PROTOCOL_KINDS[kind])
+        over += [(adv, sched, seed, leader, *row) for row in _over_budget(cfg)]
     assert not over, over[:10]
