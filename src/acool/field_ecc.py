@@ -82,7 +82,7 @@ class CodeParams:
     q: int
     chunks: int
 
-    @property
+    @cached_property
     def elem_payload_bits(self) -> int:
         """Usable data bits per field element: floor(log2 q)."""
         return self.q.bit_length() - 1
@@ -92,7 +92,7 @@ class CodeParams:
         """Metric width of one share: chunks * ceil(log2 q)."""
         return self.chunks * (self.q - 1).bit_length()
 
-    @property
+    @cached_property
     def capacity_bits(self) -> int:
         return self.k * self.chunks * self.elem_payload_bits
 

@@ -26,7 +26,6 @@ import hashlib
 import json
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
@@ -89,6 +88,8 @@ class SimConfig:
         if type(self.abba_hint) is not int or self.abba_hint not in (0, 1):
             raise ValueError(f"abba_hint must be 0 or 1, got {self.abba_hint!r}")
         byz = self.byzantine_ids()
+        if byz and self.adversary == "none":
+            raise ValueError("Byzantine ids need an adversary")
         if len(byz) > self.t:
             raise ValueError("more Byzantine nodes than the fault bound")
         if any(i < 1 or i > self.n for i in byz):
@@ -149,10 +150,13 @@ class _Queue:
     A pending delivery is an int handle, its push index ``h``; per-run
     lists indexed by handle hold its event (``None`` once delivered,
     which drops the payload), its slot in ``ids`` and, under the
-    adversary policy, its slot in ``pref_ids`` or -1.  A swap-remove
-    updates the slot of the handle it moves.  ``age`` holds every handle
-    in push order and skips delivered ones lazily at both ends: aging
-    reads its left end, a LIFO pick its right end.  No pending delivery
+    adversary policy, its slot in ``pref_ids`` or -1.  `push` extends
+    each list once per send list; a swap-remove updates the slot of the
+    handle it moves.  Aging needs no structure of its own: ``head``
+    never passes the oldest pending handle, and no pending event ages up
+    to step ``due``, so only a pop past ``due`` scans on from ``head``.
+    The lifo policy alone keeps ``stack``, every handle in push order,
+    and skips delivered ones at its right end.  No pending delivery
     keeps a container alive beyond its event tuple.
 
     A random pick draws its index the way ``rng.randrange(len)`` does,
@@ -171,37 +175,49 @@ class _Queue:
         self.events: list = []               # handle -> event, or None
         self.slot: list = []                 # handle -> index in ids
         self.pslot: list = []                # handle -> index in pref_ids or -1
-        self.age: deque = deque()
+        self.head = 0                        # no pending handle lies before it
+        self.due = -1                        # no event ages up to this step
+        self.stack: list = []                # every handle, lifo policy only
         self.ids: list = []                  # every pending handle
         self.pref_ids: list = []             # non-victim targets, adversary policy
 
-    def push(self, step: int, frm: int, dst: int, msg, rnd: int, tag: str,
-             bits: int):
-        events, ids = self.events, self.ids
-        h = len(events)
-        events.append((step, frm, dst, msg, rnd, tag, bits))
-        self.slot.append(len(ids))
-        ids.append(h)
-        self.age.append(h)
-        if self.adversary:
-            if dst in self.victims:
-                self.pslot.append(-1)
-            else:
-                self.pslot.append(len(self.pref_ids))
-                self.pref_ids.append(h)
+    def push(self, batch: list):
+        """Queue a batch of ``(step, frm, dst, msg, rnd, tag, bits)`` events."""
+        h, i, k = len(self.events), len(self.ids), len(batch)
+        hs = list(range(h, h + k))
+        self.events += batch
+        self.slot += range(i, i + k)
+        self.ids += hs
+        if self.lifo:
+            self.stack += hs
+        elif self.adversary:
+            victims, pslot, pref = self.victims, self.pslot, self.pref_ids
+            for h, event in zip(hs, batch):
+                if event[2] in victims:
+                    pslot.append(-1)
+                else:
+                    pslot.append(len(pref))
+                    pref.append(h)
+
+    def _age(self) -> int:
+        """Move ``head`` to the oldest pending handle; the new ``due``."""
+        events, h = self.events, self.head
+        while events[h] is None:
+            h += 1
+        self.head = h
+        self.due = due = events[h][0] + self.window
+        return due
 
     def pop(self, step: int) -> tuple:
-        events, age, ids = self.events, self.age, self.ids
-        # aging: anything past the fairness window is delivered first
-        while events[age[0]] is None:
-            age.popleft()
-        h = age[0]
-        if step - events[h][0] > self.window:
-            age.popleft()
+        events, ids = self.events, self.ids
+        if step > self.due and step > self._age():
+            # aging: anything past the fairness window is delivered first
+            h = self.head
         elif self.lifo and self.rng.random() < 0.9:
-            h = age.pop()
+            stack = self.stack
+            h = stack.pop()
             while events[h] is None:
-                h = age.pop()
+                h = stack.pop()
         else:
             pick = self.pref_ids if self.adversary and self.pref_ids else ids
             n = len(pick)
@@ -563,7 +579,7 @@ def run(config: SimConfig) -> RunReport:
     queue = _Queue(random.Random(_subseed(config.seed, "sched")),
                    config.scheduler, frozenset(targets), config.window())
     metrics = Metrics()
-    depth = {i: 0 for i in range(0, config.n + 1)}
+    depth = [0] * (config.n + 1)             # id -> causal round; the oracle is 0
     event_log: list = []
     step = 0
 
@@ -578,17 +594,17 @@ def run(config: SimConfig) -> RunReport:
         rnd = depth[frm] + 1
         counted_frm = (frm in nodes or frm == ORACLE_ID
                        or (frm in byz and config.count_byzantine_bits))
-        push = queue.push
+        batch = []
         egress = None                # this sender's row, made on its first count
         ideal_total = metrics.ideal_total_bits
         last = object()              # never a sent message, not even None
-        copies = 0                   # counted copies of ``last`` so far
+        counted = False
         for dst, msg in sends:
             if msg is not last:
                 # a broadcast lists one object n times: account each run once
-                if copies:
-                    egress[tag] = egress.get(tag, 0) + copies * bits
-                    copies = 0
+                if counted:
+                    egress[tag] = egress.get(tag, 0) + (len(batch) - first) * bits
+                first = len(batch)       # batch index of the run's first copy
                 last = msg
                 tag = tag_of(msg)
                 bits = payload_bits(msg, sym_bits)
@@ -599,14 +615,14 @@ def run(config: SimConfig) -> RunReport:
                     ideal = payload_bits(msg, ideal_cb)
                     if egress is None:
                         egress = metrics.egress_by_tag.setdefault(frm, {})
-            push(step, frm, dst, msg, rnd, tag, bits)
+            batch.append((step, frm, dst, msg, rnd, tag, bits))
             if counted:
-                copies += 1
                 # per copy: a float product can differ from repeated sums
                 ideal_total += ideal
-        if copies:
-            egress[tag] = egress.get(tag, 0) + copies * bits
+        if counted:
+            egress[tag] = egress.get(tag, 0) + (len(batch) - first) * bits
         metrics.ideal_total_bits = ideal_total
+        queue.push(batch)
 
     # feed inputs in id order to the code's n nodes; outsiders never input
     for i in range(1, params.n + 1):
@@ -621,28 +637,26 @@ def run(config: SimConfig) -> RunReport:
     deliver = {i: (node, node.handle) for i, node in nodes.items()}
     deliver.update((b, (s, s.on_deliver)) for b, s in strategies.items())
     live = sum(not node.terminated for node in nodes.values())
-    delivered = suppressed = 0
+    oracle_inputs = suppressed = 0      # the event log counts the rest
+    # the last live node's termination ends the loop; with none, it never starts
+    cap = config.event_cap if live else 0
     reason = "cap"
-    while step < config.event_cap:
-        if not live:
-            reason = "ok"
-            break
+    while step < cap:
         if not queue.ids:
             reason = "deadlock"
             break
         enq_step, frm, dst, msg, rnd, tag, bits = queue.pop(step)
         step += 1
-        if dst == ORACLE_ID:
-            if adjudicator is not None and type(msg) is AbbaIn:
+        entry = deliver.get(dst)
+        if entry is None:
+            if (dst == ORACLE_ID and adjudicator is not None
+                    and type(msg) is AbbaIn):
                 depth[ORACLE_ID] = max(depth[ORACLE_ID], rnd)
                 decided = adjudicator.on_input(frm, msg.bit)
-                delivered += 1
+                oracle_inputs += 1
                 if decided is not None:
                     enqueue(ORACLE_ID,
                             [(p, AbbaOut(decided)) for p in participants])
-            continue
-        entry = deliver.get(dst)
-        if entry is None:
             continue
         actor, handle = entry
         if actor.terminated:
@@ -651,15 +665,17 @@ def run(config: SimConfig) -> RunReport:
         if rnd > depth[dst]:
             depth[dst] = rnd
         sends = handle(frm, msg)
-        delivered += 1
         event_log.extend((step, frm, dst, tag, bits, rnd))
         if sends:
             enqueue(dst, sends)
         if actor.terminated:
             live -= 1
-    metrics.events_delivered, metrics.events_suppressed = delivered, suppressed
+            if not live:
+                break
     if not live:
         reason = "ok"
+    metrics.events_delivered = len(event_log) // 6 + oracle_inputs
+    metrics.events_suppressed = suppressed
 
     for row in metrics.egress_by_tag.values():
         for tag, bits in row.items():

@@ -1,5 +1,6 @@
 """Simulator harness tests: determinism, fairness, accounting, config."""
 
+import collections
 import gc
 import itertools
 import json
@@ -12,6 +13,7 @@ from dataclasses import replace
 import pytest
 
 from acool import field_ecc, simnet
+from acool.aba import OracleAdjudicator
 from acool.field_ecc import (
     CodeParams, DecodeFailure, OecAccumulator, ResilienceViolation,
     params_for_message_bits,
@@ -20,6 +22,7 @@ from acool.messages import (
     AbbaIn, AbbaOut, Aux, CorrectSymbol, Decide, Est, Initial, Leader,
     LeaderMessage, NewSymbol, Ready, Shmdm, Si, Symbol,
 )
+from acool.protocol import AcoolNode
 from acool.simnet import (
     ADVERSARIES, SCHEDULERS, SimConfig, Strategy, _AdvCtx, _Queue, run,
     scenario_split_input, sweep,
@@ -107,6 +110,13 @@ def test_byzantine_bound_enforced():
         run(SimConfig(n=4, t=1, adversary="crash_silent", byzantine=(5,)))
     with pytest.raises(ValueError, match="leader outside 1..n"):
         run(SimConfig(n=4, t=1, protocol="rbc", leader=5))
+
+
+def test_byzantine_ids_need_an_adversary():
+    # without one there is no strategy to drive them
+    with pytest.raises(ValueError, match="Byzantine ids need an adversary"):
+        run(SimConfig(n=4, t=1, msg_len_bits=64, byzantine=(4,)))
+    assert run(SimConfig(n=4, t=1, msg_len_bits=64, byzantine=())).ok
 
 
 def test_event_cap_reported():
@@ -322,20 +332,29 @@ class RefQueue:
         return self._remove(self.ids[self.rng.randrange(len(self.ids))])
 
 
-@pytest.mark.parametrize("policy", SCHEDULERS)
-def test_queue_picks_draw_the_randrange_stream(policy):
-    """Same pushes and pops: same deliveries and generator state as randrange."""
+@pytest.mark.parametrize("policy, window", [
+    pytest.param(policy, window,
+                 id=policy if window == 40 else f"{policy}-window{window}")
+    for policy in SCHEDULERS for window in (40, 0, 1)])
+def test_queue_picks_draw_the_randrange_stream(policy, window):
+    """Same pushes and pops: same deliveries and generator state as randrange.
+
+    The queue grows, so from step ``window`` on nearly every pop ages:
+    window 0 ages every pop and window 1 all but the first.  At window
+    40 the first 40 pops pick by policy under a ``due`` bound that the
+    picks can leave stale."""
     drive = random.Random(policy)
-    queue = _Queue(random.Random(5), policy, frozenset({1, 2}), 40)
-    ref = RefQueue(random.Random(5), policy, frozenset({1, 2}), 40)
+    queue = _Queue(random.Random(5), policy, frozenset({1, 2}), window)
+    ref = RefQueue(random.Random(5), policy, frozenset({1, 2}), window)
     step = 0
     for _ in range(3000):
         if drive.random() < 0.55 or not ref:
             # one message to a random run of destinations, as a broadcast
-            for dst in range(1, drive.randrange(1, 8)):
-                args = (step, drive.randrange(8), dst, ("m", step), 1, "T", 1)
-                queue.push(*args)
-                ref.push(*args)
+            batch = [(step, drive.randrange(8), dst, ("m", step), 1, "T", 1)
+                     for dst in range(1, drive.randrange(1, 8))]
+            queue.push(batch)
+            for event in batch:
+                ref.push(*event)
         else:
             step += 1
             assert queue.pop(step) == ref.pop(step)
@@ -366,16 +385,16 @@ class _IndexOne:
 
 @pytest.mark.parametrize("policy", SCHEDULERS)
 def test_queue_drops_delivered_payloads(policy):
-    """A delivered message is not kept alive while its record waits in the
-    aging queue behind an older pending one."""
+    """A delivered message is not kept alive while its handle's slot stays
+    in the queue's lists behind an older pending one."""
     queue = _Queue(_IndexOne(), policy, frozenset(), 10 ** 9)
     oldest = _Payload()
-    queue.push(0, 1, 1, oldest, 1, "T", 1)
+    queue.push([(0, 1, 1, oldest, 1, "T", 1)])
     refs = []
     for step in range(200):
         msg = _Payload()
         refs.append(weakref.ref(msg))
-        queue.push(step, 1, 2, msg, 1, "T", 1)
+        queue.push([(step, 1, 2, msg, 1, "T", 1)])
     del msg
     for step in range(200):
         queue.pop(step)
@@ -396,7 +415,7 @@ def test_pending_delivery_keeps_one_tracked_object(policy):
         before = len(gc.get_objects())
         step = 0
         for i in range(2000):
-            queue.push(step, 1, 1 + i % 7, msgs[i % 7], 1, "T", 1)
+            queue.push([(step, 1, 1 + i % 7, msgs[i % 7], 1, "T", 1)])
             if i % 2:
                 step += 1
                 queue.pop(step)
@@ -406,6 +425,91 @@ def test_pending_delivery_keeps_one_tracked_object(policy):
             gc.enable()
     assert len(queue.ids) == 1000
     assert grown <= len(queue.ids) + 20
+
+
+@pytest.mark.parametrize("policy", SCHEDULERS)
+def test_queue_keeps_the_tracer_contract(policy, monkeypatch):
+    """perfbench's tracer wraps `push` and `pop` where `_Queue`'s class body
+    defines them, and reads ``pop(step)[0]`` as the step the event was
+    queued at to get its wait; a run's pops must yield those waits."""
+    assert {"push", "pop"} <= set(vars(_Queue))
+    push, pop = vars(_Queue)["push"], vars(_Queue)["pop"]
+    queued, waits = collections.Counter(), []
+
+    def key(event):
+        return event[1], event[2], id(event[3]), event[4]
+
+    def pushing(self, batch):
+        # the run's step is the number of pops so far
+        queued.update((len(waits), key(event)) for event in batch)
+        push(self, batch)
+
+    def popping(self, step):
+        event = pop(self, step)
+        assert queued[event[0], key(event)] > 0
+        queued[event[0], key(event)] -= 1
+        waits.append(step - event[0])
+        return event
+
+    monkeypatch.setattr(_Queue, "push", pushing)
+    monkeypatch.setattr(_Queue, "pop", popping)
+    rep = run(SimConfig(n=4, t=1, seed=2, msg_len_bits=64, scheduler=policy,
+                        adversary="garbage_shares"))
+    assert rep.ok and waits and min(waits) >= 0
+
+
+_ENDINGS = {
+    "ok": dict(n=7, t=2, seed=3, adversary="equivocate_symbols"),
+    "cap": dict(n=7, t=2, seed=3, event_cap=300),
+    # two inputs of four: no quorum ever forms
+    "deadlock": dict(n=4, t=1, seed=0, adversary="split_input_builder",
+                     inputs=dict.fromkeys((1, 2), bytes(range(1, 9)))),
+}
+
+
+@pytest.mark.parametrize("reason", _ENDINGS)
+@pytest.mark.parametrize("abba", ["oracle", "coin"])
+def test_delivery_counts_agree_with_a_recount(abba, reason, monkeypatch):
+    """`events_delivered` is the logged rows plus the oracle's AbbaIn
+    deliveries; both counts agree with a recount that wraps `handle`: a
+    pop to a Byzantine id is always delivered, one to an honest id is
+    delivered when it reaches `handle` and suppressed otherwise."""
+    cfg = SimConfig(msg_len_bits=64, abba=abba, **_ENDINGS[reason])
+    byz = set(cfg.byzantine_ids())
+    popped, handled, oracle_inputs = [], [], []
+    pop, handle = _Queue.pop, AcoolNode.handle
+    on_input = OracleAdjudicator.on_input
+
+    def popping(self, step):
+        event = pop(self, step)
+        popped.append(event[2])
+        return event
+
+    def handling(self, frm, msg):
+        if self.node_id not in byz:        # not a Byzantine replica
+            handled.append(self.node_id)
+        return handle(self, frm, msg)
+
+    def adjudicating(self, frm, bit):
+        oracle_inputs.append(frm)
+        return on_input(self, frm, bit)
+
+    monkeypatch.setattr(_Queue, "pop", popping)
+    monkeypatch.setattr(AcoolNode, "handle", handling)
+    monkeypatch.setattr(OracleAdjudicator, "on_input", adjudicating)
+    rep = run(cfg)
+    assert rep.reason == reason
+    metrics = rep.metrics
+    assert metrics.events_delivered == (len(rep.event_log) // 6
+                                        + len(oracle_inputs))
+    to_byz = sum(dst in byz for dst in popped)
+    to_honest = sum(1 <= dst <= cfg.n and dst not in byz for dst in popped)
+    assert metrics.events_delivered == (len(handled) + to_byz
+                                        + len(oracle_inputs))
+    assert metrics.events_suppressed == to_honest - len(handled)
+    assert (len(oracle_inputs) > 0) == (abba == "oracle")
+    if reason == "ok":
+        assert metrics.events_suppressed > 0
 
 
 # README "Message accounting", per exact message class: the coded symbols
@@ -496,9 +600,10 @@ def test_accounting_equals_a_per_copy_recount(overrides, monkeypatch):
     pushes = []
     push = _Queue.push
 
-    def recorded(self, step, frm, dst, msg, rnd, tag, bits):
-        pushes.append((frm, msg, tag, bits))
-        push(self, step, frm, dst, msg, rnd, tag, bits)
+    def recorded(self, batch):
+        pushes.extend((frm, msg, tag, bits)
+                      for step, frm, dst, msg, rnd, tag, bits in batch)
+        push(self, batch)
 
     monkeypatch.setattr(_Queue, "push", recorded)
     cfg = SimConfig(n=7, t=2, seed=4, msg_len_bits=64, **overrides)
