@@ -24,8 +24,7 @@ from typing import Callable, List, Optional, Tuple
 
 from .field_ecc import (
     CodeParams, DecodeFailure, OecAccumulator, decode_elements,
-    derive_params, ecc_encode, encode_elements, pack_message,
-    params_for_message_bits,
+    ecc_encode, encode_elements, pack_message, params_for_message_bits,
 )
 from .simnet import (
     ADVERSARIES, SCHEDULERS, SimConfig, run, scenario_split_input, sweep,
@@ -303,7 +302,7 @@ def crit7_rba_rbc(quick: bool, workers: int):
         bad += not ok
 
     ell = 1024
-    params = derive_params(n, t, ell + 32)
+    params = params_for_message_bits(n, t, ell)
     balanced = run(SimConfig(n=n, t=t, seed=9, msg_len_bits=ell,
                              protocol="rbc"))
     unbalanced = run(SimConfig(n=n, t=t, seed=9, msg_len_bits=ell,

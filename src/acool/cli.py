@@ -164,7 +164,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 1
     try:
         return args.func(args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
 

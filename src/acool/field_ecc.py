@@ -11,10 +11,9 @@ share map through `decode_elements` and `_decode_chunk`, and
 `OecAccumulator` is the accumulate-and-retry loop of the agreement
 protocols; it tallies its shares against the encode memo as they come,
 so an attempt the memo settles, accepted or failed, makes no decode.
-Encoding and the clean decode path pack one lane per chunk
-into one int (Kronecker substitution, see `CodeParams.lane_code`).
-Lagrange interpolation only fits chunks on an index set known to be
-clean (`_fit`); the key-equation fold does every correction.
+Encoding packs one lane per chunk into one int (Kronecker
+substitution, see `CodeParams.lane_code`); the key-equation fold
+corrects every chunk of a decode.
 """
 
 from __future__ import annotations
@@ -148,11 +147,11 @@ class CodeParams:
 
     @cached_property
     def lane_code(self) -> str:
-        """`array` typecode of one lane of the packed codec arithmetic.
+        """`array` typecode of one lane of the packed encoder arithmetic.
 
-        A lane holds one chunk's value while the codec sums k products of
-        two field elements, so it must hold k*(q-1)^2; the narrowest
-        machine width that does is used.
+        Only encoding uses lanes.  A lane holds one chunk's value while
+        `encode_elements` sums k products of two field elements, so it must
+        hold k*(q-1)^2; the narrowest machine width that does is used.
         """
         bits = (self.k * (self.q - 1) ** 2).bit_length()
         for code in "BHIQ":
@@ -238,53 +237,33 @@ def _unframe(params: CodeParams, elems: Sequence[int]) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _pack(params: CodeParams, values: Sequence[int]) -> int:
-    """One int holding ``values[c]`` in lane c; values lie in [0, q)."""
-    code = params.lane_code
-    return int.from_bytes(array(code, values).tobytes(), sys.byteorder)
-
-
-def _unpack(params: CodeParams, packed: int, lanes: int) -> list:
-    """Inverse of `_pack` for a non-negative sum of ``lanes`` lanes, each
-    lane reduced mod q."""
-    code, q = params.lane_code, params.q
-    raw = packed.to_bytes(lanes * array(code).itemsize, sys.byteorder)
-    return [v % q for v in array(code, raw)]
-
-
-def _evaluate(params: CodeParams, coeffs: Sequence[int], xs: Sequence[int],
-              lanes: int) -> list:
-    """Evaluate ``lanes`` packed polynomials at each x in ``xs``.
-
-    ``coeffs[d]`` packs the degree-d coefficient of each lane's polynomial
-    (see `_pack`).  Each lane sums k products below q^2, so it stays under
-    k*(q-1)^2, which the lane width holds without carrying into its
-    neighbour.
-    """
-    code, q, powers = params.lane_code, params.q, params.powers
-    nbytes = lanes * array(code).itemsize
-    rows = []
-    for x in xs:
-        acc = 0
-        for w, c in zip(powers[x - 1], coeffs):
-            acc += w * c
-        raw = acc.to_bytes(nbytes, sys.byteorder)
-        rows.append(tuple([v % q for v in array(code, raw)]))
-    return rows
-
-
 def encode_elements(params: CodeParams, data: Sequence[int]) -> list:
     """Evaluate each chunk's polynomial at x = 1..n.
 
     ``data`` holds k*chunks elements; chunk c uses data[c*k:(c+1)*k] as
     coefficients in ascending power order.  Returns one elems-tuple per
     node, indexable as result[j-1] for node j.
+
+    All chunks are evaluated at once: ``coeffs[d]`` is one int holding
+    chunk c's degree-d coefficient in lane c.  Each lane sums k products
+    below q^2, so it stays under k*(q-1)^2, which the lane width
+    (`CodeParams.lane_code`) holds without carrying into its neighbour.
     """
     k, chunks = params.k, params.chunks
     if len(data) != k * chunks:
         raise ValueError(f"expected {k * chunks} data elements, got {len(data)}")
-    coeffs = [_pack(params, data[d::k]) for d in range(k)]
-    return _evaluate(params, coeffs, range(1, params.n + 1), params.chunks)
+    code, q = params.lane_code, params.q
+    coeffs = [int.from_bytes(array(code, data[d::k]).tobytes(), sys.byteorder)
+              for d in range(k)]
+    nbytes = chunks * array(code).itemsize
+    rows = []
+    for xpowers in params.powers:
+        acc = 0
+        for w, c in zip(xpowers, coeffs):
+            acc += w * c
+        raw = acc.to_bytes(nbytes, sys.byteorder)
+        rows.append(tuple([v % q for v in array(code, raw)]))
+    return rows
 
 
 def ecc_encode(params: CodeParams, message: bytes) -> tuple:
@@ -301,38 +280,6 @@ def ecc_encode(params: CodeParams, message: bytes) -> tuple:
         params.encodings[message] = rows
         params.encoded_rows.update(dict.fromkeys(map(id, rows), (message, rows)))
     return rows
-
-
-def _lagrange(xs: Sequence[int], q: int) -> tuple:
-    """Lagrange numerators and weights of ``xs``.
-
-    Returns ``(columns, weights)``: columns[d][i] is the degree-d
-    coefficient of the numerator prod (x - xj) / (x - xs[i]), and
-    weights[i] the inverse of its value at xs[i].  The i-th Lagrange
-    polynomial, 1 at xs[i] and 0 at every other point, is weights[i]
-    times the i-th numerator.  The synthetic divisions of prod (x - xj)
-    run side by side, one coefficient of all of them at a time.
-    """
-    m = len(xs)
-    g0 = [1] + [0] * m
-    for i, xi in enumerate(xs, 1):       # g0 *= (x - xi)
-        for d in range(i, 0, -1):
-            g0[d] = (g0[d - 1] - xi * g0[d]) % q
-        g0[0] = -xi * g0[0] % q
-    columns = [None] * m
-    col = [0] * m
-    for d in range(m, 0, -1):
-        gd = g0[d]
-        col = [(gd + x * c) % q for x, c in zip(xs, col)]
-        columns[d - 1] = col
-    weights = []
-    for xi in xs:
-        den = 1
-        for xj in xs:
-            if xj != xi:
-                den *= xi - xj
-        weights.append(pow(den % q, -1, q))
-    return columns, weights
 
 
 def _poly_eval(coeffs: Sequence[int], x: int, q: int) -> int:
@@ -457,44 +404,6 @@ def _decode_chunk(xs: Sequence[int], ys: Sequence[int], k: int, q: int,
     return p, agree
 
 
-def _fit(params: CodeParams, shares: Mapping[int, Sequence[int]],
-         seed: Sequence[int], chunks: Sequence[int], coeffs: list) -> list:
-    """Try ``seed``, known clean for some chunk, on every chunk in ``chunks``.
-
-    One Lagrange interpolation on the first k seed indices fits all those
-    chunks at once, and each candidate is checked at every seed index.
-    Each candidate is written to ``coeffs`` (coeffs[d][c] is the degree-d
-    coefficient of chunk c); the chunks whose candidate fails are returned
-    in order.
-    """
-    if not chunks:
-        return []
-    k, q, lanes = params.k, params.q, len(chunks)
-    whole = lanes == params.chunks
-    ys = [_pack(params, [shares[x][c] % q for c in chunks]) for x in seed[:k]]
-    columns, weights = _lagrange(seed[:k], q)
-    fitted = []                  # fitted[d][j]: degree-d coefficient of chunks[j]
-    for d, col in enumerate(columns):
-        acc = 0
-        for c, w, y in zip(col, weights, ys):
-            acc += c * w % q * y
-        fitted.append(_unpack(params, acc, lanes))
-        if whole:
-            coeffs[d] = fitted[d]
-        else:
-            for c, v in zip(chunks, fitted[d]):
-                coeffs[d][c] = v
-    rows = _evaluate(params, [_pack(params, c) for c in fitted], seed, lanes)
-    failed = set()
-    for x, row in zip(seed, rows):
-        share = shares[x]
-        if not whole:
-            share = tuple([share[c] for c in chunks])
-        if row != share:
-            failed.update(j for j, (a, b) in enumerate(zip(row, share)) if a != b)
-    return [chunks[j] for j in sorted(failed)]
-
-
 def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
                     max_errors: Optional[int] = None) -> tuple:
     """Per-chunk error correction over a share map {index: elems}.
@@ -502,42 +411,27 @@ def decode_elements(params: CodeParams, shares: Mapping[int, Sequence[int]],
     Returns ``(data, support)``: the k*chunks decoded elements and the
     indices whose share equals the decoded codeword on every chunk.
 
-    A Byzantine sender normally corrupts a whole share, so the lead chunk
-    (`CodeParams.lead_chunk`, the first that holds a message bit) is
-    corrected first and the indices it finds consistent ("clean") seed
-    every chunk at once (see `_fit`).  The lead chunk goes first because
-    the chunks before it hold only the length prefix, on which two
-    messages of one length agree: a map that mixes them fails there, not
-    after every chunk is fitted.  A chunk that fails is corrected in
-    full, and the indices that agree with its codeword, at least m - e of
-    them, seed the chunks still failing; only those that fail again are
-    corrected in full, and so on.  Each chunk's result is exact: a
-    candidate that matches m - e or more shares lies within the radius,
-    so it is the unique codeword there that full correction would return,
-    whatever the order of the chunks.  A share element outside [0, q)
-    never matches, so it counts as an error in its chunk.  The support is
-    the clean indices that every chunk's codeword matches.  Every full
-    correction folds the key equation (see `_decode_chunk`).
+    Each chunk is corrected on its own by `_decode_chunk`, so its result
+    is the unique codeword within the radius, whatever the order of the
+    chunks.  The lead chunk (`CodeParams.lead_chunk`, the first that
+    holds a message bit) goes first, then the others in index order: the
+    chunks before it hold only the length prefix, on which two messages
+    of one length agree, so a map that mixes them fails on the first
+    fold.  A share element outside [0, q) never matches, so it counts as
+    an error in its chunk.  The support is the intersection of every
+    chunk's agreeing indices.
     """
     xs = sorted(shares)
     if not xs or xs[0] < 1 or xs[-1] > params.n:
         raise DecodeFailure("share indices outside 1..n")
     k, q, lead = params.k, params.q, params.lead_chunk
-    _, seed = _decode_chunk(xs, [shares[x][lead] for x in xs], k, q,
-                            max_errors)
-    support = set(seed)
-    coeffs = [None] * k          # coeffs[d][c]: degree-d coefficient of chunk c
-    failing = _fit(params, shares, seed, range(params.chunks), coeffs)
-    while failing:
-        c = failing[0]
-        p, seed = _decode_chunk(xs, [shares[x][c] for x in xs], k, q,
-                                max_errors)
-        for d in range(k):
-            coeffs[d][c] = p[d]
-        support.intersection_update(seed)
-        failing = _fit(params, shares, seed, failing[1:], coeffs)
-    data = [coeffs[d][c] for c in range(params.chunks) for d in range(k)]
-    return data, support
+    coeffs = [None] * params.chunks       # coeffs[c]: chunk c's polynomial
+    support = set(xs)
+    for c in [lead, *range(lead), *range(lead + 1, params.chunks)]:
+        coeffs[c], agree = _decode_chunk(xs, [shares[x][c] for x in xs], k, q,
+                                         max_errors)
+        support.intersection_update(agree)
+    return [e for p in coeffs for e in p], support
 
 
 def ecc_decode(params: CodeParams, shares: Mapping[int, Sequence[int]],

@@ -87,6 +87,10 @@ class SimConfig:
             raise ValueError(f"unknown abba kind {self.abba!r}")
         if type(self.abba_hint) is not int or self.abba_hint not in (0, 1):
             raise ValueError(f"abba_hint must be 0 or 1, got {self.abba_hint!r}")
+        if self.byzantine is not None:
+            ids = tuple(self.byzantine)
+            if any(type(i) is not int for i in ids) or len(set(ids)) < len(ids):
+                raise ValueError(f"Byzantine ids must be distinct ints, got {ids!r}")
         byz = self.byzantine_ids()
         if byz and self.adversary == "none":
             raise ValueError("Byzantine ids need an adversary")

@@ -77,6 +77,17 @@ def test_out_writes_report_and_log(tmp_path, capsys):
         "report.json", "report.json.ndjson"]
 
 
+def test_unwritable_out_path_exits_1(tmp_path, capsys):
+    """A path that cannot be written is an error line, not a traceback."""
+    missing = tmp_path / "no" / "such" / "dir"
+    for command in (["run"], ["sweep", "--n-list", "4", "--seeds", "1"]):
+        code = main(command + ["--n", "4", "--len", "64",
+                               "--out", str(missing / "x.json")])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and "x.json" in err
+    assert not (tmp_path / "no").exists()
+
+
 def test_scenario_keeps_count_byzantine_bits(capsys):
     args = ["--n", "7", "--t", "2", "--len", "64", "--count-byzantine-bits"]
     for extra in ([], ["--scenario", "split-input"]):

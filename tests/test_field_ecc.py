@@ -422,15 +422,10 @@ def ref_lead_chunk(params):
     return min(first // params.k, params.chunks - 1)
 
 
-def ref_decode_elements(params, shares, max_errors=None, corrections=None):
+def ref_decode_elements(params, shares, max_errors=None):
     """Correct the lead chunk, then one interpolation per other chunk on
-    its clean indices, else correction.
-
-    Appends one entry to ``corrections`` per `ref_decode_chunk` call.
-    """
+    its clean indices, else correction."""
     def decode_chunk(ys):
-        if corrections is not None:
-            corrections.append(1)
         return ref_decode_chunk(xs, ys, k, q, max_errors)
 
     xs = sorted(shares)
@@ -572,40 +567,25 @@ def corrupted_share_sets(rng, params, data):
 @pytest.mark.parametrize("params", GEOMETRIES,
                          ids=lambda p: f"k{p.k}-c{p.chunks}-q{p.q}")
 def test_codec_matches_reference(params, monkeypatch):
-    corrections = []
-    decode_chunk = field_ecc._decode_chunk
-
-    def counted(*args):
-        corrections.append(1)
-        return decode_chunk(*args)
-
-    monkeypatch.setattr(field_ecc, "_decode_chunk", counted)
+    corrections = counting(monkeypatch, "_decode_chunk")
     rng = random.Random(params.k * 1000 + params.chunks * 10 + params.q)
-    fallbacks = reseeded = 0
+    decoded = 0
     for _ in range(3):
         data = [rng.randrange(params.q) for _ in range(params.k * params.chunks)]
         rows = ref_encode_elements(params, data)
         assert encode_elements(params, data) == rows
         for shares, max_errors in corrupted_share_sets(rng, params, data):
             del corrections[:]
-            ref_corrections = []
             got = decode_outcome(decode_elements, params, shares, max_errors)
-            want = decode_outcome(
-                lambda *args: ref_decode_elements(*args, ref_corrections),
-                params, shares, max_errors)
+            want = decode_outcome(ref_decode_elements, params, shares, max_errors)
             if want is DecodeFailure:
                 assert got is DecodeFailure
                 continue
             assert got == (want, ref_matches(params, shares, want))
-            assert len(corrections) <= len(ref_corrections)
-            fallbacks += len(corrections) > 1
-            reseeded += len(corrections) < len(ref_corrections)
-    if params.k > 1 and params.chunks > 1:
-        assert fallbacks > 0     # some chunks went to full correction
-    if params.chunks > 2:
-        # some chunk that failed the lead chunk's clean set passed on the
-        # indices another chunk's full correction found, without its own
-        assert reseeded > 0
+            # every successful decode folds each chunk exactly once
+            assert len(corrections) == params.chunks
+            decoded += 1
+    assert decoded > 0
 
 
 @pytest.mark.parametrize("n,k", [(31, 3), (13, 1), (49, 5)])
@@ -1243,13 +1223,20 @@ def test_same_length_messages_fail_on_the_lead_chunk(n, t, bits, monkeypatch):
     Copies of their rows, mixed with garbage whose lead element is
     neither's and fed by arrival as an accumulator sees them, hold no
     memo row, so the full decoder answers: every attempt that fails does
-    so on the lead chunk, before `_fit` compares any chunk.  The memo
+    so on the lead chunk, the first and only chunk it folds.  The memo
     rows themselves give the same outcomes in an accumulator, some
     failures certified with no `ecc_decode` call."""
     params = params_for_message_bits(n, t, bits)
     q, lead, threshold = params.q, params.lead_chunk, params.oec_threshold
     rng = random.Random(n + t)
-    fits = counting(monkeypatch, "_fit")
+    folded = []                  # the ys of each `_decode_chunk` call
+    decode_chunk = field_ecc._decode_chunk
+
+    def recorded(xs, ys, *args):
+        folded.append(list(ys))
+        return decode_chunk(xs, ys, *args)
+
+    monkeypatch.setattr(field_ecc, "_decode_chunk", recorded)
     lead_failures = certified = 0
     for trial in range(6):
         msg = bytes(rng.randrange(256) for _ in range(bits // 16))
@@ -1269,10 +1256,10 @@ def test_same_length_messages_fail_on_the_lead_chunk(n, t, bits, monkeypatch):
                 arrivals.append((x, (first if x in camp else second)[x - 1]))
         for m in range(threshold, n + 1):
             shares = dict(arrivals[:m])
-            fitted = len(fits)
+            del folded[:]
             expect = decode_outcome(full_decode, params, shares, m - threshold)
             if expect is DecodeFailure:
-                assert len(fits) == fitted
+                assert folded == [[shares[x][lead] for x in sorted(shares)]]
                 lead_failures += 1
             got, calls = first_attempt(monkeypatch, params, shares, threshold)
             assert got == oec_reference(params, shares, threshold)

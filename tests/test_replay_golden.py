@@ -249,9 +249,9 @@ def test_byzantine_leader_decode_failures_stop_at_the_lead_chunk(monkeypatch):
     prefix.  Every honest share here is a memo row of one of the two, so
     every attempt that fails in this run is certified on the lead chunk
     by the accumulator's memo tallies, with no `ecc_decode` call.  When
-    chunk 0 went first, all 58 failing `decode_elements` calls reached
-    `_fit`; `test_same_length_messages_fail_on_the_lead_chunk` keeps that
-    order covered on copies."""
+    chunk 0 went first, all 58 failing `decode_elements` calls got
+    past their first chunk; `test_same_length_messages_fail_on_the_lead_chunk`
+    keeps the lead-first order covered on copies."""
     from acool import field_ecc
 
     decode_elements, ecc_decode = field_ecc.decode_elements, field_ecc.ecc_decode

@@ -112,6 +112,16 @@ def test_byzantine_bound_enforced():
         run(SimConfig(n=4, t=1, protocol="rbc", leader=5))
 
 
+@pytest.mark.parametrize("t,byzantine", [(2, (7, 7)), (1, (4, 4)), (1, (True,)),
+                                         (1, (4.0,)), (1, ("4",))])
+def test_byzantine_ids_must_be_distinct_ints(t, byzantine):
+    # a repeated id would be reported twice and count twice against t,
+    # and a bool or float id would reach the report as given
+    with pytest.raises(ValueError, match="Byzantine ids must be distinct ints"):
+        run(SimConfig(n=7, t=t, msg_len_bits=64, adversary="crash_silent",
+                      byzantine=byzantine))
+
+
 def test_byzantine_ids_need_an_adversary():
     # without one there is no strategy to drive them
     with pytest.raises(ValueError, match="Byzantine ids need an adversary"):
