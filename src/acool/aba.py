@@ -58,28 +58,33 @@ class OracleAdjudicator:
     applied as proposals arrive: decides the hint as soon as any
     participant proposes it; decides the unanimous bit once all
     participants have proposed and none matched the hint.  Ignores inputs
-    from outside the participant set.
+    from outside the participant set.  The simulator delivers to it as
+    to any node, at id `ORACLE_ID`; it never terminates.
     """
 
+    terminated = False
+
     def __init__(self, participants, hint: int = 0):
-        self.participants = frozenset(participants)
+        self.participants = tuple(participants)
         self.hint = hint
         self.inputs: dict = {}
         self.decided: Optional[int] = None
 
-    def on_input(self, frm: int, bit: int) -> Optional[int]:
-        """Record one proposal; returns the decision the first time it fixes."""
-        if self.decided is not None or frm not in self.participants:
-            return None
-        if frm in self.inputs:
-            return None
-        self.inputs[frm] = bit
+    def on_input(self, frm: int, msg):
+        """Record one `AbbaIn` proposal; the first time the decision fixes,
+        send it to every participant, in participant order."""
+        if (type(msg) is not AbbaIn or self.decided is not None
+                or frm not in self.participants or frm in self.inputs):
+            return []
+        bit = self.inputs[frm] = msg.bit
         if bit == self.hint:
             self.decided = self.hint
         elif len(self.inputs) == len(self.participants):
             # hint never proposed: inputs are unanimous on the other bit
             self.decided = bit
-        return self.decided
+        else:
+            return []
+        return [(p, AbbaOut(self.decided)) for p in self.participants]
 
 
 class CoinOracle:

@@ -88,11 +88,10 @@ class ProtocolBase:
     A handler appends its sends and returns the guards it can newly fire
     as a bit set, 0 for none; `handle` pumps only on a nonzero wake.  A
     guard takes ``(self, sends)`` and returns True on a state change.
-    After a run the simulator reads ``buas``, ``accumulators``, ``abba``
-    (set on binary-agreement participants) and the flag below.
+    After a run the simulator reads ``buas``, ``accumulators`` and
+    ``abba`` (set on binary-agreement participants).
     """
 
-    quorum_collision = False      # both READY quorums reached n-t
     skip_brba = False             # bypass the READY stage
     abba = None                   # the binary-agreement handle, if any
 

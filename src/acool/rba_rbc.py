@@ -15,14 +15,10 @@ way the leader's message, once known, is the node's agreement input.
 
 from __future__ import annotations
 
-import logging
-
 from .bua import Bua
 from .field_ecc import CodeParams, OecAccumulator, ecc_encode
 from .messages import Initial, Leader, LeaderMessage, Ready, Si
 from .protocol import _ABBA_INPUT, ProtocolBase
-
-log = logging.getLogger(__name__)
 
 
 class RbaNode(ProtocolBase):
@@ -50,21 +46,12 @@ class RbaNode(ProtocolBase):
         return wake
 
     def _quorum_ready_guard(self, sends) -> bool:
-        """First phase-2 indicator set reaching n-t fires READY for its bit.
-
-        A set reaching n-t after READY amplification sent the other bit
-        sets ``quorum_collision``: t+1 honest peers reported that bit.
-        """
-        n, t = self.params.n, self.params.t
-        sets = {1: self.bua.S1p2, 0: self.bua.S0p2}
+        """First phase-2 indicator set reaching n-t fires READY for its bit."""
         if self.ready_sent is not None:
-            other = 1 - self.ready_sent
-            if len(sets[other]) >= n - t and not self.quorum_collision:
-                self.quorum_collision = True
-                log.debug("node %d: second quorum also reached n-t", self.node_id)
             return False
-        for b in (1, 0):
-            if len(sets[b]) >= n - t:
+        need = self.params.n - self.params.t
+        for b, got in ((1, self.bua.S1p2), (0, self.bua.S0p2)):
+            if len(got) >= need:
                 self.ready_sent = b
                 self._broadcast(Ready(b), sends)
                 return True

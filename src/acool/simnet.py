@@ -74,6 +74,11 @@ class SimConfig:
     fairness_window: Optional[int] = None
 
     def validate(self):
+        window = () if self.fairness_window is None else ("fairness_window",)
+        for name in ("n", "t", "msg_len_bits", "leader", "event_cap", *window):
+            value = getattr(self, name)
+            if type(value) is not int:    # True and 7.0 would pass as ints
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.t < 0 or self.n < 3 * self.t + 1:
             raise ResilienceViolation(
                 f"need t >= 0 and n >= 3t+1, got n={self.n}, t={self.t}")
@@ -87,7 +92,14 @@ class SimConfig:
             raise ValueError(f"unknown abba kind {self.abba!r}")
         if type(self.abba_hint) is not int or self.abba_hint not in (0, 1):
             raise ValueError(f"abba_hint must be 0 or 1, got {self.abba_hint!r}")
+        if self.inputs is not None:
+            for i in self.inputs:
+                if type(i) is not int or not 1 <= i <= self.n:
+                    raise ValueError(f"inputs key {i!r} is not a node id in 1..n")
         if self.byzantine is not None:
+            if type(self.byzantine) not in (tuple, list):
+                raise ValueError(
+                    f"byzantine must be a tuple or list, got {self.byzantine!r}")
             ids = tuple(self.byzantine)
             if any(type(i) is not int for i in ids) or len(set(ids)) < len(ids):
                 raise ValueError(f"Byzantine ids must be distinct ints, got {ids!r}")
@@ -485,7 +497,6 @@ class RunReport:
     checks: dict
     metrics: Metrics
     event_log: list                  # flat: six fields per delivery
-    flags: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -497,9 +508,7 @@ class RunReport:
             "reason": self.reason,
             "outputs": {str(k): v for k, v in sorted(self.outputs.items())},
             "checks": dict(sorted(self.checks.items())),
-            "flags": dict(sorted(self.flags.items())),
             "metrics": self.metrics.to_dict(),
-            "events": len(self.event_log) // 6,
         }
 
     def to_json(self) -> str:
@@ -577,8 +586,6 @@ def run(config: SimConfig) -> RunReport:
 
     # the binary-agreement members: honest nodes that run the composition
     participants = [i for i, node in nodes.items() if node.abba is not None]
-    adjudicator = (OracleAdjudicator(participants, config.abba_hint)
-                   if config.abba == "oracle" else None)
 
     queue = _Queue(random.Random(_subseed(config.seed, "sched")),
                    config.scheduler, frozenset(targets), config.window())
@@ -637,11 +644,15 @@ def run(config: SimConfig) -> RunReport:
         elif i in strategies:
             enqueue(i, strategies[i].on_start(w))
 
-    # one delivery branch: each id's actor and its `handle` or `on_deliver`
+    # one delivery branch: each id's actor and its `handle`, `on_deliver`
+    # or, for the oracle, `on_input`
     deliver = {i: (node, node.handle) for i, node in nodes.items()}
     deliver.update((b, (s, s.on_deliver)) for b, s in strategies.items())
+    if config.abba == "oracle":
+        adjudicator = OracleAdjudicator(participants, config.abba_hint)
+        deliver[ORACLE_ID] = (adjudicator, adjudicator.on_input)
     live = sum(not node.terminated for node in nodes.values())
-    oracle_inputs = suppressed = 0      # the event log counts the rest
+    suppressed = 0                      # the event log counts the rest
     # the last live node's termination ends the loop; with none, it never starts
     cap = config.event_cap if live else 0
     reason = "cap"
@@ -652,15 +663,7 @@ def run(config: SimConfig) -> RunReport:
         enq_step, frm, dst, msg, rnd, tag, bits = queue.pop(step)
         step += 1
         entry = deliver.get(dst)
-        if entry is None:
-            if (dst == ORACLE_ID and adjudicator is not None
-                    and type(msg) is AbbaIn):
-                depth[ORACLE_ID] = max(depth[ORACLE_ID], rnd)
-                decided = adjudicator.on_input(frm, msg.bit)
-                oracle_inputs += 1
-                if decided is not None:
-                    enqueue(ORACLE_ID,
-                            [(p, AbbaOut(decided)) for p in participants])
+        if entry is None:           # id 0 without the oracle: no actor
             continue
         actor, handle = entry
         if actor.terminated:
@@ -678,7 +681,7 @@ def run(config: SimConfig) -> RunReport:
                 break
     if not live:
         reason = "ok"
-    metrics.events_delivered = len(event_log) // 6 + oracle_inputs
+    metrics.events_delivered = len(event_log) // 6
     metrics.events_suppressed = suppressed
 
     for row in metrics.egress_by_tag.values():
@@ -688,9 +691,8 @@ def run(config: SimConfig) -> RunReport:
     # suppressed deliveries never touch depth: it froze at termination
     metrics.max_causal_round = max(
         (depth[i] for i, node in nodes.items() if node.terminated), default=0)
-    members = nodes.values()
     metrics.abba_instances = len(participants)
-    metrics.decode_attempts = sum(acc.attempts for node in members
+    metrics.decode_attempts = sum(acc.attempts for node in nodes.values()
                                   for acc in node.accumulators)
 
     outputs = {}
@@ -703,10 +705,8 @@ def run(config: SimConfig) -> RunReport:
         }
 
     checks = _run_checks(config, nodes, inputs, reason)
-    flags = {"quorum_collisions": sum(node.quorum_collision
-                                      for node in members)}
     return RunReport(config.to_dict(), reason, outputs, checks, metrics,
-                     event_log, flags)
+                     event_log)
 
 
 def _run_checks(config, nodes, inputs, reason) -> dict:

@@ -16,14 +16,10 @@ matching markers, which guarantees at least one honest witness.
 
 from __future__ import annotations
 
-import logging
-
 from .field_ecc import CodeParams, ecc_encode
 from .field_ecc import encode_elements  # noqa: F401 -- a perfbench tracer test pins this name
 from .messages import Shmdm
 from .protocol import BOTTOM, AcoolNode, ProtocolBase
-
-log = logging.getLogger(__name__)
 
 
 def committee_size(t: int) -> int:
@@ -72,8 +68,7 @@ class SmallTNode(AcoolNode):
 class SmallTOutsider(ProtocolBase):
     """A node outside the committee: it only decodes the committee's dispersal.
 
-    Its input is ignored (with a warning): only committee inputs reach
-    the agreement.
+    Its input is dropped: only committee inputs reach the agreement.
     """
 
     def __init__(self, node_id: int, params: CodeParams):
@@ -82,7 +77,6 @@ class SmallTOutsider(ProtocolBase):
         self.bottom_votes: set = set()
 
     def input(self, w: bytes):
-        log.warning("node %d outside committee: input ignored", self.node_id)
         return []
 
     def _on_shmdm(self, frm: int, msg, sends) -> int:

@@ -31,16 +31,25 @@ def test_decision_rule_batch_form():
         oracle_abba_decide({}, 0)
 
 
-def test_adjudicator_matches_batch_rule():
-    import itertools
+def _decided(adj, frm, bit):
+    """Deliver one proposal; the decision it sends, or None."""
+    sends = adj.on_input(frm, AbbaIn(bit))
+    if not sends:
+        return None
+    (decision,) = {msg for _, msg in sends}
+    assert [p for p, _ in sends] == list(adj.participants)
+    assert type(decision) is AbbaOut
+    return decision.bit
 
+
+def test_adjudicator_matches_batch_rule():
     for bits in itertools.product((0, 1), repeat=3):
         for hint in (0, 1):
             inputs = {i + 1: bits[i] for i in range(3)}
             adj = OracleAdjudicator([1, 2, 3], hint=hint)
             decided = None
             for i in sorted(inputs):
-                got = adj.on_input(i, inputs[i])
+                got = _decided(adj, i, inputs[i])
                 if got is not None:
                     decided = got
             assert decided == oracle_abba_decide(inputs, hint)
@@ -48,28 +57,36 @@ def test_adjudicator_matches_batch_rule():
 
 def test_oracle_unanimous_one_beats_hint():
     adj = OracleAdjudicator([1, 2, 3], hint=0)
-    assert adj.on_input(1, 1) is None
-    assert adj.on_input(2, 1) is None
-    assert adj.on_input(3, 1) == 1
+    assert _decided(adj, 1, 1) is None
+    assert _decided(adj, 2, 1) is None
+    assert _decided(adj, 3, 1) == 1
+    assert adj.on_input(2, AbbaIn(0)) == []     # decided: sends once
 
 
 def test_oracle_hint_wins_when_proposed():
     adj = OracleAdjudicator([1, 2, 3], hint=0)
-    assert adj.on_input(1, 1) is None
-    assert adj.on_input(2, 0) == 0
+    assert _decided(adj, 1, 1) is None
+    assert _decided(adj, 2, 0) == 0
 
 
 def test_oracle_hint_never_proposed():
     adj = OracleAdjudicator([1], hint=1)
-    assert adj.on_input(1, 0) == 0
+    assert _decided(adj, 1, 0) == 0
 
 
 def test_oracle_ignores_outsiders_and_duplicates():
     adj = OracleAdjudicator([1, 2], hint=0)
-    assert adj.on_input(9, 0) is None and not adj.inputs
-    adj.on_input(1, 1)
-    adj.on_input(1, 0)
+    assert _decided(adj, 9, 0) is None and not adj.inputs
+    _decided(adj, 1, 1)
+    _decided(adj, 1, 0)
     assert adj.inputs == {1: 1}
+
+
+@pytest.mark.parametrize("msg", [AbbaOut(0), Est(0, 0), (0,), 0, None])
+def test_oracle_takes_only_abba_in(msg):
+    adj = OracleAdjudicator([1], hint=0)
+    assert adj.on_input(1, msg) == [] and not adj.inputs
+    assert not adj.terminated
 
 
 def test_oracle_handle_requires_oracle_sender():

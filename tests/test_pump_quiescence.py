@@ -101,7 +101,7 @@ def _small_t():
 
 def _rb_state(node):
     return (node.bua.w, node.ready_sent, node.v_out, node.calibrated,
-            node.terminated, node.quorum_collision)
+            node.terminated)
 
 
 def _rb_runs():

@@ -106,99 +106,99 @@ CASES = _cases()
 
 DIGESTS = {
     "acool-crash_silent-adversary":
-        "e71cdbb3e8f73f8a8ce2fdcb01358d72043b2867aecadcac15eb6ac7bc7cdffd",
+        "0b7217f2230a819c8aab08c8f8e94ff48e3689dec6aae654781493bcd7d44b88",
     "acool-crash_silent-lifo":
-        "d73230496890d56f19349b1c5f92cf05ce400cf66fda7b115cd5dbf7a89e1a2f",
+        "a244eb3d2b74ce1ded082dada904611b7d213f03ca082c3305a10baee8998fe6",
     "acool-crash_silent-uniform":
-        "a328d07264ddabf35d1fd9fdef018e4ad9d9467fd52bffefa2b572438446e076",
+        "95bc0a0b3fbfd834b63ebc59a4d794609077764824abeeb74186d18995b9f560",
     "acool-equivocate_symbols-adversary":
-        "e845ea0c1c4fd7971bcc844146f656f6e6a2aae272fa93dbc247aa627ef4e3c0",
+        "39a54a8f3737df2c684f5686170d8b40f962756e1b1452b1e240616184c308f8",
     "acool-equivocate_symbols-lifo":
-        "7bd30ad61065b0d5d4efd9cc1a85da15a4be735790c566fb82208b9e0be812ea",
+        "26fe5b280cfd58efdde62fc99111c99cac2d96c62b636276a7c3b1b4f5dd7860",
     "acool-equivocate_symbols-uniform":
-        "2727aba0854c4ff44ef22664b409af7ae19dad9700cb739937e7850bc9dc88a6",
+        "361f634dff52ecbed023d5e3dbd80b1c21b1e6a6f3015234a89449339f0f3b25",
     "acool-garbage_shares-adversary":
-        "b9edaaf4cf0454fdde9d0502381bd144b0ecedbcc4b4196b9e44a1b6ca61a308",
+        "79216692f192dc48b2e026a9484ffbdcea46d3aae19f1f865fb9d32206a64aa7",
     "acool-garbage_shares-lifo":
-        "8b8b1b22a4bf8cff6d56778785624d3640231a2ca3b2f285a4bc917aef0e2ac8",
+        "41b9e3f472f68fef6a745baa3c8fa1c5faba0b3f05daf28377dfe0be12252c3b",
     "acool-garbage_shares-uniform":
-        "d10f7ddc86879dbdcd1f553ddb00048358cf947051249e395ddc2f01510c55ab",
+        "aaba00b1348f294eefa42c9cc84216a6d670f5fcd7ba378567a50e47d122c5ca",
     "acool-k2-equivocate":
-        "6126be66ce1a8e468d4d7e7f6a12027ea166077998ecb6c0105030e67b2edd1a",
+        "64a297f4cec7f04abb2ad01a3cf830bdb3f295f1efc827015f97d4aaa0e83378",
     "acool-k2-garbage":
-        "53281bd8712ca70b9cbbbfc3212a09bb52705ca5c5159f7ace50fc00fa54abd8",
+        "9e64a58929782ff3a5a25bbd5eb673ccb984540fb25c532fb047a78b8517e8f1",
     "acool-k3-garbage":
-        "bbb47dc862843d967b243ddb17958455c39cc2976e5d709739dc1fa2354a5efd",
+        "b00b365b82d13e5c5fab2b4a525fce7ed82ff70e1b275e14113b73bae85494c6",
     "acool-k5-clean":
-        "11df3c26d2c71dac4bede568a09f53ea788583b529139b45669e7539592da1c3",
+        "483bc8fe72ec72ee605911bad57b5690e12bd98f434d93397d4975894dfc9f12",
     "acool-k5-garbage":
-        "63b8cf4ed7d31378dc489ff794bc64e2d689ad783a8420dd412b1458cfc40101",
+        "166f68dc8fb15bdcd2eec846687447b920d83029865f87edf4329a65161d0a71",
     "acool-legacy-garbage-lifo":
-        "d9f3e4bbdfbfab7b661315c702f918eeade52a5f01b74c0282971796975ac2a7",
+        "4cd416acf17cf571357b2cfc5ed81fc7767e0835404d12a325fe793b093f65d2",
     "acool-none-adversary":
-        "a813a86cfbebd2aa0657cf7311eae76de2fcdbe7aa9f580811351e3a74bad9f3",
+        "bdee36f7cc78cd132b139e1e2ac7eeb9118998b808607e5eaeb8da48af82084e",
     "acool-none-lifo":
-        "53118cae69a9a84640b7a07546ebea6a5fe309d1d760f7dffb9b7d5b792716ff",
+        "517a7253a5f73af65d92b0e82501e338e84d94cb1376261012483ace431950fe",
     "acool-none-uniform":
-        "67f79a3de36541185829acea205e83ce3844e08a2705a515a2dd55f078f9cb17",
+        "372273dfd1641ab215ee9f980e1284875662a2f3d6a650e82578837973942fbc",
     "acool-partial-inputs":
-        "02f2907f504a734a8d1606b19ec2b633be156d72acc7856c90f35d93726a6578",
+        "a3483e09eb469914663a0d6866cbab873fc8a30480d31591d2e37f7a40b0f308",
     "acool-random_byzantine-adversary":
-        "a0eb039d010ba834e6801da64d49ea0da7a8c5719a1dbe9e7cae6c417a422dee",
+        "594d1ac6eef829448890870fa1d26b8853859a538c9610ab0ef0f38762efad8b",
     "acool-random_byzantine-lifo":
-        "445e22616fb329be9276eff20ca16fdcb0ea7f25a992be9d6f5cdcd6ef14724a",
+        "7d2a087badcde315145df3da822631ba3229c1ac24e4450a0676cdb18ea6af03",
     "acool-random_byzantine-uniform":
-        "914f919100257d30c28cced882c527065fc9682892e31feca86cbf53605a1001",
+        "cf52079b2c2454cb6b0d747861fea5a84933201823174bdefcdc165c91b6918a",
     "acool-ready_spammer-adversary":
-        "cc7ba82cb549c28d5f42a8049e04c099272d59f69da7aa0ef913d5e31d7dac0d",
+        "98e5bdf6121c988d43572470a8556d74242f85f994c46f84aba9ee6252d4a236",
     "acool-ready_spammer-lifo":
-        "f2de712a49250ddd1797606c23cecc0c1d98fd8db2457862e038e99593ee700b",
+        "bdc3f6844168d3e712c681c8ba19e524d1c3a007b4f477487b996daa86a507b6",
     "acool-ready_spammer-uniform":
-        "36b81d744a9baf513ed3890f5ba9d92e1d63fae54cc792f277ce3c73adc266e7",
+        "713e8ce5a5fd21d77d1b1a9a5afd8677716234d31c913c52a35851e37cecc7dd",
     "acool-skip-brba-counted":
-        "f5fd49302e9f58e90a021fe64628c42f711aedb87198b85e53a101b4ba1b2b18",
+        "91efa1fd36470ee1ecb7ae60d8fa2b64affdcce0480b4ec94f89e884fd842c62",
     "acool-split_input_builder-adversary":
-        "ec587cdd8728eccc61b5d290137845b93642c4f44edd52c8cd63b89df1c23f73",
+        "518c6f69d72d6a442bcb8d0eaa971623e72d68f515e3c8a94e96b442abe9d8f6",
     "acool-split_input_builder-lifo":
-        "a2078c444cefd226531d1fc8512b0c3f8791b5d0f70d1341d02cccdb615415e6",
+        "ca8cd683ca6a279796f57bf96ea64e8240807b8499f8e3410fa2c2e05b7e765b",
     "acool-split_input_builder-uniform":
-        "e75cb0b2245545075484214f5e89d7bf868a6fd11c8289c2c2c97e542264712e",
+        "c441d163feeb46a68dc2b645b4805e0aa635271e449ea4a9b43e8804cb0c1eb9",
     "acool-two-camp":
-        "93572194189c5faf46a98646e2624b8baf7110c2b281a6ef9507c76c33d8d2e0",
+        "9597367f798f3208cbeb05deebc7ec96f8bdee033ab1302e7d66596336cf7d03",
     "acool-withhold_from_subset-adversary":
-        "a40f840456852eab076821e05e4f0d9f279e88114d92ad6b85fca503b35dcea5",
+        "cdf1baff9eb9309e76a6c74aef98f1eeacd87e6b4dba303ee650b258a0e5af10",
     "acool-withhold_from_subset-lifo":
-        "6a1ab1cd5fbadb9b29e99bd083f753ad56d08656f1f774b739a692b8aa5f21c3",
+        "f27a76b136b29eaba987b3833e01b3aed19afa3719fe053770e1f3cbe3d4c6b5",
     "acool-withhold_from_subset-uniform":
-        "c0b5ec1c0370fbce785601aa422367757ba3f12a6d1fb33df1edf6eb74d56b1e",
+        "926d6b69cc58de970c26bfdadd745d87a687ca6fe24caec3e3437bedfad944e6",
     "coin-equivocate":
-        "a5db1a277a854a1cb440642c341b6d7107c6e67e6417ef86d90aeb01855d4b9c",
+        "5b356f33b07bbc390694f2ae3996eb9f27d42ced7a0ec33d2b75fd7cfcd59a9e",
     "coin-random":
-        "054633bd080b9d75a7687b18f38d517fb31aec0b92c887f2a83a3dd7d8f90ed1",
+        "61e66352b8d06ef815c49b1493aef1935e1af3f5ce1db57f55845f2c8eb565bb",
     "rba-equivocate":
-        "6f992f064668caa0d428300019c60277b09a672a81affff1b3cf1fe41aab1f59",
+        "ff719617e1bdc53925098c1ea8865409970f9daee25f3052071915375e7ac26b",
     "rba-none":
-        "31350c9803be19b916b1868a6c2b7a551f2cb0b128a6a500ecdd208ebc5c65ec",
+        "f0c8e7834f6f952d1cf11800c97235c2b79d13c395707272428cdfe9013ac0e1",
     "rbc-byzantine-leader":
-        "fb114304d508e5b886afc81f49f94b466d577b24ad726cdfd0a6d407121d8416",
+        "6733b1e300538c34dfba731d2e2ef6a889ab2c5e13b345fc8e7baf21ab830c4a",
     "rbc-honest-leader":
-        "9cd6e055c7b363fd56ce6bc12fd51850c033094cf4212e305ae7cef2cab8473f",
+        "0e03e7cbf1f48d6ffaabdf143d916d6a9b434602d036b90aa2d4d6c2af21a7e8",
     "rbc-unbalanced":
-        "06d1a7fc844e280e2e5b020540d8e9deb4b162ed3bb1db4c597903c6d86bce79",
+        "685f491ca8739b7f8dd8c09af480a8fbf222f594659dec467f6dca85a13fc628",
     "small_t-bottom":
-        "6bddf6aae4406c6889b8ceaf8961c79d985d1484c2066c734dd2d63cf667e05f",
+        "f885dc20fe089dcd717ac9b872c6469b7aa34dd1e017ae7be53bf183aa16e267",
     "small_t-coin":
-        "c21504a5827d8b4c5cdd0510f1d47fb9492e7ad658f93a78f7f1a0afa866046f",
+        "a592150e5f074fe0c523a7ff674c04f6329b7c442ac9e2a2249d5aad99c97303",
     "small_t-garbage":
-        "fc1956bb8c3769c965febf8b584d35a43ad86f101e3374d6d03af010fba54f6d",
+        "bca3bfc64a6d0b713380d954596c3164db8da39962c86c4b4333a7b729ae0e39",
     "split-input-coin":
-        "93573043b75291c4e3e1441a504368534470235e5d646856db92a7c4cd622a47",
+        "77d6cf738e409b86d7fb7ae3a36024afad26294a510cd33651a3d6d8b7f74f4b",
     "split-input-legacy":
-        "50bac33071e83f3599c5fde8e49cac224bdc373c7db91c2a63b32751413fc88e",
+        "c396e85b109d8fb98b45bea65c35dcd080c12511a612f265c7fd7d42d2796010",
     "split-input-legacy-stall":
-        "2b18c596b0ebedafaf40064d2498ebdf79a47e0a6b1a50ca6e8637e9078c4d07",
+        "aafcf496623386bcccb3a1c3084d7a095d59e24a0fac00531c7b3f6cdef8cd72",
     "split-input-live":
-        "99eb2b12faf6f22d11ba6b18deb14421ea4ae776577f9fb12730ffac11bd422d",
+        "4caa8170647c069bf7319bccb5debaae041f03691d0935d6fb41daaf4aed4892",
 }
 
 

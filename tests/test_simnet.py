@@ -122,6 +122,31 @@ def test_byzantine_ids_must_be_distinct_ints(t, byzantine):
                       byzantine=byzantine))
 
 
+_W = bytes(range(1, 9))
+
+
+@pytest.mark.parametrize("field,overrides", [
+    ("n", {"n": 7.0}),
+    ("t", {"t": 2.0}),
+    ("msg_len_bits", {"msg_len_bits": 64.0}),
+    ("leader", {"protocol": "rbc", "leader": True}),
+    ("leader", {"protocol": "rbc", "leader": 1.0}),
+    ("event_cap", {"event_cap": 1.5}),
+    ("fairness_window", {"fairness_window": 10.0}),
+    ("byzantine", {"adversary": "crash_silent", "byzantine": 5}),
+    ("inputs", {"inputs": {99: _W}}),
+    ("inputs", {"inputs": {0: _W}}),
+    ("inputs", {"inputs": {"x": _W}}),
+    ("inputs", {"inputs": {True: _W}}),
+])
+def test_config_fields_must_have_their_types(field, overrides):
+    # each of these used to run (and be reported as given) or raise a
+    # TypeError from deep in the run
+    cfg = SimConfig(**{"n": 7, "t": 2, "msg_len_bits": 64, **overrides})
+    with pytest.raises(ValueError, match=field):
+        run(cfg)
+
+
 def test_byzantine_ids_need_an_adversary():
     # without one there is no strategy to drive them
     with pytest.raises(ValueError, match="Byzantine ids need an adversary"):
@@ -213,7 +238,7 @@ def test_event_log_schema():
     assert set(json.loads(lines[0])) == \
         {"step", "from", "to", "tag", "bits", "round"}
     rows = list(rep.rows())
-    assert len(rows) == len(lines) == rep.to_dict()["events"] > 0
+    assert len(rows) == len(lines) == rep.metrics.events_delivered > 0
     for row, line in zip(rows, lines):
         assert json.loads(line) == dict(
             zip(("step", "from", "to", "tag", "bits", "round"), row))
@@ -480,10 +505,12 @@ _ENDINGS = {
 @pytest.mark.parametrize("reason", _ENDINGS)
 @pytest.mark.parametrize("abba", ["oracle", "coin"])
 def test_delivery_counts_agree_with_a_recount(abba, reason, monkeypatch):
-    """`events_delivered` is the logged rows plus the oracle's AbbaIn
-    deliveries; both counts agree with a recount that wraps `handle`: a
-    pop to a Byzantine id is always delivered, one to an honest id is
-    delivered when it reaches `handle` and suppressed otherwise."""
+    """`events_delivered` is the logged rows, and both agree with a recount
+    that wraps `handle` and the oracle's `on_input`: a pop to a Byzantine
+    id or to the oracle is always delivered, one to an honest id is
+    delivered when it reaches `handle` and suppressed otherwise.  Every
+    pop is a step, so the last logged step is the delivered and the
+    suppressed deliveries together."""
     cfg = SimConfig(msg_len_bits=64, abba=abba, **_ENDINGS[reason])
     byz = set(cfg.byzantine_ids())
     popped, handled, oracle_inputs = [], [], []
@@ -500,9 +527,9 @@ def test_delivery_counts_agree_with_a_recount(abba, reason, monkeypatch):
             handled.append(self.node_id)
         return handle(self, frm, msg)
 
-    def adjudicating(self, frm, bit):
+    def adjudicating(self, frm, msg):
         oracle_inputs.append(frm)
-        return on_input(self, frm, bit)
+        return on_input(self, frm, msg)
 
     monkeypatch.setattr(_Queue, "pop", popping)
     monkeypatch.setattr(AcoolNode, "handle", handling)
@@ -510,14 +537,15 @@ def test_delivery_counts_agree_with_a_recount(abba, reason, monkeypatch):
     rep = run(cfg)
     assert rep.reason == reason
     metrics = rep.metrics
-    assert metrics.events_delivered == (len(rep.event_log) // 6
-                                        + len(oracle_inputs))
+    rows = list(rep.rows())
     to_byz = sum(dst in byz for dst in popped)
     to_honest = sum(1 <= dst <= cfg.n and dst not in byz for dst in popped)
-    assert metrics.events_delivered == (len(handled) + to_byz
-                                        + len(oracle_inputs))
+    assert metrics.events_delivered == len(rows) == (
+        len(handled) + to_byz + len(oracle_inputs))
     assert metrics.events_suppressed == to_honest - len(handled)
+    assert rows[-1][0] == metrics.events_delivered + metrics.events_suppressed
     assert (len(oracle_inputs) > 0) == (abba == "oracle")
+    assert sum(dst == 0 for _, _, dst, _, _, _ in rows) == len(oracle_inputs)
     if reason == "ok":
         assert metrics.events_suppressed > 0
 
@@ -814,20 +842,48 @@ def _over_budget(cfg):
     return over
 
 
+def _acool_cells(n, t):
+    """The acceptance grid cell's strategies, schedulers, input styles
+    (equal and two camps) and seeds 0-1."""
+    mixed = {i: b"va-%02d" % n if i <= n // 2 else b"vb-%02d" % n
+             for i in range(1, n + 1)}
+    for adv, sched, inputs, seed in itertools.product(
+            ADVERSARIES, SCHEDULERS, (None, mixed), range(2)):
+        yield SimConfig(n=n, t=t, seed=seed, msg_len_bits=64, inputs=inputs,
+                        adversary=adv, scheduler=sched, abba_hint=seed % 2)
+
+
 @pytest.mark.parametrize("n,t", [(4, 1), (7, 2), (10, 3)])
 def test_honest_egress_stays_within_the_message_budget(n, t):
     """Every honest node's egress per tag is at most cap x n x width, over
     the acceptance grid cell's strategies, schedulers and input styles."""
-    mixed = {i: b"va-%02d" % n if i <= n // 2 else b"vb-%02d" % n
-             for i in range(1, n + 1)}
     over = []
-    for adv, sched, inputs, seed in itertools.product(
-            ADVERSARIES, SCHEDULERS, (None, mixed), range(2)):
-        cfg = SimConfig(n=n, t=t, seed=seed, msg_len_bits=64, inputs=inputs,
-                        adversary=adv, scheduler=sched, abba_hint=seed % 2)
-        over += [(adv, sched, inputs is None, seed, *row)
-                 for row in _over_budget(cfg)]
+    for cfg in _acool_cells(n, t):
+        over += [(cfg.adversary, cfg.scheduler, cfg.inputs is None, cfg.seed,
+                  *row) for row in _over_budget(cfg)]
     assert not over, over[:10]
+
+
+@pytest.mark.parametrize("n,t", [(4, 1), (7, 2), (10, 3)])
+def test_oracle_side_channel_stays_within_its_caps(n, t):
+    """The one binary agreement per node, read from the event log, which
+    logs every oracle delivery: each honest participant sends id 0 at
+    most one ABBAIN, and id 0 sends each participant at most one ABBAOUT.
+    The report's egress leaves this side channel out by default."""
+    over, answered = [], 0
+    for cfg in _acool_cells(n, t):
+        byz = cfg.byzantine_ids()
+        rows = collections.Counter(
+            (frm, dst, tag) for _, frm, dst, tag, _, _ in run(cfg).rows()
+            if frm == 0 or dst == 0 and frm not in byz)
+        answered += sum(frm == 0 for frm, _, _ in rows)
+        for (frm, dst, tag), count in rows.items():
+            if (count > 1 or tag != ("ABBAOUT" if frm == 0 else "ABBAIN")
+                    or dst in byz):
+                over.append((cfg.adversary, cfg.scheduler, cfg.seed,
+                             frm, dst, tag, count))
+    assert not over, over[:10]
+    assert answered > 0
 
 
 PROTOCOL_KINDS = {"rba": {"protocol": "rba"}, "rbc": {"protocol": "rbc"},
